@@ -359,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the solver's max_rounds safety valve")
     p_analyze.add_argument("--solver", choices=("naive", "seminaive"),
                            default="seminaive",
-                           help="fixed-point strategy: delta-driven scheduling "
-                           "(default) or the naive full sweep; both produce "
-                           "identical solutions")
+                           help="round schedule: delta-driven (default) or "
+                           "every op every round (the test oracle); both "
+                           "produce identical solutions")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_lint = sub.add_parser(

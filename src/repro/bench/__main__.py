@@ -19,8 +19,9 @@ solver stats (solve_seconds, rounds, ops scheduled/skipped) into
 ``BENCH_solver.json`` at the repo root.
 
 ``perfsmoke`` is the CI scheduler regression guard: quick subset,
-fails (exit 1) if the semi-naive solver ever evaluates more rule
-instances than the naive sweep would.
+fails (exit 1) if the semi-naive schedule ever evaluates more rule
+instances than the naive schedule, or takes a different number of
+rounds.
 
 ``lint`` benchmarks the lint pass per corpus app — wall time and the
 provenance-overhead ratio (provenance-on vs plain solve) — and

@@ -27,25 +27,26 @@ operation processing and flow propagation alternate in rounds until
 nothing changes. All facts are finite and monotonically growing, so
 termination is guaranteed.
 
-Two solver modes implement the fixed point
-(``AnalysisOptions.solver``):
+One round loop implements the fixed point; ``AnalysisOptions.solver``
+only picks which ops a round evaluates and when the loop stops:
 
-* ``"naive"`` — the paper's specification taken literally: every round
-  re-evaluates every operation node and re-binds XML handlers from
-  scratch. Kept as the reference implementation and safety net.
 * ``"seminaive"`` (default) — delta-driven scheduling: after a first
   full sweep, an operation rule only re-runs when one of its inputs
-  actually changed. Inputs are (a) the op's receiver/argument ports
-  (``_add_values`` marks the owning op dirty on a delta), (b) the
-  relationship-edge kinds the rule queries (a ``rel_listener`` on the
-  graph marks statically subscribed ops on each new edge), and (c)
-  dynamically discovered pointer nodes such as the return variables of
-  ``getView``/``onCreateView`` factories (registered the first time a
-  rule reads them). Every rule is monotone in exactly these inputs, so
-  skipping an op whose inputs are unchanged cannot lose facts and both
-  modes converge to the identical solution (asserted by the
-  differential test suite; ``seminaive_cross_check`` re-validates each
-  claimed fixed point with a full sweep).
+  actually changed, and the solve stops when nothing is dirty. Inputs
+  are (a) the op's receiver/argument ports (``_add_values`` marks the
+  owning op dirty on a delta), (b) the relationship-edge kinds the rule
+  read (``_read_rel``/``_read_descendants`` subscribe the op being
+  evaluated to the kind, and a ``rel_listener`` on the graph marks the
+  subscribers on each new edge), and (c) pointer nodes the rule read
+  outside its ports, such as the return variables of
+  ``getView``/``onCreateView`` factories (``_depend_on_node``). Every
+  rule is monotone in exactly what it read, so skipping an op whose
+  inputs are unchanged cannot lose facts.
+* ``"naive"`` — the paper's fixed point taken literally: every round
+  evaluates every op and re-binds XML handlers, and the solve stops
+  after a round that changed nothing. It consults neither the dirty
+  set nor the subscriptions, so it is the oracle the differential
+  tests hold the scheduler against.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.app import AndroidApp
-from repro.core.builder import BuildResult, build_constraint_graph
+from repro.core.builder import build_constraint_graph
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import (
     ActivityNode,
@@ -91,8 +92,7 @@ from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind
-from repro.platform.classes import ACTIVITY, DIALOG, VIEW
-from repro.platform.events import spec_for_interface
+from repro.platform.classes import ACTIVITY, DIALOG
 from repro.resources.layout import LayoutNode
 
 
@@ -110,15 +110,9 @@ class AnalysisOptions:
     ``max_rounds`` is a safety valve; the fixed point always converges
     long before it on realistic inputs.
 
-    ``solver`` selects the fixed-point strategy: ``"seminaive"``
-    (delta-driven scheduling, the default) or ``"naive"`` (full sweep
-    every round, the reference implementation). Both produce identical
-    solutions.
-
-    ``seminaive_cross_check`` makes the semi-naive solver validate
-    every claimed fixed point with one full naive sweep before
-    accepting it (a debug net for scheduler bugs; if the sweep finds
-    missed work it warns and keeps solving).
+    ``solver`` selects the round schedule: ``"seminaive"``
+    (delta-driven, the default) or ``"naive"`` (every op every round,
+    the test oracle). Both produce identical solutions.
 
     ``provenance`` (off by default) records, for every derived fact,
     the inference rule and premise facts that first derived it (one
@@ -133,7 +127,6 @@ class AnalysisOptions:
     filter_casts: bool = True
     max_rounds: int = 1000
     solver: str = "seminaive"
-    seminaive_cross_check: bool = False
     provenance: bool = False
 
     def __post_init__(self) -> None:
@@ -159,7 +152,6 @@ class GuiReferenceAnalysis:
         self.graph: ConstraintGraph = build.graph
         self.hierarchy: ClassHierarchy = build.hierarchy
         self.pts: Dict[Node, Set[ValueNode]] = {}
-        self._work: Deque[Tuple[Node, Set[ValueNode]]] = deque()
         self._inflated: Dict[Tuple[object, str], InflViewNode] = {}
         self._inflated_menus: Set[Tuple[Site, str]] = set()
         self.menu_items_by_class: Dict[str, List[MenuItemNode]] = {}
@@ -177,8 +169,7 @@ class GuiReferenceAnalysis:
         self.work_items = 0
         self.ops_scheduled = 0
         self.ops_skipped = 0
-        # -- semi-naive scheduler state -----------------------------------
-        self._seminaive = self.options.solver == "seminaive"
+        # -- scheduler state -----------------------------------------------
         # Coalescing worklist: accumulated (not-yet-propagated) delta
         # per node plus a FIFO of nodes with a pending delta. Deltas
         # from the seed drain are overwhelmingly singletons; merging
@@ -191,13 +182,17 @@ class GuiReferenceAnalysis:
         # Dynamically discovered dependencies: pointer node -> ops that
         # read its points-to set outside their own ports.
         self._node_deps: Dict[Node, Set[OpNode]] = {}
-        # Static subscriptions: relationship-edge kind -> ops whose
-        # rule queries edges of that kind (built at solve start).
-        # Stored as dicts so one edge notification marks every
-        # subscriber dirty with a single ``dict.update``.
-        self._rel_subs: Dict[RelKind, Dict[OpNode, None]] = {}
-        self._xml_dirty = True
-        # (value class, cast filter) -> bool memo for _apply_filter.
+        # Read-tracked subscriptions: relationship-edge kind -> ops
+        # whose rule read edges of that kind while being evaluated
+        # (``_current_op``); never removed. Stored as dicts so one edge
+        # notification marks every subscriber dirty with a single
+        # ``dict.update``.
+        self._rel_subs: Dict[RelKind, Dict[OpNode, None]] = {
+            kind: {} for kind in RelKind
+        }
+        self._current_op: Optional[OpNode] = None
+        self._xml_dirty = False
+        # (value class, cast filter) -> bool memo for cast filtering.
         self._cast_cache: Dict[Tuple[str, str], bool] = {}
         self.cast_cache_hits = 0
         self.cast_cache_misses = 0
@@ -222,24 +217,21 @@ class GuiReferenceAnalysis:
             return False
         current |= delta
         self.values_added += len(delta)
-        if self._seminaive:
-            pending = self._pending.get(node)
-            if pending is None:
-                self._pending[node] = delta
-                self._queue.append(node)
-            else:
-                pending |= delta
-            # Delta scheduling: a changed input port dirties its op; a
-            # changed node some rule read dynamically dirties that rule.
-            if isinstance(node, (OpRecv, OpArg)):
-                self._dirty[node.op] = None
-            deps = self._node_deps.get(node)
-            if deps:
-                dirty = self._dirty
-                for op in deps:
-                    dirty[op] = None
+        pending = self._pending.get(node)
+        if pending is None:
+            self._pending[node] = delta
+            self._queue.append(node)
         else:
-            self._work.append((node, delta))
+            pending |= delta
+        # Delta scheduling: a changed input port dirties its op; a
+        # changed node some rule read dynamically dirties that rule.
+        if isinstance(node, (OpRecv, OpArg)):
+            self._dirty[node.op] = None
+        deps = self._node_deps.get(node)
+        if deps:
+            dirty = self._dirty
+            for op in deps:
+                dirty[op] = None
         return True
 
     def _seed(
@@ -287,37 +279,16 @@ class GuiReferenceAnalysis:
             self._add_values(dst, existing)
         return True
 
-    def _drain(self) -> bool:
-        """Difference propagation for the naive mode (reference path)."""
-        changed = False
-        prov = self._prov
-        while self._work:
-            node, delta = self._work.popleft()
-            changed = True
-            self.work_items += 1
-            for succ in self.graph.flow_succ.get(node, ()):
-                values = self._apply_filter(node, succ, delta)
-                if prov is not None:
-                    for v in values:
-                        prov.record_flow(
-                            succ,
-                            v,
-                            RULE_ASSIGN,
-                            (flow_fact(node, v), edge_fact(node, succ)),
-                        )
-                self._add_values(succ, values)
-        return changed
+    def _propagate(self) -> bool:
+        """Difference propagation of pending deltas along flow edges;
+        True when any delta was pending.
 
-    def _drain_fast(self) -> bool:
-        """Difference propagation for the semi-naive mode.
-
-        Identical fixpoint semantics to :meth:`_drain`, with the
-        per-edge costs stripped: deltas are coalesced per node before
-        propagating (a node hit by many singleton deltas traverses its
-        out-edges once, not once per delta), successors come paired
-        with their cast filter (no filter-table lookup), filter
-        decisions are memoised per (value class, filter), and empty
-        filtered deltas are dropped without touching ``pts``."""
+        Deltas are coalesced per node before propagating (a node hit by
+        many singleton deltas traverses its out-edges once, not once
+        per delta), successors come paired with their cast filter (no
+        filter-table lookup), filter decisions are memoised per (value
+        class, filter), and empty filtered deltas are dropped without
+        touching ``pts``."""
         changed = False
         queue = self._queue
         pending = self._pending
@@ -340,10 +311,10 @@ class GuiReferenceAnalysis:
             changed = True
             self.work_items += 1
             for succ, type_filter in flow_out.get(node, empty):
-                # Inlined _add_values (semi-naive branch): this loop is
-                # the solver's hottest path and the call overhead alone
-                # is a double-digit share of solve time. Any semantic
-                # change here must be mirrored in _add_values.
+                # Inlined _add_values: this loop is the solver's hottest
+                # path and the call overhead alone is a double-digit
+                # share of solve time. Any semantic change here must be
+                # mirrored in _add_values.
                 if type_filter is not None and filter_casts:
                     values = filter_cached(delta, type_filter)
                     if not values:
@@ -384,8 +355,10 @@ class GuiReferenceAnalysis:
     def _filter_values_cached(
         self, values: Set[ValueNode], type_filter: str
     ) -> Set[ValueNode]:
-        """:meth:`_apply_filter` with the subtype decision memoised per
-        (value class, filter); classless values (ids) pass through."""
+        """The values that pass an edge's cast filter, with the subtype
+        decision memoised per (value class, filter). Values without a
+        run-time class (layout/view ids) pass through; reference casts
+        only constrain abstract objects."""
         cache = self._cast_cache
         kept: Set[ValueNode] = set()
         for v in values:
@@ -403,27 +376,6 @@ class GuiReferenceAnalysis:
                 self.cast_cache_hits += 1
             if ok:
                 kept.add(v)
-        return kept
-
-    def _apply_filter(
-        self, src: Node, dst: Node, values: Set[ValueNode]
-    ) -> Set[ValueNode]:
-        """Apply the edge's cast type filter, if any.
-
-        Values without a run-time class (layout/view ids) pass through;
-        reference casts only constrain abstract objects.
-        """
-        if not self.options.filter_casts:
-            return values
-        type_filter = self.graph.flow_filter(src, dst)
-        if type_filter is None:
-            return values
-        kept = {
-            v
-            for v in values
-            if (cn := value_class_name(v)) is None
-            or self.hierarchy.is_subtype(cn, type_filter)
-        }
         return kept
 
     # -- value classification ----------------------------------------------------
@@ -541,10 +493,11 @@ class GuiReferenceAnalysis:
 
     def _solve(self) -> None:
         started = time.perf_counter()
-        if self._seminaive:
-            self._solve_seminaive()
-        else:
-            self._solve_naive()
+        self.graph.rel_listener = self._on_rel_added
+        try:
+            self._run_rounds()
+        finally:
+            self.graph.rel_listener = None
         if not self.converged:
             warnings.warn(
                 f"analysis of {self.app.name!r} stopped at "
@@ -555,181 +508,103 @@ class GuiReferenceAnalysis:
             )
         self.solve_seconds = time.perf_counter() - started
 
-    def _solve_naive(self) -> None:
-        """The paper's fixed point taken literally: every round
-        re-evaluates every operation node (the reference mode)."""
+    def _run_rounds(self) -> None:
+        """The fixed point: seed, then alternate rule rounds and flowsTo
+        propagation until nothing changes (see the module docstring for
+        how the two schedules pick a round's ops and stop)."""
         tracer = self.tracer
+        graph = self.graph
+        all_ops = graph.ops()
+        total_ops = len(all_ops)
+        schedule_all = self.options.solver == "naive"
+        bind_xml = self.options.model_xml_onclick
+        rules = self._RULES
         for value in self._initial_values():
             self._seed(value)
-        self._drain()
+        self._propagate()
         self.converged = False
-        total_ops = len(self.graph.ops())
         for round_index in range(self.options.max_rounds):
             self.rounds = round_index + 1
-            self.ops_scheduled += total_ops
-            changed = False
-            if tracer is None:
-                for op in self.graph.ops():
-                    changed |= self._process_op(op)
-                if self.options.model_xml_onclick:
-                    changed |= self._bind_xml_onclick()
-                changed |= self._drain()
-            else:
+            sweep = schedule_all or round_index == 0
+            batch = all_ops if sweep else list(self._dirty)
+            self._dirty.clear()
+            self.ops_scheduled += len(batch)
+            self.ops_skipped += total_ops - len(batch)
+            if tracer is not None:
                 round_values = self.values_added
                 round_work = self.work_items
-                round_flow = self.graph.flow_edge_count()
+                round_flow = graph.flow_edge_count()
                 round_rel = self._rel_edge_total()
-                rules_fired = 0
-                for op in self.graph.ops():
-                    fired = self._process_op(op)
+            rules_fired = 0
+            for op in batch:
+                self._current_op = op
+                fired = rules[op.kind](self, op)
+                if fired:
+                    rules_fired += 1
+                if tracer is not None:
                     tracer.counter(obs_names.RULE_EVALUATED[op.kind])
                     if fired:
                         tracer.counter(obs_names.RULE_FIRED[op.kind])
-                        rules_fired += 1
-                        changed = True
-                if self.options.model_xml_onclick:
-                    bindings0 = len(self.xml_handlers)
-                    changed |= self._bind_xml_onclick()
-                    bound = len(self.xml_handlers) - bindings0
-                    if bound:
-                        tracer.counter(obs_names.COUNTER_XML_ONCLICK_BOUND, bound)
-                worklist_depth = len(self._work)
-                changed |= self._drain()
+            self._current_op = None
+            changed = rules_fired > 0
+            # The XML binding runs after the round's ops, so it sees the
+            # ROOT/CHILD edges they added.
+            if bind_xml and (sweep or self._xml_dirty):
+                self._xml_dirty = False
+                bindings0 = len(self.xml_handlers)
+                changed |= self._bind_xml_onclick()
+                bound = len(self.xml_handlers) - bindings0
+                if bound and tracer is not None:
+                    tracer.counter(obs_names.COUNTER_XML_ONCLICK_BOUND, bound)
+            worklist_depth = len(self._queue)
+            changed |= self._propagate()
+            if tracer is not None:
                 tracer.event(
                     obs_names.EVENT_ROUND,
                     round=self.rounds,
                     rules_fired=rules_fired,
                     values_added=self.values_added - round_values,
-                    flow_edges_added=self.graph.flow_edge_count() - round_flow,
+                    flow_edges_added=graph.flow_edge_count() - round_flow,
                     rel_edges_added=self._rel_edge_total() - round_rel,
                     work_items=self.work_items - round_work,
                     worklist_depth=worklist_depth,
-                    ops_scheduled=total_ops,
-                    ops_skipped=0,
+                    ops_scheduled=len(batch),
+                    ops_skipped=total_ops - len(batch),
                 )
-            if not changed:
+            if schedule_all:
+                done = not changed
+            else:
+                done = not self._dirty and not (bind_xml and self._xml_dirty)
+            if done:
                 self.converged = True
                 break
 
-    # -- semi-naive scheduling ---------------------------------------------------
+    # -- read-tracked dependency index -------------------------------------------
 
-    def _solve_seminaive(self) -> None:
-        """Delta-driven fixed point: full sweep on the first round, then
-        only ops whose inputs changed (see the module docstring)."""
-        tracer = self.tracer
-        graph = self.graph
-        all_ops = graph.ops()
-        total_ops = len(all_ops)
-        self._build_rel_subscriptions(all_ops)
-        graph.rel_listener = self._on_rel_added
-        try:
-            for value in self._initial_values():
-                self._seed(value)
-            self._drain_fast()
-            self.converged = False
-            self._xml_dirty = True
-            for round_index in range(self.options.max_rounds):
-                self.rounds = round_index + 1
-                if round_index == 0:
-                    self._dirty.clear()
-                    batch: List[OpNode] = all_ops
-                else:
-                    batch = list(self._dirty)
-                    self._dirty.clear()
-                self.ops_scheduled += len(batch)
-                self.ops_skipped += total_ops - len(batch)
-                if tracer is None:
-                    for op in batch:
-                        self._process_op(op)
-                    if self.options.model_xml_onclick and (
-                        self._xml_dirty or round_index == 0
-                    ):
-                        self._xml_dirty = False
-                        self._bind_xml_onclick()
-                    self._drain_fast()
-                else:
-                    round_values = self.values_added
-                    round_work = self.work_items
-                    round_flow = graph.flow_edge_count()
-                    round_rel = self._rel_edge_total()
-                    rules_fired = 0
-                    for op in batch:
-                        fired = self._process_op(op)
-                        tracer.counter(obs_names.RULE_EVALUATED[op.kind])
-                        if fired:
-                            tracer.counter(obs_names.RULE_FIRED[op.kind])
-                            rules_fired += 1
-                    if self.options.model_xml_onclick and (
-                        self._xml_dirty or round_index == 0
-                    ):
-                        self._xml_dirty = False
-                        bindings0 = len(self.xml_handlers)
-                        self._bind_xml_onclick()
-                        bound = len(self.xml_handlers) - bindings0
-                        if bound:
-                            tracer.counter(
-                                obs_names.COUNTER_XML_ONCLICK_BOUND, bound
-                            )
-                    worklist_depth = len(self._queue)
-                    self._drain_fast()
-                    tracer.event(
-                        obs_names.EVENT_ROUND,
-                        round=self.rounds,
-                        rules_fired=rules_fired,
-                        values_added=self.values_added - round_values,
-                        flow_edges_added=graph.flow_edge_count() - round_flow,
-                        rel_edges_added=self._rel_edge_total() - round_rel,
-                        work_items=self.work_items - round_work,
-                        worklist_depth=worklist_depth,
-                        ops_scheduled=len(batch),
-                        ops_skipped=total_ops - len(batch),
-                    )
-                if not self._dirty and not self._xml_dirty:
-                    if self.options.seminaive_cross_check and self._cross_check_sweep():
-                        continue  # missed work found and applied; keep going
-                    self.converged = True
-                    break
-        finally:
-            graph.rel_listener = None
+    def _read_rel(
+        self, kind: RelKind, node: Node, backward: bool = False
+    ) -> FrozenSet[Node]:
+        """The live ``kind`` edges out of (or, ``backward``, into)
+        ``node``, subscribing the op being evaluated to ``kind`` so a
+        later edge of that kind re-schedules it."""
+        op = self._current_op
+        if op is not None:
+            self._rel_subs[kind][op] = None
+        if backward:
+            return self.graph.rel_back_view(kind, node)
+        return self.graph.rel_view(kind, node)
 
-    def _build_rel_subscriptions(self, ops: List[OpNode]) -> None:
-        """Map each relationship-edge kind to the ops whose rule reads
-        edges of that kind (the static half of the dependency index)."""
-        child_readers = (
-            OpKind.FINDVIEW1,
-            OpKind.FINDVIEW2,
-            OpKind.FINDVIEW3,
-            OpKind.GETPARENT,
-            OpKind.FRAGMENT_TX,
-        )
-        has_id_readers = (OpKind.FINDVIEW1, OpKind.FINDVIEW2, OpKind.FRAGMENT_TX)
-        root_readers = (OpKind.FINDVIEW2, OpKind.FRAGMENT_TX)
-        by_kind: Dict[RelKind, List[OpNode]] = {
-            RelKind.CHILD: [],
-            RelKind.HAS_ID: [],
-            RelKind.ROOT: [],
-        }
-        for op in ops:
-            kind = op.kind
-            if kind in child_readers:
-                by_kind[RelKind.CHILD].append(op)
-            elif kind is OpKind.SETLISTENER:
-                spec = self.graph.op_spec(op).listener
-                # Only AdapterView-style listeners walk the receiver's
-                # children (the clicked-row parameter).
-                if spec is not None and spec.item_param_index is not None:
-                    by_kind[RelKind.CHILD].append(op)
-            if kind in has_id_readers:
-                by_kind[RelKind.HAS_ID].append(op)
-            if kind in root_readers:
-                by_kind[RelKind.ROOT].append(op)
-        self._rel_subs = {
-            k: dict.fromkeys(v) for k, v in by_kind.items() if v
-        }
+    def _read_descendants(self, view: Node) -> Set[Node]:
+        """The cached reflexive CHILD-closure of ``view``, subscribing
+        the op being evaluated to CHILD edges."""
+        op = self._current_op
+        if op is not None:
+            self._rel_subs[RelKind.CHILD][op] = None
+        return self.graph.descendants_cached(view)
 
     def _on_rel_added(self, kind: RelKind, src: Node, dst: Node) -> None:
         """Graph notification: a new relationship edge appeared."""
-        subs = self._rel_subs.get(kind)
+        subs = self._rel_subs[kind]
         if subs:
             self._dirty.update(subs)
         if kind is RelKind.ROOT or kind is RelKind.CHILD:
@@ -737,30 +612,12 @@ class GuiReferenceAnalysis:
             # grow exactly when ROOT/CHILD edges appear.
             self._xml_dirty = True
 
-    def _depend_on_node(self, node: Node, op: OpNode) -> None:
-        """Record that ``op``'s rule read ``node``'s points-to set, so
-        future deltas on ``node`` re-schedule ``op``."""
-        self._node_deps.setdefault(node, set()).add(op)
-
-    def _cross_check_sweep(self) -> bool:
-        """Debug net: run one full naive sweep at a claimed fixed point;
-        returns True (after applying the missed work) if the delta
-        scheduler had overlooked anything."""
-        changed = False
-        for op in self.graph.ops():
-            changed |= self._process_op(op)
-        self.ops_scheduled += len(self.graph.ops())
-        if self.options.model_xml_onclick:
-            changed |= self._bind_xml_onclick()
-        changed |= self._drain_fast()
-        if changed:
-            warnings.warn(
-                "semi-naive scheduler cross-check found work the dependency "
-                "index missed; solving continues but the scheduler has a bug",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-        return changed
+    def _depend_on_node(self, node: Node) -> None:
+        """Record that the op being evaluated read ``node``'s points-to
+        set, so future deltas on ``node`` re-schedule it."""
+        op = self._current_op
+        if op is not None:
+            self._node_deps.setdefault(node, set()).add(op)
 
     def _initial_values(self) -> List[ValueNode]:
         values: List[ValueNode] = []
@@ -772,38 +629,6 @@ class GuiReferenceAnalysis:
         return values
 
     # -- operation rules ------------------------------------------------------------
-
-    def _process_op(self, op: OpNode) -> bool:
-        kind = op.kind
-        if kind is OpKind.INFLATE1:
-            return self._op_inflate1(op)
-        if kind is OpKind.INFLATE2:
-            return self._op_inflate2(op)
-        if kind is OpKind.ADDVIEW1:
-            return self._op_addview1(op)
-        if kind is OpKind.ADDVIEW2:
-            return self._op_addview2(op)
-        if kind is OpKind.SETID:
-            return self._op_setid(op)
-        if kind is OpKind.SETLISTENER:
-            return self._op_setlistener(op)
-        if kind is OpKind.FINDVIEW1:
-            return self._op_findview1(op)
-        if kind is OpKind.FINDVIEW2:
-            return self._op_findview2(op)
-        if kind is OpKind.FINDVIEW3:
-            return self._op_findview3(op)
-        if kind is OpKind.GETPARENT:
-            return self._op_getparent(op)
-        if kind is OpKind.FRAGMENT_MGR:
-            return self._op_fragment_mgr(op)
-        if kind is OpKind.FRAGMENT_TX:
-            return self._op_fragment_tx(op)
-        if kind is OpKind.MENU_INFLATE:
-            return self._op_menu_inflate(op)
-        if kind is OpKind.SET_ADAPTER:
-            return self._op_set_adapter(op)
-        raise AssertionError(f"unhandled operation kind {kind}")
 
     # Rules INFLATE1/INFLATE2 (Section 3.2.1, constraint rules in 4.2).
 
@@ -981,14 +806,9 @@ class GuiReferenceAnalysis:
                 param = self._handler_view_param(handler, spec.item_param_index)
                 if param is not None:
                     for view in views:
-                        children = (
-                            self.graph.rel_view(RelKind.CHILD, view)
-                            if self._seminaive
-                            else self.graph.children_of(view)
-                        )
                         # _add_flow_dynamic adds flow edges/values only,
                         # so iterating the live CHILD set is safe.
-                        for child in children:
+                        for child in self._read_rel(RelKind.CHILD, view):
                             changed |= self._add_flow_dynamic(
                                 child,
                                 param,
@@ -1034,36 +854,23 @@ class GuiReferenceAnalysis:
         self, start_views: Set[ValueNode], ids: Set[ViewIdNode]
     ) -> Set[ValueNode]:
         """``find`` from the semantics: descendants (reflexively) of any
-        start view whose associated ids intersect ``ids``."""
-        if self._seminaive:
-            return self._find_by_id_indexed(start_views, ids)
-        results: Set[ValueNode] = set()
-        if not ids:
-            return results
-        for start in start_views:
-            for descendant in self.graph.descendants_of(start, include_self=True):
-                if self.graph.rel(RelKind.HAS_ID, descendant) & ids:
-                    results.add(descendant)  # type: ignore[arg-type]
-        return results
+        start view whose associated ids intersect ``ids``.
 
-    def _find_by_id_indexed(
-        self, start_views: Set[ValueNode], ids: Set[ViewIdNode]
-    ) -> Set[ValueNode]:
-        """Indexed ``find``: intersect the HAS_ID inverted index (the
-        few views carrying a requested id) with the cached descendant
-        closure of each start view, instead of scanning every
-        descendant and testing its ids."""
+        Intersects the HAS_ID inverted index (the few views carrying a
+        requested id) with the cached descendant closure of each start
+        view, instead of scanning every descendant and testing its ids."""
         results: Set[ValueNode] = set()
         if not ids or not start_views:
             return results
-        graph = self.graph
         candidates: Set[Node] = set()
         for id_node in ids:
-            candidates.update(graph.rel_back_view(RelKind.HAS_ID, id_node))
+            candidates.update(
+                self._read_rel(RelKind.HAS_ID, id_node, backward=True)
+            )
         if not candidates:
             return results
         for start in start_views:
-            descendants = graph.descendants_cached(start)
+            descendants = self._read_descendants(start)
             if len(candidates) <= len(descendants):
                 results.update(c for c in candidates if c in descendants)  # type: ignore[misc]
                 if len(results) == len(candidates):
@@ -1132,7 +939,7 @@ class GuiReferenceAnalysis:
     def _op_findview2(self, op: OpNode) -> bool:
         roots: Set[ValueNode] = set()
         for holder in self._activity_likes(OpRecv(op)):
-            roots.update(self.graph.rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
+            roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
         ids = self._view_ids(OpArg(op, 0))
         results = self._find_by_id(roots, ids)
         if results and self._prov is not None:
@@ -1149,17 +956,11 @@ class GuiReferenceAnalysis:
             spec.children_only and self.options.findview3_children_only_refinement
         )
         results: Set[ValueNode] = set()
-        seminaive = self._seminaive
         for view in self._views(OpRecv(op)):
             if children_only:
-                if seminaive:
-                    results.update(self.graph.rel_view(RelKind.CHILD, view))  # type: ignore[arg-type]
-                else:
-                    results.update(self.graph.children_of(view))  # type: ignore[arg-type]
-            elif seminaive:
-                results.update(self.graph.descendants_cached(view))  # type: ignore[arg-type]
+                results.update(self._read_rel(RelKind.CHILD, view))  # type: ignore[arg-type]
             else:
-                results.update(self.graph.descendants_of(view, include_self=True))
+                results.update(self._read_descendants(view))  # type: ignore[arg-type]
         if results and self._prov is not None:
             prov = self._prov
             rule = op.kind.value
@@ -1182,12 +983,8 @@ class GuiReferenceAnalysis:
 
     def _op_getparent(self, op: OpNode) -> bool:
         results: Set[ValueNode] = set()
-        seminaive = self._seminaive
         for view in self._views(OpRecv(op)):
-            if seminaive:
-                results.update(self.graph.rel_back_view(RelKind.CHILD, view))  # type: ignore[arg-type]
-            else:
-                results.update(self.graph.parents_of(view))  # type: ignore[arg-type]
+            results.update(self._read_rel(RelKind.CHILD, view, backward=True))  # type: ignore[arg-type]
         if results and self._prov is not None:
             prov = self._prov
             rule = op.kind.value
@@ -1230,7 +1027,6 @@ class GuiReferenceAnalysis:
         value: ValueNode,
         method_name: str,
         arities: Tuple[int, ...],
-        op: Optional[OpNode] = None,
         rule: str = "Callback",
         premises: Tuple[Fact, ...] = (),
     ) -> Set[ValueNode]:
@@ -1240,9 +1036,9 @@ class GuiReferenceAnalysis:
         Models the callback — the object flows to the factory's
         ``this`` — and collects the views its return variables hold.
 
-        When ``op`` is given (semi-naive mode), the reading op is
-        registered as a dynamic dependent of the factory's return
-        variables, so later points-to growth there reschedules it.
+        The op being evaluated is registered as a dynamic dependent of
+        the factory's return variables, so later points-to growth there
+        reschedules it.
         ``rule``/``premises`` justify the callback edge to the
         factory's ``this`` when provenance is recorded.
         """
@@ -1268,22 +1064,9 @@ class GuiReferenceAnalysis:
         for stmt in method.body:
             if isinstance(stmt, Return) and stmt.var is not None:
                 node = self.graph.var(method.sig, stmt.var)
-                if op is not None and self._seminaive:
-                    self._depend_on_node(node, op)
+                self._depend_on_node(node)
                 roots.update(v for v in self.pts.get(node, ()) if self._is_view_value(v))
         return roots
-
-    def _fragment_roots(
-        self,
-        fragment: ValueNode,
-        op: Optional[OpNode] = None,
-        rule: str = "Callback",
-        premises: Tuple[Fact, ...] = (),
-    ) -> Set[ValueNode]:
-        """Views returned by the fragment's onCreateView override."""
-        return self._callback_view_roots(
-            fragment, "onCreateView", (0, 3), op=op, rule=rule, premises=premises
-        )
 
     def _op_fragment_tx(self, op: OpNode) -> bool:
         """``tx.add(containerId, fragment)``: the fragment's view
@@ -1300,24 +1083,17 @@ class GuiReferenceAnalysis:
         }
         if not fragments:
             return False
-        containers: Set[ValueNode] = set()
-        if self._seminaive:
-            roots: Set[ValueNode] = set()
-            for holder in holders:
-                roots.update(self.graph.rel_view(RelKind.ROOT, holder))  # type: ignore[arg-type]
-            containers = self._find_by_id_indexed(roots, ids)
-        else:
-            for holder in holders:
-                for root in self.graph.rel(RelKind.ROOT, holder):
-                    for view in self.graph.descendants_of(root):
-                        if self.graph.rel(RelKind.HAS_ID, view) & ids:
-                            containers.add(view)  # type: ignore[arg-type]
+        roots: Set[ValueNode] = set()
+        for holder in holders:
+            roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
+        containers = self._find_by_id(roots, ids)
         rule = op.kind.value
         prov = self._prov
         for fragment in fragments:
             fragment_premise = (flow_fact(OpArg(op, 1), fragment),)
-            for froot in self._fragment_roots(
-                fragment, op=op, rule=rule, premises=fragment_premise
+            # The views returned by the fragment's onCreateView override.
+            for froot in self._callback_view_roots(
+                fragment, "onCreateView", (0, 3), rule, fragment_premise
             ):
                 for container in containers:
                     if container is froot:
@@ -1358,7 +1134,7 @@ class GuiReferenceAnalysis:
         for adapter in adapters:
             adapter_premise = (flow_fact(OpArg(op, 0), adapter),)
             for row in self._callback_view_roots(
-                adapter, "getView", (0, 3), op=op, rule=rule, premises=adapter_premise
+                adapter, "getView", (0, 3), rule=rule, premises=adapter_premise
             ):
                 for parent in parents:
                     if parent is not row:
@@ -1427,27 +1203,12 @@ class GuiReferenceAnalysis:
     # -- android:onClick binding (extension) -------------------------------------------
 
     def _bind_xml_onclick(self) -> bool:
-        if not self._onclick_names:
-            return False
-        if self._seminaive:
-            return self._bind_xml_onclick_indexed()
-        changed = False
-        for act in self.graph.activities():
-            for root in self.graph.rel(RelKind.ROOT, act):
-                for view in self.graph.descendants_of(root, include_self=True):
-                    if not isinstance(view, InflViewNode):
-                        continue
-                    handler_name = self._onclick_names.get(view)
-                    if handler_name is None:
-                        continue
-                    changed |= self._bind_xml_handler(act, view, handler_name)
-        return changed
+        """Bind each declared ``android:onClick`` view (usually a
+        handful) reachable from an activity's roots, tested for
+        membership in the cached descendant closure of those roots.
 
-    def _bind_xml_onclick_indexed(self) -> bool:
-        """Indexed XML-onClick binding: instead of walking every
-        activity's whole view tree, test each declared ``android:onClick``
-        view (usually a handful) for membership in the cached descendant
-        closure of the activity's roots."""
+        Not an op: it re-runs when a ROOT/CHILD edge appears
+        (``_xml_dirty``), so it reads the graph directly."""
         changed = False
         graph = self.graph
         onclick = self._onclick_names
@@ -1490,6 +1251,27 @@ class GuiReferenceAnalysis:
         self._add_values(self.graph.var(method.sig, "this"), {act})
         self.xml_handlers.append(XmlHandlerBinding(act.class_name, view, method.sig))
         return True
+
+    # The inference rule of each operation kind. A class-level table of
+    # plain functions: bound methods stored on the instance would form a
+    # reference cycle that keeps every finished analysis alive until the
+    # cyclic garbage collector runs.
+    _RULES: Dict[OpKind, Callable[["GuiReferenceAnalysis", OpNode], bool]] = {
+        OpKind.INFLATE1: _op_inflate1,
+        OpKind.INFLATE2: _op_inflate2,
+        OpKind.ADDVIEW1: _op_addview1,
+        OpKind.ADDVIEW2: _op_addview2,
+        OpKind.SETID: _op_setid,
+        OpKind.SETLISTENER: _op_setlistener,
+        OpKind.FINDVIEW1: _op_findview1,
+        OpKind.FINDVIEW2: _op_findview2,
+        OpKind.FINDVIEW3: _op_findview3,
+        OpKind.GETPARENT: _op_getparent,
+        OpKind.FRAGMENT_MGR: _op_fragment_mgr,
+        OpKind.FRAGMENT_TX: _op_fragment_tx,
+        OpKind.MENU_INFLATE: _op_menu_inflate,
+        OpKind.SET_ADAPTER: _op_set_adapter,
+    }
 
 
 def analyze(

@@ -1,14 +1,12 @@
 """Canonical fingerprints for comparing analysis solutions.
 
 The semi-naive scheduler must be *observationally identical* to the
-naive sweep: same ``flowsTo`` sets, same relationship edges, same
-XML-handler bindings, same precision metrics. The two modes do differ
-in artifacts a client can never observe:
+naive schedule: same ``flowsTo`` sets, same relationship edges, same
+XML-handler bindings, same precision metrics. Fingerprints ignore the
+artifacts a client can never observe:
 
-* **Empty points-to entries** — the naive drain materialises an empty
-  set for a node before computing the (empty) delta; the fast drain
-  skips the insertion. ``AnalysisResult.values_at`` returns ``set()``
-  either way, so fingerprints ignore empty entries.
+* **Empty points-to entries** — ``AnalysisResult.values_at`` returns
+  ``set()`` for an empty entry and for a missing one alike.
 * **List orderings** — ``xml_handlers`` and per-class menu items are
   appended in rule-evaluation order, which the scheduler changes.
   Clients consume them as sets (``gui_tuples`` deduplicates), so

@@ -15,8 +15,8 @@ parent-child edge appears when a parent/child pair reaches an
 ``AddView2`` node); the graph exposes mutation methods returning
 whether anything changed so the solver can drive its worklist, and an
 optional ``rel_listener`` callback that fires once per *new*
-relationship edge so the semi-naive solver can schedule exactly the
-operation nodes whose inputs changed.
+relationship edge so the solver can schedule exactly the operation
+nodes whose inputs changed.
 
 Two query structures exist specifically for the solver's hot path:
 
@@ -95,7 +95,7 @@ class ConstraintGraph:
         self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         # Called once per *new* relationship edge (kind, src, dst);
-        # installed by the semi-naive solver for delta scheduling.
+        # installed by the solver for delta scheduling.
         self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
         # Derivation recorder (``AnalysisOptions.provenance``). When
         # set, ``add_rel`` records the rule/premises passed by the
@@ -427,8 +427,8 @@ class ConstraintGraph:
         """Reflexive-transitive closure over CHILD edges (``ancestorOf``
         read backwards: returned set = all v with view ancestorOf v).
 
-        Walks the graph on every call — the reference implementation,
-        also used by the naive solver mode. Hot-path callers use
+        Walks the graph on every call — the reference implementation
+        that fills the cache. Hot-path callers use
         :meth:`descendants_cached` instead."""
         seen: Set[Node] = set()
         work: List[Node] = [view]

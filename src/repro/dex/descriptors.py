@@ -40,9 +40,9 @@ def descriptor_to_type(descriptor: str) -> str:
 
 def split_method_descriptor(descriptor: str) -> tuple:
     """``(ILandroid/view/View;)V`` → (["int", "android.view.View"], "void")."""
-    if not descriptor.startswith("("):
+    close = descriptor.find(")")
+    if not descriptor.startswith("(") or close < 0:
         raise ValueError(f"malformed method descriptor {descriptor!r}")
-    close = descriptor.index(")")
     params_part = descriptor[1:close]
     return_part = descriptor[close + 1:]
     params = []
@@ -50,7 +50,11 @@ def split_method_descriptor(descriptor: str) -> tuple:
     while i < len(params_part):
         ch = params_part[i]
         if ch == "L":
-            end = params_part.index(";", i)
+            end = params_part.find(";", i)
+            if end < 0:
+                raise ValueError(
+                    f"malformed parameter descriptor at {params_part[i:]!r}"
+                )
             params.append(descriptor_to_type(params_part[i:end + 1]))
             i = end + 1
         elif ch in _CODE_TO_PRIMITIVE:

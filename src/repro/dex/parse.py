@@ -119,7 +119,10 @@ class _DexParser:
         parts = header.split()
         if len(parts) != 2:
             raise DexSyntaxError("expected '.class <descriptor>'", line_no)
-        name = descriptor_to_type(parts[1])
+        try:
+            name = descriptor_to_type(parts[1])
+        except ValueError as exc:
+            raise DexSyntaxError(str(exc), line_no) from exc
         clazz = Clazz(name, superclass=None, is_interface=is_interface)
         interfaces: List[str] = []
         superclass = "java.lang.Object" if name != "java.lang.Object" else None
@@ -133,19 +136,25 @@ class _DexParser:
             if line == ".end class":
                 self.index += 1
                 break
-            if line.startswith(".super "):
-                superclass = descriptor_to_type(line.split()[1])
-                self.index += 1
-            elif line.startswith(".implements "):
-                interfaces.append(descriptor_to_type(line.split()[1]))
-                self.index += 1
-            elif line.startswith(".field "):
-                self._parse_field(clazz, line)
-                self.index += 1
-            elif line.startswith(".method "):
+            if line.startswith(".method "):
                 self._parse_method(clazz, line)
-            else:
-                raise DexSyntaxError(f"unexpected {line!r} in class body", self.index + 1)
+                continue
+            try:
+                if line.startswith(".super "):
+                    superclass = descriptor_to_type(line.split()[1])
+                elif line.startswith(".implements "):
+                    interfaces.append(descriptor_to_type(line.split()[1]))
+                elif line.startswith(".field "):
+                    self._parse_field(clazz, line)
+                else:
+                    raise DexSyntaxError(
+                        f"unexpected {line!r} in class body", self.index + 1
+                    )
+            except ValueError as exc:
+                # Malformed descriptors surface from the descriptor
+                # helpers as ValueError; locate them at this line.
+                raise DexSyntaxError(str(exc), self.index + 1) from exc
+            self.index += 1
         else:
             raise DexSyntaxError("missing .end class", line_no)
         clazz.superclass = superclass
@@ -178,7 +187,10 @@ class _DexParser:
         if not match:
             raise DexSyntaxError(f"malformed method header {header!r}", line_no)
         name = match.group(1)
-        param_types, return_type = split_method_descriptor(match.group(2))
+        try:
+            param_types, return_type = split_method_descriptor(match.group(2))
+        except ValueError as exc:
+            raise DexSyntaxError(str(exc), line_no) from exc
         method = Method(
             name, clazz.name, params=[], return_type=return_type, is_static=is_static
         )
@@ -196,25 +208,31 @@ class _DexParser:
                     method.append(pending_invoke)
                 clazz.add_method(method)
                 return
-            if line.startswith(".param "):
-                reg, _comma, descriptor = line[len(".param "):].partition(",")
-                if param_index >= len(param_types):
-                    raise DexSyntaxError("too many .param directives", self.index)
-                declared = (
-                    descriptor_to_type(descriptor.strip())
-                    if descriptor.strip()
-                    else param_types[param_index]
+            try:
+                if line.startswith(".param "):
+                    reg, _comma, descriptor = line[len(".param "):].partition(",")
+                    if param_index >= len(param_types):
+                        raise DexSyntaxError("too many .param directives", self.index)
+                    declared = (
+                        descriptor_to_type(descriptor.strip())
+                        if descriptor.strip()
+                        else param_types[param_index]
+                    )
+                    method.add_param(reg.strip(), declared)
+                    param_index += 1
+                    continue
+                if line.startswith(".local "):
+                    reg, _comma, descriptor = line[len(".local "):].partition(",")
+                    method.add_local(reg.strip(), descriptor_to_type(descriptor.strip()))
+                    continue
+                stmt, pending_invoke = self._parse_instruction(
+                    line, src, method, pending_invoke
                 )
-                method.add_param(reg.strip(), declared)
-                param_index += 1
-                continue
-            if line.startswith(".local "):
-                reg, _comma, descriptor = line[len(".local "):].partition(",")
-                method.add_local(reg.strip(), descriptor_to_type(descriptor.strip()))
-                continue
-            stmt, pending_invoke = self._parse_instruction(
-                line, src, method, pending_invoke
-            )
+            except ValueError as exc:
+                # Malformed descriptors, operand lists that do not unpack
+                # and bad integer literals all raise ValueError; locate
+                # them at this line.
+                raise DexSyntaxError(str(exc), self.index) from exc
             if stmt is not None:
                 method.append(stmt)
         raise DexSyntaxError("missing .end method", line_no)

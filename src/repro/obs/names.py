@@ -25,7 +25,8 @@ SPAN_APP = "app"  # bench harness: one analyzed app (attrs: app)
 # -- solver events -----------------------------------------------------------
 
 # One per fixed-point round, attrs: round, rules_fired, values_added,
-# flow_edges_added, rel_edges_added, work_items, worklist_depth.
+# flow_edges_added, rel_edges_added, work_items, worklist_depth,
+# ops_scheduled, ops_skipped.
 EVENT_ROUND = "solver.round"
 
 # -- solver counters ---------------------------------------------------------
@@ -67,12 +68,12 @@ COUNTER_BATCH_RETRIES = "batch.retries"
 COUNTER_LINT_FINDINGS = "lint.findings"
 COUNTER_LINT_SUPPRESSED = "lint.suppressed"
 
-# -- scheduler counters (semi-naive solver) ----------------------------------
+# -- scheduler counters ------------------------------------------------------
 #
 # ``ops_scheduled`` counts rule evaluations actually run; ``ops_skipped``
-# counts evaluations the naive sweep would have run but the dependency
-# index proved unnecessary (no input changed). Under ``--solver naive``
-# ops_skipped is always 0 and ops_scheduled == rounds * |ops|.
+# counts the ops a round left out because none of the inputs their rule
+# read had changed. Under ``--solver naive`` every round schedules every
+# op, so ops_skipped is always 0 and ops_scheduled == rounds * |ops|.
 
 COUNTER_OPS_SCHEDULED = "solver.ops_scheduled"
 COUNTER_OPS_SKIPPED = "solver.ops_skipped"

@@ -1,11 +1,17 @@
 """Unit and round-trip tests for the Dalvik-text frontend."""
 
+import os
+import re
+
 import pytest
 
 from repro import analyze
 from repro.app import AndroidApp
 from repro.core.metrics import compute_graph_stats, compute_precision
+from repro.corpus.apps import spec_by_name
 from repro.corpus.connectbot import build_connectbot_example
+from repro.corpus.export import dump_app
+from repro.corpus.generator import generate_app
 from repro.dex import (
     DexSyntaxError,
     assemble_program,
@@ -169,6 +175,42 @@ class TestParser:
     def test_errors(self, text, message):
         with pytest.raises(DexSyntaxError, match=message):
             parse_dex_text(text)
+
+
+@pytest.fixture(scope="module")
+def apv_smali(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("apv"))
+    dump_app(generate_app(spec_by_name("APV")), path)
+    with open(os.path.join(path, "classes.smali"), encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+class TestMalformedDescriptorsLocated:
+    """Malformed descriptors and operand lists in a dumped app end in a
+    DexSyntaxError naming the offending line, not a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "pattern,old,new",
+        [
+            # .super without the closing ';'
+            (r"^\.super Ljava/lang/Object;$", "Object;", "Object"),
+            # .param with an unterminated class descriptor
+            (r"^\s*\.param \S+, Landroid/view/View;$", "View;", "View"),
+            # method header whose parameter descriptor is unterminated
+            (r"^\.method onClick\(Landroid/view/View;\)V$", "View;)", "View)"),
+            # new-instance with its operand comma missing
+            (r"^\s*new-instance \S+, ", ", ", " "),
+        ],
+        ids=["super", "param", "method-header", "new-instance"],
+    )
+    def test_mutation_raises_located_error(self, apv_smali, pattern, old, new):
+        lines = list(apv_smali)
+        index = next(i for i, line in enumerate(lines) if re.search(pattern, line))
+        lines[index] = lines[index].replace(old, new, 1)
+        with pytest.raises(DexSyntaxError) as info:
+            parse_dex_text("\n".join(lines))
+        assert info.value.line_no == index + 1
+        assert str(info.value).startswith(f"line {index + 1}: ")
 
 
 class TestRoundTrip:

@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import analyze
 from repro.app import AndroidApp
+from repro.core.analysis import AnalysisOptions
+from repro.core.diff import solution_fingerprint
+from repro.core.nodes import InflViewNode, OpArg, OpRecv, ViewIdNode
 from repro.corpus.generator import plan_multiplicities
 from repro.dex.descriptors import (
     descriptor_to_type,
@@ -20,6 +23,7 @@ from repro.dex.descriptors import (
     type_to_descriptor,
 )
 from repro.ir.builder import ProgramBuilder
+from repro.platform.api import OpKind
 from repro.resources.layout import LayoutNode, LayoutTree
 from repro.resources.manifest import Manifest
 from repro.resources.rtable import ResourceTable
@@ -154,6 +158,47 @@ class TestSoundnessProperty:
         app = _build_random_app(tree, actions)
         result = analyze(app)
         assert result.rounds < 50
+
+
+class TestSolverOracleProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(tree=layout_trees(), actions=_actions)
+    def test_naive_schedule_gives_identical_fingerprint(self, tree, actions):
+        app = _build_random_app(tree, actions)
+        naive = analyze(app, AnalysisOptions(solver="naive"))
+        semi = analyze(app)
+        assert solution_fingerprint(naive) == solution_fingerprint(semi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=layout_trees(), actions=_actions)
+    def test_findview_results_match_plain_scan(self, tree, actions):
+        """Each FindView1/FindView2 result set equals a scan of the
+        solved graph: the reflexive descendants of the receiver's views
+        (FindView2: of its ROOT children) whose ids meet the requested
+        ones."""
+        app = _build_random_app(tree, actions)
+        result = analyze(app)
+        graph = result.graph
+        for op in graph.ops():
+            receivers = result.pts.get(OpRecv(op), set())
+            if op.kind is OpKind.FINDVIEW1:
+                starts = {
+                    v for v in receivers
+                    if isinstance(v, InflViewNode) or v in graph.view_allocs
+                }
+            elif op.kind is OpKind.FINDVIEW2:
+                starts = {r for h in receivers for r in graph.roots_of(h)}
+            else:
+                continue
+            ids = {
+                v for v in result.pts.get(OpArg(op, 0), set())
+                if isinstance(v, ViewIdNode)
+            }
+            scanned = {
+                d for start in starts for d in graph.descendants_of(start)
+                if graph.ids_of(d) & ids
+            }
+            assert result.pts.get(op, set()) == scanned
 
 
 class TestInflationProperty:
