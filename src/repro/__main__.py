@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppression file (finding uids or "
                         "'<rule> <Class>:<line>' entries)")
     p_lint.add_argument("--no-witness", action="store_true",
-                        help="skip provenance recording and witness paths "
+                        help="skip the fact order table and witness paths "
                         "(faster, plain findings)")
     p_lint.add_argument("--solver", choices=("naive", "seminaive"),
                         default="seminaive",
@@ -446,9 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.dex.parse import DexSyntaxError
+    from repro.frontend.errors import FrontendError
+    from repro.ir.validate import IRValidationError
+    from repro.resources.xml_parser import LayoutXmlError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FrontendError, DexSyntaxError, LayoutXmlError, IRValidationError) as exc:
+        # Malformed input: a located message and the bad-input exit code.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ fails (exit 1) if the semi-naive schedule ever evaluates more rule
 instances than the naive schedule, or takes a different number of
 rounds.
 
-``lint`` benchmarks the lint pass per corpus app — wall time and the
-provenance-overhead ratio (provenance-on vs plain solve) — and
-merge-writes ``BENCH_lint.json`` at the repo root.
+``lint`` benchmarks the lint pass per corpus app — wall time, witness
+rebuilding included, and the overhead ratio of the solver's fact order
+table (solve with vs without it) — and merge-writes ``BENCH_lint.json``
+at the repo root.
 
 ``--jobs N`` fans the per-app work of ``table1``/``table2``/``lint``
 out over the fault-isolated batch runner (``repro.runner``, see

@@ -1,10 +1,10 @@
-"""Lint benchmarking: lint-pass cost and provenance overhead per app.
+"""Lint benchmarking: lint-pass cost and fact-order overhead per app.
 
 ``python -m repro.bench lint`` analyzes every corpus app twice — once
-plain, once with the provenance sled enabled — runs the lint pass over
-the provenance-backed solution, and merge-writes the numbers into
-``BENCH_lint.json`` at the repo root so future PRs can track the cost
-of provenance::
+plain, once with the fact order table (``AnalysisOptions.provenance``)
+— runs the lint pass, witnesses included, over the second solution,
+and merge-writes the numbers into ``BENCH_lint.json`` at the repo root
+so future PRs can track the cost of explaining findings::
 
     {"schema": "repro.bench.lint/1",
      "apps": {"APV": {"solve_seconds_plain": ...,
@@ -15,9 +15,11 @@ of provenance::
                       "findings": ...,
                       "findings_by_rule": {"GUI005": 5}}}}
 
-``provenance_overhead`` is a wall-clock ratio (provenance-on solve
-time over plain solve time, best of ``repeats``); the fact count is
-deterministic and anchors the memory story.
+``provenance_overhead`` is a wall-clock ratio (solve time with the
+order table over plain solve time, best of ``repeats``);
+``lint_seconds`` includes rebuilding every finding's witness after
+solving. The fact count (facts with an order number) is deterministic
+and anchors the memory story.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def main(
     )
     records: Dict[str, Dict[str, object]] = {}
     lines = [
-        "Lint benchmark (provenance overhead = prov solve / plain solve)",
+        "Lint benchmark (overhead = solve with fact order / plain solve)",
         f"{'app':<14} {'plain(s)':>9} {'prov(s)':>9} {'overhead':>9} "
         f"{'facts':>8} {'lint(s)':>8} {'findings':>9}",
     ]

@@ -77,20 +77,12 @@ from repro.core.nodes import (
     ViewIdNode,
     value_class_name,
 )
-from repro.core.provenance import (
-    RULE_ASSIGN,
-    RULE_SEED,
-    Fact,
-    ProvenanceRecorder,
-    edge_fact,
-    flow_fact,
-    rel_fact,
-)
+from repro.core.provenance import FactOrder
 from repro.core.results import AnalysisResult, XmlHandlerBinding
 from repro.hierarchy.cha import ClassHierarchy
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
-from repro.ir.program import MethodSig
+from repro.ir.program import Method, MethodSig
 from repro.platform.api import OpKind
 from repro.platform.classes import ACTIVITY, DIALOG
 from repro.resources.layout import LayoutNode
@@ -114,12 +106,12 @@ class AnalysisOptions:
     (delta-driven, the default) or ``"naive"`` (every op every round,
     the test oracle). Both produce identical solutions.
 
-    ``provenance`` (off by default) records, for every derived fact,
-    the inference rule and premise facts that first derived it (one
-    compact tuple per fact — see :mod:`repro.core.provenance`). It
-    works identically under both solver modes, never changes the
-    computed solution, and powers witness-path explanations in the
-    lint engine (:mod:`repro.lint`).
+    ``provenance`` (off by default) numbers every fact in the order it
+    was first added (one integer per fact — see
+    :mod:`repro.core.provenance`). It works identically under both
+    solver modes and never changes the computed solution; the lint
+    engine (:mod:`repro.lint`) rebuilds witness paths from the solution
+    after solving and uses the numbers to keep them well-founded.
     """
 
     findview3_children_only_refinement: bool = True
@@ -196,14 +188,14 @@ class GuiReferenceAnalysis:
         self._cast_cache: Dict[Tuple[str, str], bool] = {}
         self.cast_cache_hits = 0
         self.cast_cache_misses = 0
-        # -- provenance sled (opt-in, see core/provenance.py) --------------
-        # Every recording site is guarded by ``is not None``, so the
-        # disabled path costs one branch; the recorder never feeds back
-        # into solving, so solutions are identical with it on or off.
-        self._prov: Optional[ProvenanceRecorder] = (
-            ProvenanceRecorder() if self.options.provenance else None
+        # -- fact order (opt-in, see core/provenance.py) -------------------
+        # Written where flow facts, relationship edges and solver-made
+        # flow edges are inserted, each guarded by ``is not None``; it
+        # never feeds back into solving.
+        self._order: Optional[FactOrder] = (
+            FactOrder() if self.options.provenance else None
         )
-        self.graph.provenance = self._prov
+        self.graph.fact_order = self._order
 
     # -- flowsTo maintenance ---------------------------------------------------
 
@@ -217,6 +209,8 @@ class GuiReferenceAnalysis:
             return False
         current |= delta
         self.values_added += len(delta)
+        if self._order is not None:
+            self._order.add_flows(node, delta)
         pending = self._pending.get(node)
         if pending is None:
             self._pending[node] = delta
@@ -234,48 +228,20 @@ class GuiReferenceAnalysis:
                 dirty[op] = None
         return True
 
-    def _seed(
-        self,
-        value: ValueNode,
-        rule: str = RULE_SEED,
-        premises: Tuple[Fact, ...] = (),
-    ) -> None:
-        if self._prov is not None:
-            self._prov.record_flow(value, value, rule, premises)
-        self._add_values(value, {value})
-
-    def _add_flow_dynamic(
-        self,
-        src: Node,
-        dst: Node,
-        rule: Optional[str] = None,
-        premises: Tuple[Fact, ...] = (),
-    ) -> bool:
+    def _add_flow_dynamic(self, src: Node, dst: Node) -> bool:
         """Add a flow edge discovered during solving and propagate.
 
         Only a *new* edge needs an explicit push of the source's
         current points-to set: once the edge exists, every later delta
         on ``src`` (including any still sitting in the worklist) is
         propagated across it by the drain loop, so re-pushing the full
-        set would only recompute an empty difference.
-
-        ``rule``/``premises`` record why the edge exists when the
-        provenance sled is enabled (edges from program statements are
-        axioms; these solver-made edges are derived facts)."""
+        set would only recompute an empty difference."""
         if not self.graph.add_flow(src, dst):
             return False
-        if self._prov is not None and rule is not None:
-            self._prov.record_edge(src, dst, rule, premises)
+        if self._order is not None:
+            self._order.add_edge(src, dst)
         existing = self.pts.get(src)
         if existing:
-            if self._prov is not None:
-                for v in existing:
-                    self._prov.record_flow(
-                        dst,
-                        v,
-                        RULE_ASSIGN,
-                        (flow_fact(src, v), edge_fact(src, dst)),
-                    )
             self._add_values(dst, existing)
         return True
 
@@ -300,7 +266,7 @@ class GuiReferenceAnalysis:
         filter_cached = self._filter_values_cached
         dirty = self._dirty
         node_deps = self._node_deps
-        prov = self._prov
+        order = self._order
         empty: Tuple[Tuple[Node, Optional[str]], ...] = ()
         while queue:
             node = queue.popleft()
@@ -329,14 +295,8 @@ class GuiReferenceAnalysis:
                     continue
                 current |= new
                 self.values_added += len(new)
-                if prov is not None:
-                    for v in new:
-                        prov.record_flow(
-                            succ,
-                            v,
-                            RULE_ASSIGN,
-                            (flow_fact(node, v), edge_fact(node, succ)),
-                        )
+                if order is not None:
+                    order.add_flows(succ, new)
                 prior = pending.get(succ)
                 if prior is None:
                     pending[succ] = new
@@ -461,9 +421,9 @@ class GuiReferenceAnalysis:
             tracer.counter(
                 obs_names.COUNTER_CAST_CACHE_MISSES, self.cast_cache_misses
             )
-            if self._prov is not None:
+            if self._order is not None:
                 tracer.counter(
-                    obs_names.COUNTER_PROV_FACTS, self._prov.record_count()
+                    obs_names.COUNTER_PROV_FACTS, self._order.record_count()
                 )
             if not self.converged:
                 tracer.counter(obs_names.COUNTER_MAX_ROUNDS_EXHAUSTED)
@@ -485,7 +445,7 @@ class GuiReferenceAnalysis:
             solver=self.options.solver,
             ops_scheduled=self.ops_scheduled,
             ops_skipped=self.ops_skipped,
-            provenance=self._prov,
+            provenance=self._order,
         )
 
     def _rel_edge_total(self) -> int:
@@ -520,7 +480,7 @@ class GuiReferenceAnalysis:
         bind_xml = self.options.model_xml_onclick
         rules = self._RULES
         for value in self._initial_values():
-            self._seed(value)
+            self._add_values(value, {value})
         self._propagate()
         self.converged = False
         for round_index in range(self.options.max_rounds):
@@ -641,28 +601,24 @@ class GuiReferenceAnalysis:
         tree = self.app.resources.layout(layout_id.name)
         graph = self.graph
         resources = self.app.resources
-        rule = op.kind.value
-        # Everything the instantiation creates is justified by the
-        # layout id reaching the operation's argument port.
-        layout_premise = (flow_fact(OpArg(op, 0), layout_id),)
 
         def instantiate(node: LayoutNode, path: Tuple[int, ...]) -> InflViewNode:
             infl = graph.infl_view(op.site, layout_id.name, path, node.view_class, node.id_name)
-            self._seed(infl, rule, layout_premise)
+            self._add_values(infl, {infl})
             if node.id_name is not None:
                 id_node = graph.view_id(node.id_name, resources.view_id(node.id_name))
-                self._seed(id_node)
-                graph.add_rel(RelKind.HAS_ID, infl, id_node, rule, layout_premise)
+                self._add_values(id_node, {id_node})
+                graph.add_rel(RelKind.HAS_ID, infl, id_node)
             if node.on_click is not None:
                 self._onclick_names[infl] = node.on_click
             for child_index, child in enumerate(node.children):
                 child_infl = instantiate(child, path + (child_index,))
-                graph.add_rel(RelKind.CHILD, infl, child_infl, rule, layout_premise)
+                graph.add_rel(RelKind.CHILD, infl, child_infl)
             return infl
 
         root = instantiate(tree.root, ())
-        graph.add_rel(RelKind.INFL_ROOT, root, op, rule, layout_premise)
-        graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id, rule, layout_premise)
+        graph.add_rel(RelKind.INFL_ROOT, root, op)
+        graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id)
         self._inflated[key] = root
         return root
 
@@ -673,10 +629,6 @@ class GuiReferenceAnalysis:
             fresh = key not in self._inflated
             root = self._instantiate_layout(op, layout_id)
             changed |= fresh
-            if self._prov is not None:
-                self._prov.record_flow(
-                    op, root, op.kind.value, (flow_fact(OpArg(op, 0), layout_id),)
-                )
             changed |= self._add_values(op, {root})
         return changed
 
@@ -689,16 +641,7 @@ class GuiReferenceAnalysis:
             root = self._instantiate_layout(op, layout_id)
             changed |= fresh
             for holder in holders:
-                changed |= self.graph.add_rel(
-                    RelKind.ROOT,
-                    holder,
-                    root,
-                    op.kind.value,
-                    (
-                        flow_fact(OpRecv(op), holder),
-                        flow_fact(OpArg(op, 0), layout_id),
-                    ),
-                )
+                changed |= self.graph.add_rel(RelKind.ROOT, holder, root)
         return changed
 
     # Rules ADDVIEW1/ADDVIEW2.
@@ -707,13 +650,7 @@ class GuiReferenceAnalysis:
         changed = False
         for holder in self._activity_likes(OpRecv(op)):
             for view in self._views(OpArg(op, 0)):
-                changed |= self.graph.add_rel(
-                    RelKind.ROOT,
-                    holder,
-                    view,
-                    op.kind.value,
-                    (flow_fact(OpRecv(op), holder), flow_fact(OpArg(op, 0), view)),
-                )
+                changed |= self.graph.add_rel(RelKind.ROOT, holder, view)
         return changed
 
     def _op_addview2(self, op: OpNode) -> bool:
@@ -721,16 +658,7 @@ class GuiReferenceAnalysis:
         for parent in self._views(OpRecv(op)):
             for child in self._views(OpArg(op, 0)):
                 if parent is not child:
-                    changed |= self.graph.add_rel(
-                        RelKind.CHILD,
-                        parent,
-                        child,
-                        op.kind.value,
-                        (
-                            flow_fact(OpRecv(op), parent),
-                            flow_fact(OpArg(op, 0), child),
-                        ),
-                    )
+                    changed |= self.graph.add_rel(RelKind.CHILD, parent, child)
         return changed
 
     # Rule SETID.
@@ -739,13 +667,7 @@ class GuiReferenceAnalysis:
         changed = False
         for view in self._views(OpRecv(op)):
             for id_node in self._view_ids(OpArg(op, 0)):
-                changed |= self.graph.add_rel(
-                    RelKind.HAS_ID,
-                    view,
-                    id_node,
-                    op.kind.value,
-                    (flow_fact(OpRecv(op), view), flow_fact(OpArg(op, 0), id_node)),
-                )
+                changed |= self.graph.add_rel(RelKind.HAS_ID, view, id_node)
         return changed
 
     # Rule SETLISTENER plus callback modelling (end of Section 3).
@@ -761,63 +683,39 @@ class GuiReferenceAnalysis:
             for v in self.pts.get(OpArg(op, 0), ())
             if self._implements(v, spec.interface)
         }
-        rule = op.kind.value
-        recv = OpRecv(op)
-        arg = OpArg(op, 0)
         for view in views:
             for listener in listeners:
-                changed |= self.graph.add_rel(
-                    RelKind.LISTENER,
-                    view,
-                    listener,
-                    rule,
-                    (flow_fact(recv, view), flow_fact(arg, listener)),
-                )
+                changed |= self.graph.add_rel(RelKind.LISTENER, view, listener)
         for listener in listeners:
-            handler = self._handler_method(listener, spec.handler, spec.handler_arity)
-            if handler is None:
+            method = self.hierarchy.app_callback(
+                value_class_name(listener), spec.handler, (spec.handler_arity,)
+            )
+            if method is None:
                 continue
+            handler = method.sig
             key = (listener, handler)
             if key not in self._bound_handlers:
                 self._bound_handlers.add(key)
                 changed = True
             # The platform callback y.n(x): listener to `this` ...
-            changed |= self._add_flow_dynamic(
-                listener,
-                self.graph.var(handler, "this"),
-                rule,
-                (flow_fact(arg, listener),),
-            )
+            changed |= self._add_flow_dynamic(listener, self.graph.var(handler, "this"))
             # ... and the view to the handler's view parameter.
             if spec.view_param_index is not None:
-                param = self._handler_view_param(handler, spec.view_param_index)
+                param = self._handler_view_param(method, spec.view_param_index)
                 if param is not None:
                     for view in views:
-                        changed |= self._add_flow_dynamic(
-                            view,
-                            param,
-                            rule,
-                            (flow_fact(recv, view), flow_fact(arg, listener)),
-                        )
+                        changed |= self._add_flow_dynamic(view, param)
             # AdapterView families also pass the clicked row: any child
             # of the registered view (rows attached by adapters or
             # add-view) flows to the item parameter.
             if spec.item_param_index is not None:
-                param = self._handler_view_param(handler, spec.item_param_index)
+                param = self._handler_view_param(method, spec.item_param_index)
                 if param is not None:
                     for view in views:
                         # _add_flow_dynamic adds flow edges/values only,
                         # so iterating the live CHILD set is safe.
                         for child in self._read_rel(RelKind.CHILD, view):
-                            changed |= self._add_flow_dynamic(
-                                child,
-                                param,
-                                rule,
-                                (
-                                    flow_fact(recv, view),
-                                    rel_fact(RelKind.CHILD, view, child),
-                                ),
-                            )
+                            changed |= self._add_flow_dynamic(child, param)
         return changed
 
     def _implements(self, value: ValueNode, interface: str) -> bool:
@@ -826,27 +724,10 @@ class GuiReferenceAnalysis:
             class_name, interface
         )
 
-    def _handler_method(
-        self, listener: ValueNode, name: str, arity: int
-    ) -> Optional[MethodSig]:
-        class_name = value_class_name(listener)
-        if class_name is None:
+    def _handler_view_param(self, handler: Method, index: int) -> Optional[VarNode]:
+        if index >= len(handler.param_names):
             return None
-        method = self.hierarchy.lookup(class_name, name, arity)
-        if method is None:
-            return None
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
-            return None
-        return method.sig
-
-    def _handler_view_param(
-        self, handler: MethodSig, view_param_index: int
-    ) -> Optional[VarNode]:
-        method = self.app.program.method(handler.class_name, handler.name, handler.arity)
-        if method is None or view_param_index >= len(method.param_names):
-            return None
-        return self.graph.var(handler, method.param_names[view_param_index])
+        return self.graph.var(handler.sig, handler.param_names[index])
 
     # Rules FINDVIEW1/2/3 and the GetParent extension.
 
@@ -879,75 +760,17 @@ class GuiReferenceAnalysis:
                 results.update(d for d in descendants if d in candidates)  # type: ignore[misc]
         return results
 
-    def _record_find_witnesses(
-        self,
-        op: OpNode,
-        starts: Set[ValueNode],
-        ids: Set[ViewIdNode],
-        results: Set[ValueNode],
-        holders_of: Optional[Dict[ValueNode, ValueNode]] = None,
-    ) -> None:
-        """Record a derivation for each new FindView1/2 result.
-
-        For a result ``v`` the witness is the lexicographically first
-        (start view, id) pair such that ``start ancestorOf v`` and
-        ``v hasId id``, with the ``ancestorOf`` premise expanded into
-        the explicit CHILD-edge chain. ``holders_of`` (FindView2) maps
-        each start root to the activity-like holder whose ROOT edge
-        contributed it. Runs only with provenance enabled."""
-        prov = self._prov
-        assert prov is not None
-        graph = self.graph
-        rule = op.kind.value
-        recv = OpRecv(op)
-        arg = OpArg(op, 0)
-        for v in results:
-            if (op, v) in prov.flow:
-                continue
-            for start in sorted(starts, key=str):
-                if not graph.ancestor_of(start, v):
-                    continue
-                v_ids = graph.rel_view(RelKind.HAS_ID, v)
-                id_node = next(
-                    (i for i in sorted(ids, key=str) if i in v_ids), None
-                )
-                if id_node is None:
-                    continue
-                premises: List[Fact] = []
-                if holders_of is None:
-                    premises.append(flow_fact(recv, start))
-                else:
-                    holder = holders_of[start]
-                    premises.append(flow_fact(recv, holder))
-                    premises.append(rel_fact(RelKind.ROOT, holder, start))
-                premises.append(flow_fact(arg, id_node))
-                path = graph.child_path(start, v) or [start]
-                for parent, child in zip(path, path[1:]):
-                    premises.append(rel_fact(RelKind.CHILD, parent, child))
-                premises.append(rel_fact(RelKind.HAS_ID, v, id_node))
-                prov.record_flow(op, v, rule, tuple(premises))
-                break
-
     def _op_findview1(self, op: OpNode) -> bool:
-        starts = self._views(OpRecv(op))
-        ids = self._view_ids(OpArg(op, 0))
-        results = self._find_by_id(starts, ids)
-        if results and self._prov is not None:
-            self._record_find_witnesses(op, starts, ids, results)
+        results = self._find_by_id(
+            self._views(OpRecv(op)), self._view_ids(OpArg(op, 0))
+        )
         return self._add_values(op, results) if results else False
 
     def _op_findview2(self, op: OpNode) -> bool:
         roots: Set[ValueNode] = set()
         for holder in self._activity_likes(OpRecv(op)):
             roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
-        ids = self._view_ids(OpArg(op, 0))
-        results = self._find_by_id(roots, ids)
-        if results and self._prov is not None:
-            holders_of: Dict[ValueNode, ValueNode] = {}
-            for holder in sorted(self._activity_likes(OpRecv(op)), key=str):
-                for root in self.graph.rel_view(RelKind.ROOT, holder):
-                    holders_of.setdefault(root, holder)  # type: ignore[arg-type]
-            self._record_find_witnesses(op, roots, ids, results, holders_of)
+        results = self._find_by_id(roots, self._view_ids(OpArg(op, 0)))
         return self._add_values(op, results) if results else False
 
     def _op_findview3(self, op: OpNode) -> bool:
@@ -961,52 +784,12 @@ class GuiReferenceAnalysis:
                 results.update(self._read_rel(RelKind.CHILD, view))  # type: ignore[arg-type]
             else:
                 results.update(self._read_descendants(view))  # type: ignore[arg-type]
-        if results and self._prov is not None:
-            prov = self._prov
-            rule = op.kind.value
-            recv = OpRecv(op)
-            for v in results:
-                if (op, v) in prov.flow:
-                    continue
-                for view in sorted(self._views(recv), key=str):
-                    path = self.graph.child_path(view, v)
-                    if path is None:
-                        continue
-                    premises = [flow_fact(recv, view)]
-                    premises.extend(
-                        rel_fact(RelKind.CHILD, parent, child)
-                        for parent, child in zip(path, path[1:])
-                    )
-                    prov.record_flow(op, v, rule, tuple(premises))
-                    break
         return self._add_values(op, results) if results else False
 
     def _op_getparent(self, op: OpNode) -> bool:
         results: Set[ValueNode] = set()
         for view in self._views(OpRecv(op)):
             results.update(self._read_rel(RelKind.CHILD, view, backward=True))  # type: ignore[arg-type]
-        if results and self._prov is not None:
-            prov = self._prov
-            rule = op.kind.value
-            recv = OpRecv(op)
-            for v in results:
-                if (op, v) in prov.flow:
-                    continue
-                child = next(
-                    (
-                        c
-                        for c in sorted(self._views(recv), key=str)
-                        if c in self.graph.rel_view(RelKind.CHILD, v)
-                    ),
-                    None,
-                )
-                if child is not None:
-                    prov.record_flow(
-                        op,
-                        v,
-                        rule,
-                        (flow_fact(recv, child), rel_fact(RelKind.CHILD, v, child)),
-                    )
         return self._add_values(op, results) if results else False
 
     # Fragment extension (not in the paper's implementation).
@@ -1015,20 +798,10 @@ class GuiReferenceAnalysis:
         """Managers/transactions alias the activity that owns them: the
         activity-like receiver values flow straight through."""
         holders = self._activity_likes(OpRecv(op))
-        if holders and self._prov is not None:
-            for holder in holders:
-                self._prov.record_flow(
-                    op, holder, op.kind.value, (flow_fact(OpRecv(op), holder),)
-                )
         return self._add_values(op, holders) if holders else False
 
     def _callback_view_roots(
-        self,
-        value: ValueNode,
-        method_name: str,
-        arities: Tuple[int, ...],
-        rule: str = "Callback",
-        premises: Tuple[Fact, ...] = (),
+        self, value: ValueNode, method_name: str, arities: Tuple[int, ...]
     ) -> Set[ValueNode]:
         """Views returned by ``value``'s framework-invoked view factory
         (a fragment's ``onCreateView``, an adapter's ``getView``).
@@ -1039,25 +812,13 @@ class GuiReferenceAnalysis:
         The op being evaluated is registered as a dynamic dependent of
         the factory's return variables, so later points-to growth there
         reschedules it.
-        ``rule``/``premises`` justify the callback edge to the
-        factory's ``this`` when provenance is recorded.
         """
-        class_name = value_class_name(value)
-        if class_name is None:
-            return set()
-        method = None
-        for arity in arities:
-            method = self.hierarchy.lookup(class_name, method_name, arity)
-            if method is not None:
-                break
+        method = self.hierarchy.app_callback(
+            value_class_name(value), method_name, arities
+        )
         if method is None:
             return set()
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
-            return set()
-        self._add_flow_dynamic(
-            value, self.graph.var(method.sig, "this"), rule, premises
-        )
+        self._add_flow_dynamic(value, self.graph.var(method.sig, "this"))
         roots: Set[ValueNode] = set()
         from repro.ir.statements import Return
 
@@ -1087,32 +848,12 @@ class GuiReferenceAnalysis:
         for holder in holders:
             roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
         containers = self._find_by_id(roots, ids)
-        rule = op.kind.value
-        prov = self._prov
         for fragment in fragments:
-            fragment_premise = (flow_fact(OpArg(op, 1), fragment),)
             # The views returned by the fragment's onCreateView override.
-            for froot in self._callback_view_roots(
-                fragment, "onCreateView", (0, 3), rule, fragment_premise
-            ):
+            for froot in self._callback_view_roots(fragment, "onCreateView", (0, 3)):
                 for container in containers:
-                    if container is froot:
-                        continue
-                    if prov is None:
+                    if container is not froot:
                         changed |= self.graph.add_rel(RelKind.CHILD, container, froot)
-                        continue
-                    container_ids = self.graph.rel_view(RelKind.HAS_ID, container)
-                    cid = next(
-                        (i for i in sorted(ids, key=str) if i in container_ids),
-                        None,
-                    )
-                    premises: List[Fact] = [flow_fact(OpArg(op, 1), fragment)]
-                    if cid is not None:
-                        premises.insert(0, flow_fact(OpArg(op, 0), cid))
-                        premises.append(rel_fact(RelKind.HAS_ID, container, cid))
-                    changed |= self.graph.add_rel(
-                        RelKind.CHILD, container, froot, rule, tuple(premises)
-                    )
         return changed
 
     # Adapter extension: AdapterView.setAdapter(adapter).
@@ -1130,24 +871,11 @@ class GuiReferenceAnalysis:
         if not adapters:
             return False
         parents = self._views(OpRecv(op))
-        rule = op.kind.value
         for adapter in adapters:
-            adapter_premise = (flow_fact(OpArg(op, 0), adapter),)
-            for row in self._callback_view_roots(
-                adapter, "getView", (0, 3), rule=rule, premises=adapter_premise
-            ):
+            for row in self._callback_view_roots(adapter, "getView", (0, 3)):
                 for parent in parents:
                     if parent is not row:
-                        changed |= self.graph.add_rel(
-                            RelKind.CHILD,
-                            parent,
-                            row,
-                            rule,
-                            (
-                                flow_fact(OpRecv(op), parent),
-                                flow_fact(OpArg(op, 0), adapter),
-                            ),
-                        )
+                        changed |= self.graph.add_rel(RelKind.CHILD, parent, row)
         return changed
 
     # Options-menu extension.
@@ -1159,7 +887,6 @@ class GuiReferenceAnalysis:
         ``android:onClick`` handler."""
         changed = False
         owner_class = op.site.method.class_name
-        rule = op.kind.value
         for menu_id in {
             v for v in self.pts.get(OpArg(op, 0), ()) if isinstance(v, MenuIdNode)
         }:
@@ -1168,36 +895,25 @@ class GuiReferenceAnalysis:
                 continue
             self._inflated_menus.add(key)
             changed = True
-            menu_premise = (flow_fact(OpArg(op, 0), menu_id),)
             menu = self.app.resources.menu(menu_id.name)
             for index, item_def in enumerate(menu.items):
                 item = self.graph.menu_item(
                     op.site, menu_id.name, index, item_def.id_name
                 )
-                self._seed(item, rule, menu_premise)
+                self._add_values(item, {item})
                 self.menu_items_by_class.setdefault(owner_class, []).append(item)
                 if item_def.id_name is not None:
                     id_node = self.graph.view_id(
                         item_def.id_name, self.app.resources.view_id(item_def.id_name)
                     )
-                    self._seed(id_node)
-                    self.graph.add_rel(RelKind.HAS_ID, item, id_node, rule, menu_premise)
-                for handler_name, arity in (
-                    (item_def.on_click, 1),
-                    ("onOptionsItemSelected", 1),
-                ):
-                    if handler_name is None:
-                        continue
-                    method = self.hierarchy.lookup(owner_class, handler_name, arity)
+                    self._add_values(id_node, {id_node})
+                    self.graph.add_rel(RelKind.HAS_ID, item, id_node)
+                for handler_name in (item_def.on_click, "onOptionsItemSelected"):
+                    method = self.hierarchy.app_callback(owner_class, handler_name, (1,))
                     if method is None:
                         continue
-                    owner = self.app.program.clazz(method.class_name)
-                    if owner is None or owner.is_platform:
-                        continue
                     param = self.graph.var(method.sig, method.param_names[0])
-                    self._add_flow_dynamic(
-                        item, param, rule, (flow_fact(item, item),)
-                    )
+                    self._add_flow_dynamic(item, param)
         return changed
 
     # -- android:onClick binding (extension) -------------------------------------------
@@ -1234,20 +950,12 @@ class GuiReferenceAnalysis:
         key = (act.class_name, view)
         if key in self._bound_xml:
             return False
-        method = self.hierarchy.lookup(act.class_name, handler_name, 1)
+        method = self.hierarchy.app_callback(act.class_name, handler_name, (1,))
         if method is None:
-            return False
-        owner = self.app.program.clazz(method.class_name)
-        if owner is None or owner.is_platform:
             return False
         self._bound_xml.add(key)
         param = self.graph.var(method.sig, method.param_names[0])
-        xml_premises = (flow_fact(act, act), flow_fact(view, view))
-        self._add_flow_dynamic(view, param, "XmlOnClick", xml_premises)
-        if self._prov is not None:
-            self._prov.record_flow(
-                self.graph.var(method.sig, "this"), act, "XmlOnClick", xml_premises
-            )
+        self._add_flow_dynamic(view, param)
         self._add_values(self.graph.var(method.sig, "this"), {act})
         self.xml_handlers.append(XmlHandlerBinding(act.class_name, view, method.sig))
         return True

@@ -52,7 +52,7 @@ from repro.core.nodes import (
     VarNode,
     ViewIdNode,
 )
-from repro.core.provenance import Fact, ProvenanceRecorder
+from repro.core.provenance import FactOrder
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
 
@@ -97,11 +97,10 @@ class ConstraintGraph:
         # Called once per *new* relationship edge (kind, src, dst);
         # installed by the solver for delta scheduling.
         self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
-        # Derivation recorder (``AnalysisOptions.provenance``). When
-        # set, ``add_rel`` records the rule/premises passed by the
-        # solver for each *new* edge; None (the default) costs one
-        # ``is not None`` test per new edge.
-        self.provenance: Optional[ProvenanceRecorder] = None
+        # Fact order table (``AnalysisOptions.provenance``). When set,
+        # ``add_rel`` numbers each *new* edge; None (the default) costs
+        # one ``is not None`` test per new edge.
+        self.fact_order: Optional[FactOrder] = None
         # Incrementally maintained reflexive CHILD-closure cache:
         # root -> descendant set, plus the inverted membership index
         # (node -> cached roots whose set contains it) that makes
@@ -340,23 +339,12 @@ class ConstraintGraph:
 
     # -- relationship edges ---------------------------------------------------------
 
-    def add_rel(
-        self,
-        kind: RelKind,
-        src: Node,
-        dst: Node,
-        rule: Optional[str] = None,
-        premises: Tuple[Fact, ...] = (),
-    ) -> bool:
+    def add_rel(self, kind: RelKind, src: Node, dst: Node) -> bool:
         """Add ``src ⇒ dst`` with label ``kind``; True when new.
 
         New CHILD edges extend the descendant cache before the
         ``rel_listener`` notification fires, so a listener observing
         the edge already sees consistent closure queries.
-
-        ``rule``/``premises`` name the derivation recorded for the new
-        edge when a :class:`ProvenanceRecorder` is installed; both are
-        ignored otherwise.
         """
         forward = self._rel[kind].setdefault(src, set())
         if dst in forward:
@@ -367,8 +355,8 @@ class ConstraintGraph:
         self._register(dst)
         if kind is RelKind.CHILD:
             self._extend_descendant_cache(src, dst)
-        if self.provenance is not None and rule is not None:
-            self.provenance.record_rel(kind, src, dst, rule, premises)
+        if self.fact_order is not None:
+            self.fact_order.add_rel(kind, src, dst)
         if self.rel_listener is not None:
             self.rel_listener(kind, src, dst)
         return True
@@ -493,40 +481,6 @@ class ConstraintGraph:
     def ancestor_of(self, view1: Node, view2: Node) -> bool:
         """The paper's ``ancestorOf`` relation (reflexive)."""
         return view2 in self.descendants_cached(view1)
-
-    def child_path(self, ancestor: Node, target: Node) -> Optional[List[Node]]:
-        """A shortest CHILD-edge chain ``ancestor -> ... -> target``.
-
-        Returns the node sequence including both endpoints (just
-        ``[ancestor]`` when they coincide), or None when ``target`` is
-        not a (reflexive) descendant. Deterministic: BFS with children
-        visited in sorted order — used to expand an ``ancestorOf``
-        premise into explicit ``child`` facts for witness paths, so it
-        runs only when provenance is being explained."""
-        if ancestor == target:
-            return [ancestor]
-        parent_of: Dict[Node, Node] = {}
-        frontier: List[Node] = [ancestor]
-        seen: Set[Node] = {ancestor}
-        while frontier:
-            next_frontier: List[Node] = []
-            for node in frontier:
-                for child in sorted(
-                    self._rel[RelKind.CHILD].get(node, ()), key=str
-                ):
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    parent_of[child] = node
-                    if child == target:
-                        path = [child]
-                        while path[-1] != ancestor:
-                            path.append(parent_of[path[-1]])
-                        path.reverse()
-                        return path
-                    next_frontier.append(child)
-            frontier = next_frontier
-        return None
 
     # -- summary -----------------------------------------------------------------
 

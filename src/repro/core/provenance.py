@@ -1,50 +1,35 @@
-"""Derivation provenance for the fixed-point solver (opt-in).
+"""Fact order numbers for witness reconstruction (opt-in).
 
-When ``AnalysisOptions.provenance`` is enabled, the solver records —
-for every ``flowsTo`` fact, relationship edge, and dynamically added
-flow edge — the inference rule and the premise facts that *first*
-derived it. The record is deliberately compact: one ``(rule,
-premises)`` tuple per fact, first derivation wins, nothing is ever
-updated or removed, so memory is linear in the number of facts and the
-recorder never influences solving (both solver modes produce
-byte-identical solutions with provenance on or off).
+With ``AnalysisOptions.provenance`` the solver numbers every fact in the
+order it was first added, and stores nothing else: no rule, no premises.
+The number is written where each kind of fact is inserted and never
+feeds back into solving, so both solver modes produce byte-identical
+solutions with the table on or off. The witness reconstructor
+(:mod:`repro.lint.witness`) rebuilds premises after solving and accepts
+only premises numbered below their conclusion.
 
-Facts are plain tagged tuples so they can double as premise references
-without extra allocation:
+Facts are plain tagged tuples, so they double as premise references:
 
 * ``("flow", node, value)`` — ``value`` flows to pointer node ``node``
   (the paper's ``flowsTo(value, node)``);
 * ``("rel", kind, src, dst)`` — relationship edge ``src ⇒ dst`` with
-  label ``kind`` (``child``/``has_id``/``root``/... — ``ancestorOf``
-  facts are witnessed as chains of ``child`` premises);
-* ``("edge", src, dst)`` — a flow edge. Edges created during solving
-  (listener callbacks, ``android:onClick`` bindings, factory-method
-  modelling) carry a derivation; edges from program statements are
-  axioms of the constraint graph.
-
-The witness-path reconstructor (:mod:`repro.lint.witness`) walks these
-records backwards to sources — allocation sites, ``R.layout``/``R.id``
-constants, layout trees — and renders a step-by-step justification for
-any fact a client (e.g. the lint engine) wants to explain.
+  label ``kind`` (``ancestorOf`` facts are witnessed as chains of
+  ``child`` premises);
+* ``("edge", src, dst)`` — a flow edge. Edges the solver made (listener
+  callbacks, ``android:onClick`` bindings, factory-method modelling) are
+  numbered; edges from program statements are axioms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from itertools import count
+from typing import Collection, Dict, Optional, Tuple
 
-# Fact tags.
 FLOW = "flow"
 REL = "rel"
 EDGE = "edge"
 
-# A fact is ("flow", node, value) | ("rel", kind, src, dst) |
-# ("edge", src, dst); a derivation is (rule_name, premise_facts).
 Fact = Tuple[object, ...]
-Derivation = Tuple[str, Tuple[Fact, ...]]
-
-# Rule names shared by the recorder, the solver, and the renderer.
-RULE_SEED = "Seed"
-RULE_ASSIGN = "Assign"
 
 
 def flow_fact(node: object, value: object) -> Fact:
@@ -59,71 +44,45 @@ def edge_fact(src: object, dst: object) -> Fact:
     return (EDGE, src, dst)
 
 
-class ProvenanceRecorder:
-    """First-wins derivation store for one analysis run.
+class FactOrder:
+    """The order in which one analysis run first added each fact.
 
-    Exactly one derivation is kept per fact (the first recorded one);
-    later recordings of the same fact are ignored in O(1). The solver
-    records eagerly at every site that can add a fact, so "first
-    recorded" coincides with "first derived".
+    ``flow`` maps node -> value -> number (one dict per node, so the
+    solver's propagation loop numbers a whole delta with one
+    ``dict.update``); ``rel`` and ``edge`` map the fact's fields to its
+    number. ``next`` is the number the next new fact gets.
     """
 
-    __slots__ = ("flow", "rel", "edge")
+    __slots__ = ("flow", "rel", "edge", "next")
 
     def __init__(self) -> None:
-        self.flow: Dict[Tuple[object, object], Derivation] = {}
-        self.rel: Dict[Tuple[object, object, object], Derivation] = {}
-        self.edge: Dict[Tuple[object, object], Derivation] = {}
+        self.flow: Dict[object, Dict[object, int]] = {}
+        self.rel: Dict[Tuple[object, object, object], int] = {}
+        self.edge: Dict[Tuple[object, object], int] = {}
+        self.next = 0
 
-    # -- recording (first wins) ------------------------------------------------
+    def add_flows(self, node: object, values: Collection[object]) -> None:
+        self.flow.setdefault(node, {}).update(zip(values, count(self.next)))
+        self.next += len(values)
 
-    def record_flow(
-        self,
-        node: object,
-        value: object,
-        rule: str,
-        premises: Tuple[Fact, ...] = (),
-    ) -> None:
-        key = (node, value)
-        if key not in self.flow:
-            self.flow[key] = (rule, premises)
+    def add_rel(self, kind: object, src: object, dst: object) -> None:
+        self.rel[(kind, src, dst)] = self.next
+        self.next += 1
 
-    def record_rel(
-        self,
-        kind: object,
-        src: object,
-        dst: object,
-        rule: str,
-        premises: Tuple[Fact, ...] = (),
-    ) -> None:
-        key = (kind, src, dst)
-        if key not in self.rel:
-            self.rel[key] = (rule, premises)
+    def add_edge(self, src: object, dst: object) -> None:
+        self.edge[(src, dst)] = self.next
+        self.next += 1
 
-    def record_edge(
-        self,
-        src: object,
-        dst: object,
-        rule: str,
-        premises: Tuple[Fact, ...] = (),
-    ) -> None:
-        key = (src, dst)
-        if key not in self.edge:
-            self.edge[key] = (rule, premises)
-
-    # -- lookup ----------------------------------------------------------------
-
-    def derivation(self, fact: Fact) -> Optional[Derivation]:
-        """The recorded derivation of ``fact``, or None (axiom/unknown)."""
-        tag = fact[0]
-        if tag == FLOW:
-            return self.flow.get((fact[1], fact[2]))
-        if tag == REL:
-            return self.rel.get((fact[1], fact[2], fact[3]))
-        if tag == EDGE:
-            return self.edge.get((fact[1], fact[2]))
-        return None
+    def of(self, fact: Fact) -> Optional[int]:
+        """The number of ``fact``, or None (an axiom, or not a fact)."""
+        if fact[0] == FLOW:
+            return self.flow.get(fact[1], {}).get(fact[2])
+        return (self.rel if fact[0] == REL else self.edge).get(fact[1:])  # type: ignore
 
     def record_count(self) -> int:
-        """Total derivations recorded (= distinct facts witnessed)."""
-        return len(self.flow) + len(self.rel) + len(self.edge)
+        """Facts with an order number."""
+        return (
+            sum(len(numbers) for numbers in self.flow.values())
+            + len(self.rel)
+            + len(self.edge)
+        )

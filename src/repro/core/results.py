@@ -33,7 +33,7 @@ from repro.platform.events import EventKind, ListenerSpec, spec_for_interface
 if TYPE_CHECKING:  # pragma: no cover
     from repro.app import AndroidApp
     from repro.core.analysis import AnalysisOptions
-    from repro.core.provenance import ProvenanceRecorder
+    from repro.core.provenance import FactOrder
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,10 @@ class AnalysisResult:
     solver: str = "seminaive"
     ops_scheduled: int = 0
     ops_skipped: int = 0
-    # Derivation recorder populated when ``AnalysisOptions.provenance``
-    # was enabled for the run; None otherwise. Input to the witness-path
-    # reconstructor (repro.lint.witness).
-    provenance: Optional["ProvenanceRecorder"] = None
+    # Fact order table filled when ``AnalysisOptions.provenance`` was
+    # enabled for the run; None otherwise. The witness-path
+    # reconstructor (repro.lint.witness) ranks premises by it.
+    provenance: Optional["FactOrder"] = None
 
     # -- flowsTo queries ----------------------------------------------------
 

@@ -11,6 +11,7 @@ class CompilationUnit:
     package: Optional[str]
     imports: List[str]
     classes: List["ClassDecl"]
+    path: Optional[str] = None  # source file, for error messages
 
 
 @dataclass

@@ -40,16 +40,16 @@ def load_app_from_sources(
     names each source text (project-relative) for source-level clients
     like lint suppressions; otherwise synthetic names are used.
     """
-    if source_paths is None:
-        source_paths = [f"<memory:{i}>" for i in range(len(sources))]
-    elif len(source_paths) != len(sources):
+    if source_paths is not None and len(source_paths) != len(sources):
         # zip() would silently drop the unmatched tail, leaving lint
         # suppressions and SARIF locations pointing at the wrong files.
         raise ValueError(
             f"source_paths has {len(source_paths)} entries for "
             f"{len(sources)} sources; lengths must match"
         )
-    program = compile_sources(list(sources))
+    program = compile_sources(list(sources), source_paths)
+    if source_paths is None:
+        source_paths = [f"<memory:{i}>" for i in range(len(sources))]
     source_files = [
         SourceFile(path=p, text=t) for p, t in zip(source_paths, sources)
     ]

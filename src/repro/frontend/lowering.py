@@ -47,7 +47,7 @@ from repro.frontend.ast_nodes import (
     UnaryExpr,
     WhileStmt,
 )
-from repro.frontend.errors import LowerError
+from repro.frontend.errors import FrontendError, LowerError
 from repro.frontend.parser import parse_compilation_unit
 from repro.ir.builder import MethodBuilder
 from repro.ir.program import Clazz, Field, Method, Program
@@ -521,11 +521,14 @@ class _Compiler:
         self.program = Program()
         install_platform(self.program)
         self.resolver = _Resolver(set(self.program.classes))
+        # The unit being compiled, whose path a LowerError gets.
+        self.unit: Optional[CompilationUnit] = None
 
     def compile(self) -> Program:
         # Pass 1a: register every class name.
         decls: List[Tuple[CompilationUnit, ClassDecl, str]] = []
         for unit in self.units:
+            self.unit = unit
             for decl in unit.classes:
                 qualified = (
                     f"{unit.package}.{decl.name}" if unit.package else decl.name
@@ -537,6 +540,7 @@ class _Compiler:
         # Pass 1b: create classes with resolved supertypes and members.
         lowering_queue: List[Tuple[CompilationUnit, ClassDecl, Clazz]] = []
         for unit, decl, qualified in decls:
+            self.unit = unit
             superclass = "java.lang.Object"
             if decl.superclass is not None:
                 superclass = self.resolver.resolve(decl.superclass, unit, decl.line)
@@ -580,6 +584,7 @@ class _Compiler:
             lowering_queue.append((unit, decl, clazz))
         # Pass 2: lower bodies.
         for unit, decl, clazz in lowering_queue:
+            self.unit = unit
             for m in decl.methods:
                 if m.body is None:
                     continue
@@ -590,7 +595,21 @@ class _Compiler:
         return self.program
 
 
-def compile_sources(sources: Sequence[str]) -> Program:
-    """Compile ``.alite`` source texts into one ALite program."""
-    units = [parse_compilation_unit(source) for source in sources]
-    return _Compiler(units).compile()
+def compile_sources(
+    sources: Sequence[str], paths: Optional[Sequence[Optional[str]]] = None
+) -> Program:
+    """Compile ``.alite`` source texts into one ALite program.
+
+    ``paths`` names each source in the frontend errors raised for it."""
+    units: List[CompilationUnit] = []
+    compiler, path = None, None
+    try:
+        for source, path in zip(sources, paths or [None] * len(sources)):
+            units.append(parse_compilation_unit(source))
+            units[-1].path = path
+        compiler = _Compiler(units)
+        return compiler.compile()
+    except FrontendError as exc:
+        # The file being parsed, or the unit being lowered.
+        exc.path = compiler.unit.path if compiler and compiler.unit else path
+        raise

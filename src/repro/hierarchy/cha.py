@@ -120,6 +120,19 @@ class ClassHierarchy:
         self._dispatch_cache[key] = result
         return result
 
+    def app_callback(
+        self, class_name: Optional[str], name: Optional[str], arities: Iterable[int]
+    ) -> Optional[Method]:
+        """The application method the framework calls back on an object
+        of ``class_name``: the first of ``arities`` that resolves, or
+        None when none does or it resolves to platform code."""
+        for arity in arities if class_name and name else ():
+            method = self.lookup(class_name, name, arity)
+            if method is not None:
+                owner = self.program.clazz(method.class_name)
+                return None if owner is None or owner.is_platform else method
+        return None
+
     def cha_targets(
         self, declared_class: str, name: str, arity: int
     ) -> List[Method]:

@@ -8,8 +8,9 @@ into consumable diagnostics:
 * :mod:`repro.lint.engine` — runs enabled rules, applies inline and
   file-based suppressions, dedupes, and orders findings
   deterministically;
-* :mod:`repro.lint.witness` — reconstructs step-by-step witness paths
-  from the solver's provenance records (``AnalysisOptions.provenance``);
+* :mod:`repro.lint.witness` — rebuilds step-by-step witness paths from
+  the solved graph, ranked by the solver's fact order table
+  (``AnalysisOptions.provenance``);
 * :mod:`repro.lint.report` — text, JSON (``repro.lint/1``), and SARIF
   2.1.0 exporters plus baseline diffing.
 

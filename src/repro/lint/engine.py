@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.results import AnalysisResult
 from repro.lint.rules import ALL_RULES, Finding, Rule, Severity, rule_by_id
-from repro.lint.witness import reconstruct_witness, render_witness
+from repro.lint.witness import Explainer, reconstruct_witness, render_witness
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
 
@@ -212,12 +212,13 @@ def run_lint(
                 report.suppressed.append(finding)
             else:
                 kept.append(finding)
-        prov = result.provenance
-        if options.witness and prov is not None:
+        if options.witness and result.provenance is not None:
+            # One explainer per run: findings share premises.
+            explainer = Explainer(result)
             for finding in kept:
                 if finding.fact is not None:
                     finding.witness = render_witness(
-                        reconstruct_witness(prov, finding.fact)
+                        reconstruct_witness(result, finding.fact, explainer=explainer)
                     )
         report.findings = kept
 

@@ -40,8 +40,8 @@ COUNTER_XML_ONCLICK_BOUND = "solver.xml_onclick_bound"
 # Bumped once per solve() that hit AnalysisOptions.max_rounds without
 # reaching the fixed point (the convergence warning).
 COUNTER_MAX_ROUNDS_EXHAUSTED = "solver.max_rounds_exhausted"
-# Total derivations recorded by the provenance sled, emitted once per
-# solve() and only when ``AnalysisOptions.provenance`` is enabled.
+# Facts with an order number (``core/provenance.FactOrder``), emitted once
+# per solve() and only when ``AnalysisOptions.provenance`` is enabled.
 COUNTER_PROV_FACTS = "solver.provenance_facts"
 
 # -- batch-runner span/event/counters ----------------------------------------

@@ -20,10 +20,11 @@ def build_lint_corpus_text() -> str:
     """Witness-free lint findings for the corpus apps plus the examples.
 
     Witness-free on purpose: finding content (rule, site, message) is
-    deterministic, while witness selection prefers the *first* recorded
-    derivation, which is an implementation detail the golden should not
-    pin for every app. The buggy example's witnesses are pinned
-    separately (they exercise one app, deliberately).
+    deterministic, while which of several valid derivations a witness
+    shows (the least content key among premises ranked below the
+    conclusion) is an implementation detail the golden should not pin
+    for every app. The buggy example's witnesses are pinned separately
+    (they exercise one app, deliberately).
     """
     sections = []
     for spec in APP_SPECS:

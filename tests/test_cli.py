@@ -83,3 +83,40 @@ class TestRunAndDisasm:
         with open(target) as f:
             program = parse_dex_text(f.read())
         assert program.clazz("com.example.notepad.NotesListActivity") is not None
+
+
+BROKEN = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "examples", "projects", "broken")
+)
+
+
+class TestMalformedInput:
+    """Bad input ends in a located ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize("command", ["analyze", "lint", "run", "disasm"])
+    def test_broken_source(self, command, capsys):
+        assert main([command, BROKEN]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: src/BrokenActivity.alite:12:1: unexpected token"
+        )
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_malformed_layout(self, tmp_path, capsys):
+        import shutil
+
+        project = tmp_path / "notepad"
+        shutil.copytree(PROJECT, project)
+        (project / "res" / "layout" / "header.xml").write_text("<LinearLayout>")
+        assert main(["analyze", str(project)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: header: XML parse error")
+
+    def test_lowering_error_names_file(self, tmp_path, capsys):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "A.alite").write_text(
+            "package p;\nclass A extends Zorp {\n}\n"
+        )
+        assert main(["analyze", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: src/A.alite:2: unknown type 'Zorp'")

@@ -338,6 +338,7 @@ class TestCorpusAcceptance:
         bad = result.outcome("broken")
         assert bad.status == "failed"
         assert bad.error["type"] == "ParseError"
+        assert bad.error["message"].startswith("src/BrokenActivity.alite:12:1: ")
 
 
 # -- bench harness wiring -----------------------------------------------------
