@@ -53,8 +53,9 @@ class AndroidApp:
                 )
 
     def validate(self, strict: bool = True) -> List[str]:
-        """Check IR well-formedness; see :func:`validate_program`."""
-        return validate_program(self.program, strict=strict)
+        """Check IR well-formedness and resource references; see
+        :func:`validate_program`."""
+        return validate_program(self.program, strict=strict, resources=self.resources)
 
     def activity_classes(self) -> List[str]:
         """Application classes that are (transitive) Activity subclasses.

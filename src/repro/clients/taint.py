@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.nodes import Site, ValueNode, value_class_name
+from repro.core.nodes import Site, ValueNode, value_is_a
 from repro.core.results import AnalysisResult
 from repro.ir.statements import Invoke
 
@@ -53,10 +53,7 @@ def run_taint_analysis(
     hierarchy = result.hierarchy
 
     def is_source(value: ValueNode) -> bool:
-        class_name = value_class_name(value)
-        return class_name is not None and any(
-            hierarchy.is_subtype(class_name, source) for source in source_classes
-        )
+        return any(value_is_a(hierarchy, value, source) for source in source_classes)
 
     findings: List[TaintFinding] = []
     for method in result.app.program.application_methods():

@@ -62,7 +62,6 @@ from repro.core.builder import build_constraint_graph
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import (
     ActivityNode,
-    AllocNode,
     InflViewNode,
     LayoutIdNode,
     MenuIdNode,
@@ -75,7 +74,9 @@ from repro.core.nodes import (
     ValueNode,
     VarNode,
     ViewIdNode,
+    is_activity_like,
     value_class_name,
+    value_is_a,
 )
 from repro.core.provenance import FactOrder
 from repro.core.results import AnalysisResult, XmlHandlerBinding
@@ -84,7 +85,6 @@ from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
 from repro.ir.program import Method, MethodSig
 from repro.platform.api import OpKind
-from repro.platform.classes import ACTIVITY, DIALOG
 from repro.resources.layout import LayoutNode
 
 
@@ -251,23 +251,23 @@ class GuiReferenceAnalysis:
 
         Deltas are coalesced per node before propagating (a node hit by
         many singleton deltas traverses its out-edges once, not once
-        per delta), successors come paired with their cast filter (no
-        filter-table lookup), filter decisions are memoised per (value
-        class, filter), and empty filtered deltas are dropped without
-        touching ``pts``."""
+        per delta), successors come paired with their cast filter,
+        filter decisions are memoised per (value class, filter), and
+        empty filtered deltas are dropped without touching ``pts``."""
         changed = False
         queue = self._queue
         pending = self._pending
         pts = self.pts
-        # The graph's adjacency dict is read directly: the method call
-        # per popped node is measurable at this volume.
-        flow_out = self.graph._flow_out
+        # The graph's successor map is iterated in place, which is safe
+        # because nothing adds a flow edge while deltas propagate (rules
+        # do, between propagations).
+        flow = self.graph.flow
         filter_casts = self.options.filter_casts
         filter_cached = self._filter_values_cached
         dirty = self._dirty
         node_deps = self._node_deps
         order = self._order
-        empty: Tuple[Tuple[Node, Optional[str]], ...] = ()
+        empty: Dict[Node, Optional[str]] = {}
         while queue:
             node = queue.popleft()
             delta = pending.pop(node, None)
@@ -276,7 +276,7 @@ class GuiReferenceAnalysis:
                 continue
             changed = True
             self.work_items += 1
-            for succ, type_filter in flow_out.get(node, empty):
+            for succ, type_filter in flow.get(node, empty).items():
                 # Inlined _add_values: this loop is the solver's hottest
                 # path and the call overhead alone is a double-digit
                 # share of solve time. Any semantic change here must be
@@ -340,26 +340,11 @@ class GuiReferenceAnalysis:
 
     # -- value classification ----------------------------------------------------
 
-    def _is_view_value(self, value: ValueNode) -> bool:
-        if isinstance(value, InflViewNode):
-            return True
-        return isinstance(value, AllocNode) and value in self.graph.view_allocs
-
-    def _is_activity_like(self, value: ValueNode) -> bool:
-        """Activities and dialogs both hold root view hierarchies."""
-        if isinstance(value, ActivityNode):
-            return True
-        if isinstance(value, AllocNode):
-            return self.hierarchy.is_subtype(
-                value.class_name, ACTIVITY
-            ) or self.hierarchy.is_subtype(value.class_name, DIALOG)
-        return False
-
     def _views(self, node: Node) -> Set[ValueNode]:
-        return {v for v in self.pts.get(node, ()) if self._is_view_value(v)}
+        return {v for v in self.pts.get(node, ()) if self.graph.is_view_value(v)}
 
     def _activity_likes(self, node: Node) -> Set[ValueNode]:
-        return {v for v in self.pts.get(node, ()) if self._is_activity_like(v)}
+        return {v for v in self.pts.get(node, ()) if is_activity_like(self.hierarchy, v)}
 
     def _layout_ids(self, node: Node) -> Set[LayoutIdNode]:
         return {v for v in self.pts.get(node, ()) if isinstance(v, LayoutIdNode)}
@@ -681,7 +666,7 @@ class GuiReferenceAnalysis:
         listeners = {
             v
             for v in self.pts.get(OpArg(op, 0), ())
-            if self._implements(v, spec.interface)
+            if value_is_a(self.hierarchy, v, spec.interface)
         }
         for view in views:
             for listener in listeners:
@@ -717,12 +702,6 @@ class GuiReferenceAnalysis:
                         for child in self._read_rel(RelKind.CHILD, view):
                             changed |= self._add_flow_dynamic(child, param)
         return changed
-
-    def _implements(self, value: ValueNode, interface: str) -> bool:
-        class_name = value_class_name(value)
-        return class_name is not None and self.hierarchy.is_subtype(
-            class_name, interface
-        )
 
     def _handler_view_param(self, handler: Method, index: int) -> Optional[VarNode]:
         if index >= len(handler.param_names):
@@ -826,7 +805,7 @@ class GuiReferenceAnalysis:
             if isinstance(stmt, Return) and stmt.var is not None:
                 node = self.graph.var(method.sig, stmt.var)
                 self._depend_on_node(node)
-                roots.update(v for v in self.pts.get(node, ()) if self._is_view_value(v))
+                roots.update(v for v in self.pts.get(node, ()) if self.graph.is_view_value(v))
         return roots
 
     def _op_fragment_tx(self, op: OpNode) -> bool:
@@ -839,8 +818,7 @@ class GuiReferenceAnalysis:
         fragments = {
             v
             for v in self.pts.get(OpArg(op, 1), ())
-            if (cn := value_class_name(v)) is not None
-            and self.hierarchy.is_subtype(cn, "android.app.Fragment")
+            if value_is_a(self.hierarchy, v, "android.app.Fragment")
         }
         if not fragments:
             return False
@@ -865,8 +843,7 @@ class GuiReferenceAnalysis:
         adapters = {
             v
             for v in self.pts.get(OpArg(op, 0), ())
-            if (cn := value_class_name(v)) is not None
-            and self.hierarchy.is_subtype(cn, "android.widget.BaseAdapter")
+            if value_is_a(self.hierarchy, v, "android.widget.BaseAdapter")
         }
         if not adapters:
             return False

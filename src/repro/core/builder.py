@@ -17,12 +17,12 @@ application method (all are considered executable) and adds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.app import AndroidApp
-from repro.core.graph import ConstraintGraph, RelKind
-from repro.core.nodes import Node, OpNode, Site, VarNode
+from repro.core.graph import ConstraintGraph
+from repro.core.nodes import Site
 from repro.hierarchy.cha import ClassHierarchy
 from repro.hierarchy.callgraph import resolve_invoke
 from repro.ir.program import Method, MethodSig, Program
@@ -62,8 +62,6 @@ class BuildResult:
     graph: ConstraintGraph
     hierarchy: ClassHierarchy
     app: AndroidApp
-    # Methods whose `this` received an activity node (diagnostics).
-    callback_methods: List[MethodSig] = field(default_factory=list)
 
 
 class _GraphBuilder:
@@ -241,7 +239,6 @@ class _GraphBuilder:
                     if m.is_static or not is_framework_callback(m.name):
                         continue
                     g.add_flow(act, g.var(m.sig, "this"))
-                    self.result.callback_methods.append(m.sig)
 
 
 def build_constraint_graph(

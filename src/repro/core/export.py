@@ -13,7 +13,7 @@ checkers) consume the analysis output in two portable forms:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.metrics import (
@@ -52,8 +52,8 @@ _NODE_STYLES = {
 }
 
 
-def _node_id(node: Node) -> str:
-    return f"n{abs(hash(node)) % (1 << 48)}"
+def _sorted(edges: Iterable[Tuple[Node, Node]]) -> List[Tuple[Node, Node]]:
+    return sorted(edges, key=lambda edge: (str(edge[0]), str(edge[1])))
 
 
 def graph_to_dot(
@@ -61,18 +61,22 @@ def graph_to_dot(
     include_flow: bool = True,
     include_vars: bool = True,
 ) -> str:
-    """Render the constraint graph as Graphviz DOT."""
+    """Render the constraint graph as Graphviz DOT.
+
+    The output is byte-stable across processes: edges come out sorted
+    by their rendered endpoints and nodes are numbered in the order
+    they are first emitted (node hashes are salted per process)."""
     lines = ["digraph constraint_graph {", "  rankdir=LR;"]
-    emitted: Set[str] = set()
+    ids: Dict[Node, str] = {}
 
     def emit(node: Node) -> Optional[str]:
         if not include_vars and isinstance(
             node, (VarNode, FieldNode, StaticFieldNode, OpRecv, OpArg)
         ):
             return None
-        nid = _node_id(node)
-        if nid not in emitted:
-            emitted.add(nid)
+        nid = ids.get(node)
+        if nid is None:
+            nid = ids[node] = f"n{len(ids)}"
             shape, fill = _NODE_STYLES.get(type(node), ("ellipse", "white"))
             label = str(node).replace('"', "'")
             lines.append(
@@ -82,12 +86,12 @@ def graph_to_dot(
         return nid
 
     if include_flow:
-        for src, dst in graph.flow_edges():
+        for src, dst in _sorted(graph.flow_edges()):
             a, b = emit(src), emit(dst)
             if a and b:
                 lines.append(f"  {a} -> {b};")
     for kind in RelKind:
-        for src, dst in graph.rel_edges(kind):
+        for src, dst in _sorted(graph.rel_edges(kind)):
             a, b = emit(src), emit(dst)
             if a and b:
                 lines.append(

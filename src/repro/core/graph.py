@@ -18,21 +18,24 @@ optional ``rel_listener`` callback that fires once per *new*
 relationship edge so the solver can schedule exactly the operation
 nodes whose inputs changed.
 
-Two query structures exist specifically for the solver's hot path:
+Each flow edge is one record: ``flow[src][dst]`` is its cast filter
+(None when unfiltered). The solver's propagation iterates the inner
+dicts in place, and ``has_flow``, ``flow_filter`` and ``flow_edges``
+read the same map. Only witnesses read predecessors, so
+:class:`~repro.lint.witness.Explainer` builds its own reverse map.
+Nodes enter ``nodes`` when they are interned.
 
-* ``flow_out(node)`` — the successor list with each edge's cast filter
-  attached, so propagation does not pay a per-edge dictionary lookup;
-* ``descendants_cached(view)`` — the reflexive CHILD-closure backed by
-  an incrementally maintained cache. Inserting a CHILD edge
-  ``p -> c`` extends every cached set containing ``p`` with the
-  closure of ``c`` (edges are never removed, so extension — never
-  invalidation — keeps all entries exact).
+``descendants_cached(view)`` is the reflexive CHILD-closure backed by
+an incrementally maintained cache. Inserting a CHILD edge ``p -> c``
+extends every cached set containing ``p`` with the closure of ``c``
+(edges are never removed, so extension — never invalidation — keeps
+all entries exact).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.nodes import (
     ActivityNode,
@@ -48,7 +51,6 @@ from repro.core.nodes import (
     OpRecv,
     Site,
     StaticFieldNode,
-    ValueNode,
     VarNode,
     ViewIdNode,
 )
@@ -72,25 +74,22 @@ class RelKind(enum.Enum):
 
 
 _EMPTY_NODE_SET: FrozenSet[Node] = frozenset()
+_NO_EDGES: Dict[Node, Optional[str]] = {}
 
 
 class ConstraintGraph:
     """Mutable constraint graph with node interning.
 
-    Flow edges are adjacency sets over :class:`Node`; relationship
+    Flow edges are one successor map over :class:`Node`; relationship
     edges are kept in per-label forward/backward maps for the queries
     the solver needs (children-of, ids-of, roots-of, ...).
     """
 
     def __init__(self) -> None:
         self.nodes: Set[Node] = set()
-        self.flow_succ: Dict[Node, List[Node]] = {}
-        self.flow_pred: Dict[Node, List[Node]] = {}
-        self._flow_edge_set: Set[Tuple[Node, Node]] = set()
-        self._flow_filters: Dict[Tuple[Node, Node], str] = {}
-        # Successors with the edge's cast filter attached, the solver's
-        # propagation hot path (avoids a dict lookup per edge visit).
-        self._flow_out: Dict[Node, List[Tuple[Node, Optional[str]]]] = {}
+        # src -> {dst: cast filter or None}: one record per flow edge.
+        self.flow: Dict[Node, Dict[Node, Optional[str]]] = {}
+        self._flow_count = 0
         # Relationship edges, forward and backward.
         self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
@@ -128,16 +127,13 @@ class ConstraintGraph:
 
     # -- node interning ------------------------------------------------------
 
-    def _register(self, node: Node) -> None:
-        self.nodes.add(node)
-
     def var(self, method: MethodSig, name: str) -> VarNode:
         key = (method, name)
         node = self._vars.get(key)
         if node is None:
             node = VarNode(method, name)
             self._vars[key] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def field(self, class_name: str, field_name: str) -> FieldNode:
@@ -146,7 +142,7 @@ class ConstraintGraph:
         if node is None:
             node = FieldNode(class_name, field_name)
             self._fields[key] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def static_field(self, class_name: str, field_name: str) -> StaticFieldNode:
@@ -155,7 +151,7 @@ class ConstraintGraph:
         if node is None:
             node = StaticFieldNode(class_name, field_name)
             self._static_fields[key] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def alloc(
@@ -165,7 +161,7 @@ class ConstraintGraph:
         if node is None:
             node = AllocNode(site, class_name)
             self._allocs[site] = node
-            self._register(node)
+            self.nodes.add(node)
             if is_view:
                 self.view_allocs.add(node)
             if is_listener:
@@ -177,7 +173,7 @@ class ConstraintGraph:
         if node is None:
             node = ActivityNode(class_name)
             self._activities[class_name] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def layout_id(self, name: str, value: int) -> LayoutIdNode:
@@ -185,7 +181,7 @@ class ConstraintGraph:
         if node is None:
             node = LayoutIdNode(name, value)
             self._layout_ids[name] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def view_id(self, name: str, value: int) -> ViewIdNode:
@@ -193,7 +189,7 @@ class ConstraintGraph:
         if node is None:
             node = ViewIdNode(name, value)
             self._view_ids[name] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def menu_id(self, name: str, value: int) -> MenuIdNode:
@@ -201,7 +197,7 @@ class ConstraintGraph:
         if node is None:
             node = MenuIdNode(name, value)
             self._menu_ids[name] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def menu_item(
@@ -212,7 +208,7 @@ class ConstraintGraph:
         if node is None:
             node = MenuItemNode(op_site, menu, index, id_name)
             self._menu_items[key] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def op(self, kind: OpKind, site: Site, spec: OpSpec) -> OpNode:
@@ -221,7 +217,7 @@ class ConstraintGraph:
             node = OpNode(kind, site)
             self._ops[site] = node
             self._op_specs[node] = spec
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     def op_spec(self, op: OpNode) -> OpSpec:
@@ -229,12 +225,12 @@ class ConstraintGraph:
 
     def op_recv(self, op: OpNode) -> OpRecv:
         node = OpRecv(op)
-        self._register(node)
+        self.nodes.add(node)
         return node
 
     def op_arg(self, op: OpNode, index: int = 0) -> OpArg:
         node = OpArg(op, index)
-        self._register(node)
+        self.nodes.add(node)
         return node
 
     def infl_view(
@@ -250,7 +246,7 @@ class ConstraintGraph:
         if node is None:
             node = InflViewNode(op_site, layout, path, view_class, id_name)
             self._infl_views[key] = node
-            self._register(node)
+            self.nodes.add(node)
         return node
 
     # -- accessors -------------------------------------------------------------
@@ -282,9 +278,6 @@ class ConstraintGraph:
     def infl_view_nodes(self) -> List[InflViewNode]:
         return list(self._infl_views.values())
 
-    def var_nodes(self) -> List[VarNode]:
-        return list(self._vars.values())
-
     def lookup_var(self, method: MethodSig, name: str) -> Optional[VarNode]:
         return self._vars.get((method, name))
 
@@ -293,6 +286,10 @@ class ConstraintGraph:
 
     def lookup_view_id(self, name: str) -> Optional[ViewIdNode]:
         return self._view_ids.get(name)
+
+    def is_view_value(self, value: Node) -> bool:
+        """Inflated views and allocations of view classes."""
+        return isinstance(value, InflViewNode) or value in self.view_allocs
 
     # -- flow edges --------------------------------------------------------------
 
@@ -306,36 +303,29 @@ class ConstraintGraph:
         cast statements, mirroring the type filtering of standard
         reference analyses. Values without a run-time class (ids) pass.
         """
-        key = (src, dst)
-        if key in self._flow_edge_set:
+        out = self.flow.get(src)
+        if out is None:
+            out = self.flow[src] = {}
+        elif dst in out:
             return False
-        self._flow_edge_set.add(key)
-        self.flow_succ.setdefault(src, []).append(dst)
-        self.flow_pred.setdefault(dst, []).append(src)
-        self._flow_out.setdefault(src, []).append((dst, type_filter))
-        if type_filter is not None:
-            self._flow_filters[key] = type_filter
-        self._register(src)
-        self._register(dst)
+        out[dst] = type_filter
+        self._flow_count += 1
         return True
 
     def flow_filter(self, src: Node, dst: Node) -> Optional[str]:
         """The type filter on edge ``src → dst``, if any."""
-        return self._flow_filters.get((src, dst))
-
-    def flow_out(self, node: Node) -> Sequence[Tuple[Node, Optional[str]]]:
-        """``(successor, cast filter)`` pairs for every edge out of
-        ``node`` — the propagation hot path. Read-only."""
-        return self._flow_out.get(node, ())
+        return self.flow.get(src, _NO_EDGES).get(dst)
 
     def has_flow(self, src: Node, dst: Node) -> bool:
-        return (src, dst) in self._flow_edge_set
+        return dst in self.flow.get(src, _NO_EDGES)
 
     def flow_edges(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._flow_edge_set)
+        for src, out in self.flow.items():
+            for dst in out:
+                yield src, dst
 
     def flow_edge_count(self) -> int:
-        return len(self._flow_edge_set)
+        return self._flow_count
 
     # -- relationship edges ---------------------------------------------------------
 
@@ -351,8 +341,6 @@ class ConstraintGraph:
             return False
         forward.add(dst)
         self._rel_back[kind].setdefault(dst, set()).add(src)
-        self._register(src)
-        self._register(dst)
         if kind is RelKind.CHILD:
             self._extend_descendant_cache(src, dst)
         if self.fact_order is not None:
@@ -402,14 +390,8 @@ class ConstraintGraph:
     def ids_of(self, view: Node) -> Set[Node]:
         return self.rel(RelKind.HAS_ID, view)
 
-    def views_with_id(self, id_node: ViewIdNode) -> Set[Node]:
-        return self.rel_back(RelKind.HAS_ID, id_node)
-
     def roots_of(self, holder: Node) -> Set[Node]:
         return self.rel(RelKind.ROOT, holder)
-
-    def listeners_of(self, view: Node) -> Set[Node]:
-        return self.rel(RelKind.LISTENER, view)
 
     def descendants_of(self, view: Node, include_self: bool = True) -> Set[Node]:
         """Reflexive-transitive closure over CHILD edges (``ancestorOf``
@@ -487,7 +469,7 @@ class ConstraintGraph:
     def summary(self) -> Dict[str, int]:
         return {
             "nodes": len(self.nodes),
-            "flow_edges": len(self._flow_edge_set),
+            "flow_edges": self._flow_count,
             "rel_edges": sum(self.rel_edge_count(k) for k in RelKind),
             "ops": len(self._ops),
             "allocs": len(self._allocs),

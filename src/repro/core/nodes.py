@@ -21,10 +21,13 @@ recursive field-tuple hash on every lookup dominates solve time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hierarchy.cha import ClassHierarchy
 
 
 def _cached_hash(cls):
@@ -277,3 +280,20 @@ def value_class_name(value: ValueNode) -> Optional[str]:
     if isinstance(value, MenuItemNode):
         return "android.view.MenuItem"
     return None
+
+
+def value_is_a(hierarchy: "ClassHierarchy", value: ValueNode, class_name: str) -> bool:
+    """Is ``value`` an instance of (a subtype of) ``class_name``? Values
+    without a run-time class (ids) are instances of nothing. The solver,
+    result queries, lint rules and witnesses all share this test."""
+    cn = value_class_name(value)
+    return cn is not None and hierarchy.is_subtype(cn, class_name)
+
+
+def is_activity_like(hierarchy: "ClassHierarchy", value: ValueNode) -> bool:
+    """Activities and dialogs both hold root view hierarchies."""
+    if isinstance(value, ActivityNode):
+        return True
+    return isinstance(value, AllocNode) and (
+        hierarchy.is_activity_class(value.class_name) or hierarchy.is_dialog_class(value.class_name)
+    )

@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.graph import ConstraintGraph, RelKind
 from repro.core.nodes import (
-    ActivityNode,
-    AllocNode,
     InflViewNode,
     MenuItemNode,
     Node,
@@ -22,8 +20,8 @@ from repro.core.nodes import (
     OpNode,
     OpRecv,
     ValueNode,
-    VarNode,
     value_class_name,
+    value_is_a,
 )
 from repro.hierarchy.cha import ClassHierarchy
 from repro.ir.program import MethodSig
@@ -118,9 +116,7 @@ class AnalysisResult:
         }
 
     def is_view_value(self, value: ValueNode) -> bool:
-        if isinstance(value, InflViewNode):
-            return True
-        return isinstance(value, AllocNode) and value in self.graph.view_allocs
+        return self.graph.is_view_value(value)
 
     # -- operation-node queries (the paper's precision measurements) ----------
 
@@ -145,12 +141,7 @@ class AnalysisResult:
         spec = self.graph.op_spec(op).listener
         if spec is None:
             return set()
-        return {
-            v
-            for v in self.op_args(op)
-            if (cn := value_class_name(v)) is not None
-            and self.hierarchy.is_subtype(cn, spec.interface)
-        }
+        return {v for v in self.op_args(op) if value_is_a(self.hierarchy, v, spec.interface)}
 
     def ops_of_kind(self, *kinds: OpKind) -> List[OpNode]:
         return [op for op in self.graph.ops() if op.kind in kinds]

@@ -2,9 +2,10 @@
 
 ``dump_app`` writes an application as a browsable project directory —
 Dalvik text for the code, serialised XML for layouts/menus/manifest —
-and ``load_dumped_app`` reads it back. Round-tripping any app through
-disk preserves the analysis solution (tested), which makes the
-generated evaluation corpus inspectable and shippable:
+and ``load_dumped_app`` reads it back with the project loader.
+Round-tripping any app through disk preserves the analysis solution
+(tested), which makes the generated evaluation corpus inspectable and
+shippable:
 
 .. code-block:: console
 
@@ -18,12 +19,9 @@ import os
 from typing import Optional
 
 from repro.app import AndroidApp
+# The project loader parses classes.smali with this module's parse_dex_text.
 from repro.dex import assemble_program, parse_dex_text
-from repro.resources.manifest import parse_manifest_xml
-from repro.resources.menu import parse_menu_xml
-from repro.resources.rtable import ResourceTable
 from repro.resources.serialize import layout_to_xml, manifest_to_xml, menu_to_xml
-from repro.resources.xml_parser import parse_layout_xml
 
 
 def dump_app(app: AndroidApp, path: str) -> None:
@@ -65,35 +63,6 @@ def dump_app(app: AndroidApp, path: str) -> None:
 
 def load_dumped_app(path: str, name: Optional[str] = None) -> AndroidApp:
     """Load a project directory written by :func:`dump_app`."""
-    if name is None:
-        name = os.path.basename(os.path.abspath(path))
-    with open(os.path.join(path, "classes.smali"), encoding="utf-8") as f:
-        program = parse_dex_text(f.read())
-    resources = ResourceTable()
-    layout_root = os.path.join(path, "res", "layout")
-    if os.path.isdir(layout_root):
-        for filename in sorted(os.listdir(layout_root)):
-            if filename.endswith(".xml"):
-                with open(os.path.join(layout_root, filename), encoding="utf-8") as f:
-                    resources.add_layout(
-                        parse_layout_xml(os.path.splitext(filename)[0], f.read())
-                    )
-    menu_root = os.path.join(path, "res", "menu")
-    if os.path.isdir(menu_root):
-        for filename in sorted(os.listdir(menu_root)):
-            if filename.endswith(".xml"):
-                with open(os.path.join(menu_root, filename), encoding="utf-8") as f:
-                    resources.add_menu(
-                        parse_menu_xml(os.path.splitext(filename)[0], f.read())
-                    )
-    ids_path = os.path.join(path, "res", "values", "ids.xml")
-    if os.path.isfile(ids_path):
-        import xml.etree.ElementTree as ET
+    from repro.frontend.loader import load_app_from_dir
 
-        for item in ET.parse(ids_path).getroot():
-            if item.tag == "item" and item.get("type") == "id":
-                resources.view_id(item.get("name"))
-    resources.freeze_ids()
-    with open(os.path.join(path, "AndroidManifest.xml"), encoding="utf-8") as f:
-        manifest = parse_manifest_xml(f.read())
-    return AndroidApp(name=name, program=program, resources=resources, manifest=manifest)
+    return load_app_from_dir(path, name=name)

@@ -1,4 +1,4 @@
-"""Whole-application loading: sources + layouts + manifest → AndroidApp.
+"""Whole-application loading: code + resources + manifest → AndroidApp.
 
 Directory convention (a trimmed Android project layout):
 
@@ -7,21 +7,23 @@ Directory convention (a trimmed Android project layout):
     myapp/
       AndroidManifest.xml     (optional)
       src/**/*.alite          (Java-subset sources)
-      res/layout/*.xml        (layout definitions)
+      classes.smali           (Dalvik text, read when there are no sources)
+      res/layout/*.xml, res/menu/*.xml, res/values/ids.xml (optional)
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+import xml.etree.ElementTree as ET
+from typing import Dict, List, Optional, Sequence
 
 from repro.app import AndroidApp, SourceFile
 from repro.frontend.lowering import compile_sources
-from repro.hierarchy.cha import ClassHierarchy
+from repro.ir.program import Program
 from repro.resources.manifest import Manifest, parse_manifest_xml
 from repro.resources.menu import parse_menu_xml
 from repro.resources.rtable import ResourceTable
-from repro.resources.xml_parser import parse_layout_xml
+from repro.resources.xml_parser import LayoutXmlError, parse_android_xml, parse_layout_xml
 
 
 def load_app_from_sources(
@@ -50,35 +52,17 @@ def load_app_from_sources(
     program = compile_sources(list(sources), source_paths)
     if source_paths is None:
         source_paths = [f"<memory:{i}>" for i in range(len(sources))]
-    source_files = [
-        SourceFile(path=p, text=t) for p, t in zip(source_paths, sources)
-    ]
-    resources = ResourceTable()
-    for layout_name, xml in (layouts or {}).items():
-        resources.add_layout(parse_layout_xml(layout_name, xml))
-    for menu_name, xml in (menus or {}).items():
-        resources.add_menu(parse_menu_xml(menu_name, xml))
-    resources.freeze_ids()
-
-    if manifest_xml is not None:
-        manifest = parse_manifest_xml(manifest_xml)
-    else:
-        manifest = Manifest(package=name)
-        hierarchy = ClassHierarchy(program)
-        for clazz in program.application_classes():
-            if hierarchy.is_activity_class(clazz.name) and not clazz.is_interface:
-                manifest.add_activity(clazz.name, launcher=not manifest.activities)
-    return AndroidApp(
-        name=name,
-        program=program,
-        resources=resources,
-        manifest=manifest,
-        sources=source_files,
-    )
+    source_files = [SourceFile(p, t) for p, t in zip(source_paths, sources)]
+    return _assemble(name, program, source_files, layouts or {}, menus or {}, (), manifest_xml)
 
 
 def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
-    """Load a trimmed Android project directory into an app."""
+    """Load a trimmed Android project directory into an app.
+
+    Code comes from the ``.alite``/``.java`` sources under ``src/``, or,
+    when there are none, from ``classes.smali`` (the form
+    :func:`repro.corpus.export.dump_app` writes).
+    """
     if name is None:
         name = os.path.basename(os.path.abspath(path))
     sources: List[str] = []
@@ -93,39 +77,82 @@ def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
             for filename in sorted(files):
                 if filename.endswith((".alite", ".java")):
                     full = os.path.join(dirpath, filename)
-                    with open(full, encoding="utf-8") as f:
-                        sources.append(f.read())
+                    sources.append(_read(full))
                     source_paths.append(
                         os.path.relpath(full, path).replace(os.sep, "/")
                     )
-    # Projects may ship code as Dalvik text instead of (or alongside)
-    # sources — e.g. corpora dumped by repro.corpus.export.
     smali_path = os.path.join(path, "classes.smali")
     if not sources and os.path.isfile(smali_path):
-        from repro.corpus.export import load_dumped_app
+        # Looked up on the module at call time, where profilers wrap it.
+        from repro.corpus import export
 
-        return load_dumped_app(path, name=name)
-    layouts: Dict[str, str] = {}
-    layout_root = os.path.join(path, "res", "layout")
-    if os.path.isdir(layout_root):
-        for filename in sorted(os.listdir(layout_root)):
-            if filename.endswith(".xml"):
-                layout_name = os.path.splitext(filename)[0]
-                with open(os.path.join(layout_root, filename), encoding="utf-8") as f:
-                    layouts[layout_name] = f.read()
-    menus: Dict[str, str] = {}
-    menu_root = os.path.join(path, "res", "menu")
-    if os.path.isdir(menu_root):
-        for filename in sorted(os.listdir(menu_root)):
-            if filename.endswith(".xml"):
-                menu_name = os.path.splitext(filename)[0]
-                with open(os.path.join(menu_root, filename), encoding="utf-8") as f:
-                    menus[menu_name] = f.read()
-    manifest_xml = None
+        program, source_files = export.parse_dex_text(_read(smali_path)), []
+    else:
+        program = compile_sources(sources, source_paths)
+        source_files = [SourceFile(p, t) for p, t in zip(source_paths, sources)]
+    res = os.path.join(path, "res")
     manifest_path = os.path.join(path, "AndroidManifest.xml")
-    if os.path.isfile(manifest_path):
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest_xml = f.read()
-    return load_app_from_sources(
-        name, sources, layouts, manifest_xml, menus=menus, source_paths=source_paths
+    return _assemble(
+        name, program, source_files,
+        _xml_texts(os.path.join(res, "layout")),
+        _xml_texts(os.path.join(res, "menu")),
+        _standalone_ids(os.path.join(res, "values", "ids.xml")),
+        _read(manifest_path) if os.path.isfile(manifest_path) else None,
     )
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _xml_texts(directory: str) -> Dict[str, str]:
+    """Resource name -> text of each ``*.xml`` file, in name order."""
+    if not os.path.isdir(directory):
+        return {}
+    return {
+        os.path.splitext(filename)[0]: _read(os.path.join(directory, filename))
+        for filename in sorted(os.listdir(directory))
+        if filename.endswith(".xml")
+    }
+
+
+def _standalone_ids(ids_path: str) -> List[str]:
+    """The ``<item type="id" name=...>`` entries of ``res/values/ids.xml``."""
+    if not os.path.isfile(ids_path):
+        return []
+    try:
+        root = parse_android_xml(_read(ids_path))
+    except ET.ParseError as exc:
+        raise LayoutXmlError(f"res/values/ids.xml: XML parse error: {exc}") from exc
+    items = [i for i in root if i.tag == "item" and i.get("type") == "id"]
+    if not all(item.get("name") for item in items):
+        raise LayoutXmlError("res/values/ids.xml: id item without a name")
+    return [item.get("name") for item in items]
+
+
+def _assemble(
+    name: str, program: Program, sources: List[SourceFile], layouts: Dict[str, str],
+    menus: Dict[str, str], id_names: Sequence[str], manifest_xml: Optional[str],
+) -> AndroidApp:
+    """Parse the resources and manifest around ``program``. Without a
+    manifest, every activity subclass is declared, the first as launcher."""
+    resources = ResourceTable()
+    for layout_name, xml in layouts.items():
+        resources.add_layout(parse_layout_xml(layout_name, xml))
+    for menu_name, xml in menus.items():
+        resources.add_menu(parse_menu_xml(menu_name, xml))
+    for id_name in id_names:
+        resources.view_id(id_name)
+    resources.freeze_ids()
+    manifest = Manifest(package=name)
+    if manifest_xml is not None:
+        manifest = parse_manifest_xml(manifest_xml)
+        for activity in manifest.activities:
+            if program.clazz(activity) is None:
+                raise LayoutXmlError(f"AndroidManifest.xml: unknown activity {activity!r}")
+    app = AndroidApp(name, program, resources, manifest, sources)
+    if manifest_xml is None:
+        for index, activity in enumerate(app.activity_classes()):
+            manifest.add_activity(activity, launcher=index == 0)
+    return app

@@ -9,15 +9,21 @@ builder/frontend/loader bugs early with precise error messages:
 * superclass/interface references resolve to known classes;
 * field accesses name fields that exist somewhere on the receiver's
   declared type chain (application classes only — platform types are
-  allowed to have unmodelled fields).
+  allowed to have unmodelled fields);
+* given the app's resources, every ``R.layout``/``R.menu`` constant
+  names a layout/menu that exists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.ir.program import Clazz, Method, Program
-from repro.ir.statements import Goto, If, Invoke, Label, Load, Statement, Store
+from repro.ir.statements import ConstLayoutId, ConstMenuId, Goto, If, Invoke, Label, Load
+from repro.ir.statements import Statement, Store
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.resources.rtable import ResourceTable
 
 
 class IRValidationError(Exception):
@@ -76,11 +82,25 @@ def _method_visible(
     return False
 
 
-def _validate_method(program: Program, method: Method, errors: List[str]) -> None:
+def _missing_resource(stmt: Statement, resources: "ResourceTable") -> Optional[str]:
+    if isinstance(stmt, ConstLayoutId) and not resources.has_layout(stmt.layout_name):
+        return f"R.layout.{stmt.layout_name} names no layout"
+    if isinstance(stmt, ConstMenuId) and not resources.has_menu(stmt.menu_name):
+        return f"R.menu.{stmt.menu_name} names no menu"
+    return None
+
+
+def _validate_method(
+    program: Program, method: Method, errors: List[str], resources: Optional["ResourceTable"]
+) -> None:
     where = str(method.sig)
     labels = {s.name for s in method.body if isinstance(s, Label)}
     for idx, stmt in enumerate(method.body):
         ctx = f"{where}[{idx}]"
+        missing = _missing_resource(stmt, resources) if resources is not None else None
+        if missing is not None:
+            line = f" line {stmt.line}" if stmt.line is not None else ""
+            errors.append(f"{ctx}{line}: {missing}")
         for var in stmt.defs() + stmt.uses():
             if var not in method.locals:
                 errors.append(f"{ctx}: undeclared local {var!r}")
@@ -111,7 +131,9 @@ def _validate_method(program: Program, method: Method, errors: List[str]) -> Non
                     )
 
 
-def _validate_class(program: Program, clazz: Clazz, errors: List[str]) -> None:
+def _validate_class(
+    program: Program, clazz: Clazz, errors: List[str], resources: Optional["ResourceTable"]
+) -> None:
     if clazz.superclass is not None and program.clazz(clazz.superclass) is None:
         errors.append(f"{clazz.name}: unknown superclass {clazz.superclass!r}")
     for iface in clazz.interfaces:
@@ -122,20 +144,25 @@ def _validate_class(program: Program, clazz: Clazz, errors: List[str]) -> None:
             errors.append(
                 f"{clazz.name}: method {method.name} claims owner {method.class_name}"
             )
-        _validate_method(program, method, errors)
+        _validate_method(program, method, errors, resources)
 
 
-def validate_program(program: Program, strict: bool = True) -> List[str]:
+def validate_program(
+    program: Program,
+    strict: bool = True,
+    resources: Optional["ResourceTable"] = None,
+) -> List[str]:
     """Validate ``program``; raise :class:`IRValidationError` if ``strict``.
 
     Returns the (possibly empty) list of error messages when not strict.
     Only application classes are checked — platform stubs are trusted.
+    Resource constants are checked only when ``resources`` is given.
     """
     errors: List[str] = []
     for clazz in program.classes.values():
         if clazz.is_platform:
             continue
-        _validate_class(program, clazz, errors)
+        _validate_class(program, clazz, errors, resources)
     if errors and strict:
         raise IRValidationError(errors)
     return errors

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.nodes import OpArg, OpRecv, Site, ValueNode, value_class_name
+from repro.core.nodes import OpArg, OpRecv, Site, ViewIdNode, value_is_a
 from repro.core.provenance import Fact, flow_fact
 from repro.core.results import AnalysisResult
 from repro.ir.statements import Cast
@@ -124,7 +124,7 @@ def _lookup_ops(result: AnalysisResult):
         ids = {
             str(v)
             for v in result.values_at(OpArg(op, 0))
-            if type(v).__name__ == "ViewIdNode"
+            if isinstance(v, ViewIdNode)
         }
         receivers = result.values_at(OpRecv(op))
         # Only meaningful when the inputs resolved at all.
@@ -185,12 +185,7 @@ def _cast_sites(result: AnalysisResult):
             ]
             if not incoming:
                 continue
-            passing = [
-                v
-                for v in incoming
-                if (cn := value_class_name(v)) is not None
-                and hierarchy.is_subtype(cn, stmt.type_name)
-            ]
+            passing = [v for v in incoming if value_is_a(hierarchy, v, stmt.type_name)]
             yield Site(sig, index, stmt.line), stmt, node, incoming, passing
 
 

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.graph import RelKind
-from repro.core.nodes import ActivityNode, AllocNode, InflViewNode, MenuItemNode, Node
-from repro.core.nodes import OpArg, OpNode, OpRecv, VarNode, ViewIdNode, value_class_name
+from repro.core.nodes import ActivityNode, InflViewNode, MenuItemNode, Node, OpArg, OpNode
+from repro.core.nodes import OpRecv, VarNode, ViewIdNode, is_activity_like, value_class_name
+from repro.core.nodes import value_is_a
 from repro.core.provenance import EDGE, FLOW, REL, Fact, edge_fact, flow_fact, rel_fact
 from repro.core.results import AnalysisResult
 from repro.ir.statements import Return
 from repro.platform.api import OpKind
-from repro.platform.classes import ACTIVITY, DIALOG
 
 # A derivation: (rule name, premise facts).
 Premises = Tuple[Fact, ...]
@@ -103,6 +103,11 @@ class Explainer:
         for op in self.graph.ops():
             self.ops.setdefault(op.kind, []).append(op)
         self._memo: Dict[Fact, Optional[Derivation]] = {}
+        self._is_view = self.graph.is_view_value
+        # The graph keeps successors only; ``Assign`` needs predecessors.
+        self._flow_pred: Dict[Node, List[Node]] = {}
+        for src, dst in self.graph.flow_edges():
+            self._flow_pred.setdefault(dst, []).append(src)
 
     def rank(self, fact: Fact) -> Optional[int]:
         """The order number of ``fact``: -1 for a flow edge from a
@@ -173,17 +178,11 @@ class Explainer:
     def _values(self, node: Node, pred) -> List[Node]:
         return [v for v in self.pts.get(node, ()) if pred(v)]
 
-    def _is_view(self, value: Node) -> bool:
-        return self.result.is_view_value(value)
-
     def _is_a(self, value: Node, class_name: str) -> bool:
-        cn = value_class_name(value)
-        return cn is not None and self.hierarchy.is_subtype(cn, class_name)
+        return value_is_a(self.hierarchy, value, class_name)
 
     def _is_activity_like(self, value: Node) -> bool:
-        return isinstance(value, ActivityNode) or (
-            isinstance(value, AllocNode) and (self._is_a(value, ACTIVITY) or self._is_a(value, DIALOG))
-        )
+        return is_activity_like(self.hierarchy, value)
 
     def _factory_views(self, op: OpNode, view: Node) -> Iterator[Premises]:
         """Premises that ``view`` is returned by the view factory of a
@@ -285,7 +284,7 @@ class Explainer:
                 yield self._menu_item(value)
             else:
                 yield "Seed", ()
-        for pred in self.graph.flow_pred.get(node, ()):
+        for pred in self._flow_pred.get(node, ()):
             if self._holds(pred, value) and self._passes(pred, node, value):
                 yield "Assign", (flow_fact(pred, value), edge_fact(pred, node))
         if isinstance(node, OpNode):

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.resources.xml_parser import ANDROID_NS, _attr, parse_android_xml
+from repro.resources.xml_parser import LayoutXmlError, _attr, parse_android_xml
 
 
 @dataclass
@@ -43,7 +43,10 @@ def parse_manifest_xml(text: str) -> Manifest:
     and a nested launcher ``<intent-filter>`` with
     ``<action android:name="android.intent.action.MAIN"/>``.
     """
-    root = parse_android_xml(text)
+    try:
+        root = parse_android_xml(text)
+    except ET.ParseError as exc:
+        raise LayoutXmlError(f"AndroidManifest.xml: XML parse error: {exc}") from exc
     manifest = Manifest(package=root.get("package", "app"))
     app_elem = root.find("application")
     if app_elem is None:

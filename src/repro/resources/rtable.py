@@ -131,6 +131,9 @@ class ResourceTable:
             raise KeyError(f"unknown menu {name!r}")
         return self._menus[name]
 
+    def has_menu(self, name: str) -> bool:
+        return name in self._menus
+
     def menu_id(self, name: str) -> int:
         if name not in self._menu_ids:
             raise KeyError(f"unknown menu {name!r}")

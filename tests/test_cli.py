@@ -120,3 +120,86 @@ class TestMalformedInput:
         assert main(["analyze", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: src/A.alite:2: unknown type 'Zorp'")
+
+    @staticmethod
+    def _notepad(tmp_path):
+        import shutil
+
+        project = tmp_path / "notepad"
+        shutil.copytree(PROJECT, project)
+        return project
+
+    @staticmethod
+    def _dump(tmp_path):
+        from repro.corpus.apps import spec_by_name
+        from repro.corpus.export import dump_app
+        from repro.corpus.generator import generate_app
+
+        target = tmp_path / "apv"
+        dump_app(generate_app(spec_by_name("APV")), str(target))
+        return target
+
+    def _expect_error(self, project, prefix, capsys):
+        assert main(["analyze", str(project)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {prefix}")
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_malformed_manifest(self, tmp_path, capsys):
+        project = self._notepad(tmp_path)
+        (project / "AndroidManifest.xml").write_text("<manifest")
+        self._expect_error(project, "AndroidManifest.xml: XML parse error", capsys)
+
+    def test_manifest_names_unknown_activity(self, tmp_path, capsys):
+        project = self._notepad(tmp_path)
+        manifest = project / "AndroidManifest.xml"
+        manifest.write_text(
+            manifest.read_text().replace(".EditNoteActivity", ".Ghost")
+        )
+        self._expect_error(
+            project,
+            "AndroidManifest.xml: unknown activity 'com.example.notepad.Ghost'",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<resources><item", "XML parse error"),
+            ('<resources><item type="id"/></resources>', "id item without a name"),
+        ],
+    )
+    def test_malformed_ids_xml(self, text, message, tmp_path, capsys):
+        project = self._dump(tmp_path)
+        (project / "res" / "values" / "ids.xml").write_text(text)
+        self._expect_error(project, f"res/values/ids.xml: {message}", capsys)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("layout", "NotesListActivity.onCreate/0[0] line 18: R.layout.nope names no layout"),
+            ("menu", "NotesListActivity.onCreateOptionsMenu/1[2] line 48: R.menu.nope names no menu"),
+        ],
+    )
+    def test_dangling_resource_reference(self, kind, message, tmp_path, capsys):
+        import re
+
+        project = self._notepad(tmp_path)
+        source = project / "src" / "NotesListActivity.alite"
+        text, count = re.subn(rf"R\.{kind}\.\w+", f"R.{kind}.nope", source.read_text(), 1)
+        assert count == 1
+        source.write_text(text)
+        self._expect_error(project, f"com.example.notepad.{message}", capsys)
+
+    def test_dump_missing_layout(self, tmp_path, capsys):
+        project = self._dump(tmp_path)
+        (project / "res" / "layout" / "layout_0.xml").unlink()
+        self._expect_error(
+            project, "gen.apv.Activity0.onCreate/0[0] line 100: R.layout.layout_0", capsys
+        )
+
+    def test_dump_without_manifest_loads(self, tmp_path, capsys):
+        project = self._dump(tmp_path)
+        (project / "AndroidManifest.xml").unlink()
+        assert main(["analyze", str(project)]) == 0
+        assert "Activity0" in capsys.readouterr().out

@@ -67,8 +67,54 @@ class TestFlowEdges:
     def test_succ_pred_consistency(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
         graph.add_flow(x, y)
-        assert y in graph.flow_succ[x]
-        assert x in graph.flow_pred[y]
+        assert graph.has_flow(x, y)
+        assert not graph.has_flow(y, x)
+
+    def test_duplicate_keeps_first_filter(self, graph):
+        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        assert graph.add_flow(x, y, type_filter="android.view.View")
+        assert not graph.add_flow(x, y, type_filter="android.widget.Button")
+        assert not graph.add_flow(x, y)
+        assert graph.flow_filter(x, y) == "android.view.View"
+        assert graph.flow_edge_count() == 1
+        assert list(graph.flow_edges()) == [(x, y)]
+
+
+class TestBuiltGraph:
+    """The flow-edge queries agree, and every edge endpoint is an
+    interned node, on a real app before and after solving."""
+
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        from repro.core.analysis import GuiReferenceAnalysis
+        from repro.corpus.connectbot import build_connectbot_example
+
+        return GuiReferenceAnalysis(build_connectbot_example())
+
+    @staticmethod
+    def _endpoints_interned(graph):
+        edges = list(graph.flow_edges())
+        for kind in RelKind:
+            edges.extend(graph.rel_edges(kind))
+        return all(src in graph.nodes and dst in graph.nodes for src, dst in edges)
+
+    def test_flow_queries_agree(self, analysis):
+        graph = analysis.graph
+        edges = list(graph.flow_edges())
+        assert len(edges) == len(set(edges)) == graph.flow_edge_count()
+        assert all(graph.has_flow(src, dst) for src, dst in edges)
+        filtered = [e for e in edges if graph.flow_filter(*e) is not None]
+        assert filtered  # connectbot casts its find-view results
+        assert graph.summary()["flow_edges"] == len(edges)
+
+    def test_endpoints_interned_after_build_and_solve(self, analysis):
+        assert self._endpoints_interned(analysis.graph)
+        nodes, flows = len(analysis.graph.nodes), analysis.graph.flow_edge_count()
+        analysis.solve()
+        assert analysis.graph.flow_edge_count() > flows
+        assert any(analysis.graph.rel_edges(RelKind.CHILD))
+        assert len(analysis.graph.nodes) > nodes
+        assert self._endpoints_interned(analysis.graph)
 
 
 class TestRelEdges:

@@ -79,6 +79,20 @@ class TestDumpLoad:
             reloaded.resources.view_id_count() == app.resources.view_id_count()
         )
 
+    def test_dump_without_manifest_gets_default_manifest(self, tmp_path):
+        from repro.runner.tasks import fingerprint_hash
+
+        app = generate_app(spec_by_name("APV"))
+        dump_app(app, str(tmp_path))
+        with_manifest = load_dumped_app(str(tmp_path), name="apv")
+        os.remove(tmp_path / "AndroidManifest.xml")
+        without = load_dumped_app(str(tmp_path), name="apv")
+        assert without.manifest.activities == with_manifest.manifest.activities
+        assert without.manifest.launcher == with_manifest.manifest.launcher
+        assert fingerprint_hash(analyze(without)) == fingerprint_hash(
+            analyze(with_manifest)
+        )
+
     def test_frontend_loader_picks_up_smali(self, tmp_path):
         from repro.frontend import load_app_from_dir
 

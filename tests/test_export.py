@@ -1,6 +1,9 @@
 """Tests for DOT/JSON export of graphs and solutions."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,34 @@ class TestDot:
             if "->" in line and "style=dashed" not in line
         ]
         assert plain_edges == []
+
+    def test_bytes_identical_across_hash_seeds(self):
+        """Node hashes are salted per process; the DOT must not depend
+        on them."""
+        root = os.path.join(os.path.dirname(__file__), "..")
+        script = (
+            "import sys\n"
+            "from repro import analyze\n"
+            "from repro.core.export import graph_to_dot\n"
+            "from repro.frontend import load_app_from_dir\n"
+            "app = load_app_from_dir(sys.argv[1])\n"
+            "sys.stdout.write(graph_to_dot(analyze(app).graph))\n"
+        )
+        project = os.path.join(root, "examples", "projects", "notepad")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(root, "src"), env.get("PYTHONPATH", "")]
+            )
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script, project],
+                    env=env, capture_output=True, check=True,
+                ).stdout
+            )
+        assert outputs[0].startswith(b"digraph constraint_graph")
+        assert outputs[0] == outputs[1]
 
 
 class TestJson:

@@ -12,6 +12,8 @@ import pytest
 from repro.ir.program import Clazz, Field, Method, Program
 from repro.ir.statements import (
     Assign,
+    ConstLayoutId,
+    ConstMenuId,
     Goto,
     If,
     Invoke,
@@ -185,3 +187,34 @@ class TestReporting:
         p = Program()
         install_platform(p)
         assert validate_program(p) == []
+
+
+class TestResourceReferences:
+    def _resources(self):
+        from repro.resources.menu import parse_menu_xml
+        from repro.resources.rtable import ResourceTable
+        from repro.resources.xml_parser import parse_layout_xml
+
+        table = ResourceTable()
+        table.add_layout(parse_layout_xml("main", "<LinearLayout/>"))
+        table.add_menu(parse_menu_xml("actions", "<menu/>"))
+        return table
+
+    def test_every_dangling_reference_reported_with_line(self):
+        m = _method(
+            ConstLayoutId("l", "nope", line=7),
+            ConstMenuId("n", "gone", line=9),
+            ConstLayoutId("k", "main", line=11),
+            locals=[("l", "int"), ("n", "int"), ("k", "int")],
+        )
+        errors = validate_program(
+            _program_with(m), strict=False, resources=self._resources()
+        )
+        assert errors == [
+            "app.C.run/0[0] line 7: R.layout.nope names no layout",
+            "app.C.run/0[1] line 9: R.menu.gone names no menu",
+        ]
+
+    def test_unchecked_without_resources(self):
+        m = _method(ConstLayoutId("l", "nope"), locals=[("l", "int")])
+        assert validate_program(_program_with(m)) == []
