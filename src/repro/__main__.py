@@ -1,25 +1,10 @@
 """Command-line interface: analyze Android projects from the shell.
 
-Usage::
+Commands: ``analyze``, ``lint``, ``batch``, ``run`` and ``disasm``;
+``python -m repro COMMAND --help`` lists each one's options. Bad input
+of any kind exits 2 with one ``error:`` line (see README).
 
-    python -m repro analyze PROJECT_DIR [--json] [--dot FILE] [--checks]
-                                        [--taint] [--transitions] [--tuples]
-                                        [--profile] [--profile-json FILE]
-                                        [--max-rounds N] [--solver naive|seminaive]
-    python -m repro lint PROJECT_DIR [--rules IDS] [--disable IDS]
-                                     [--severity error|warning]
-                                     [--format text|json|sarif] [--output FILE]
-                                     [--explain UID] [--baseline FILE]
-                                     [--suppress FILE] [--no-witness]
-                                     [--solver naive|seminaive] [--profile]
-    python -m repro batch [TARGET ...] [--jobs N] [--timeout SECONDS]
-                          [--retries N] [--continue-on-error]
-                          [--output FILE] [--solver naive|seminaive]
-                          [--profile]
-    python -m repro run PROJECT_DIR [--seed N]
-    python -m repro disasm PROJECT_DIR [-o FILE]
-
-``PROJECT_DIR`` follows the trimmed Android layout (``src/*.alite``,
+A project directory follows the trimmed Android layout (``src/*.alite``,
 ``res/layout/*.xml``, ``res/menu/*.xml``, ``AndroidManifest.xml``) —
 see ``examples/projects/notepad``.
 """
@@ -30,6 +15,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ReproError
+
 
 def _load(path: str):
     from repro.frontend import load_app_from_dir
@@ -39,13 +26,24 @@ def _load(path: str):
     return app
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    profiling = args.profile or args.profile_json
-    tracer = None
-    if profiling:
-        from repro.obs import Tracer
+def _read_option_file(option: str, path: str) -> str:
+    from repro.frontend.loader import read_text
 
-        tracer = Tracer()
+    text = read_text("", path)
+    if text is None:
+        raise ReproError(f"no such {option} file", path=path)
+    return text
+
+
+def _tracer(profile: bool):
+    """A fresh tracer when profiling, else None."""
+    from repro.obs import Tracer
+
+    return Tracer() if profile else None
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    tracer = _tracer(args.profile or args.profile_json)
     exit_code = _run_analyze(args, tracer)
     if tracer is not None:
         from repro.bench.reporting import render_telemetry
@@ -159,18 +157,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
     from repro.lint.rules import Severity, rule_by_id
 
-    tracer = None
-    if args.profile:
-        from repro.obs import Tracer
+    # Option files are read first: a bad one fails before the analysis.
+    suppress_text = _read_option_file("--suppress", args.suppress) if args.suppress else None
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = json_lib.loads(_read_option_file("--baseline", args.baseline))
+        except json_lib.JSONDecodeError as exc:
+            raise ReproError(
+                f"--baseline is not JSON: {exc.msg}", exc.lineno, exc.colno,
+                path=args.baseline,
+            ) from None
 
-        tracer = Tracer()
+    tracer = _tracer(args.profile)
 
     app = _load(args.project)
     # Witness paths need derivation provenance from the solver.
     options = AnalysisOptions(solver=args.solver, provenance=not args.no_witness)
     result = analyze(app, options, tracer=tracer)
 
-    lint_options = LintOptions(witness=not args.no_witness)
+    lint_options = LintOptions(witness=not args.no_witness, suppress_text=suppress_text)
     if args.rules:
         lint_options.rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     if args.disable:
@@ -179,20 +185,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         ]
     if args.severity:
         lint_options.min_severity = Severity(args.severity)
-    if args.suppress:
-        with open(args.suppress, encoding="utf-8") as f:
-            lint_options.suppress_text = f.read()
-    try:
-        report = run_lint(result, lint_options, tracer=tracer)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_lint(result, lint_options, tracer=tracer)
 
     if args.explain:
         finding = report.finding(args.explain)
         if finding is None:
-            print(f"error: no finding with uid {args.explain!r}", file=sys.stderr)
-            return 2
+            raise ReproError(f"no finding with uid {args.explain!r}")
         rule = rule_by_id(finding.rule_id)
         print(finding)
         if rule is not None:
@@ -231,14 +229,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print()
         print(render_telemetry(tracer))
 
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as f:
-            baseline = json_lib.load(f)
-        try:
-            new, fixed = diff_baseline(report, baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if baseline is not None:
+        new, fixed = diff_baseline(report, baseline)
         print(
             f"baseline: {len(new)} new finding(s), {len(fixed)} fixed",
             file=sys.stderr,
@@ -262,11 +254,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    tracer = None
-    if args.profile:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    tracer = _tracer(args.profile)
     options = BatchOptions(
         jobs=args.jobs,
         timeout=args.timeout,
@@ -274,11 +262,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         continue_on_error=args.continue_on_error,
         analysis=AnalysisOptions(solver=args.solver),
     )
-    try:
-        result = run_batch(args.targets or None, options, tracer=tracer)
-    except ValueError as exc:  # unknown target, bad option combination
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_batch(args.targets or None, options, tracer=tracer)
     print(render_batch(result))
     if args.output:
         write_report(to_report(result), args.output)
@@ -418,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "budget is killed and recorded as 'timeout'")
     p_batch.add_argument("--retries", type=int, default=1, metavar="N",
                          help="relaunches after a worker exception/crash "
-                         "(default 1; timeouts are never retried)")
+                         "(default 1; timeouts and malformed input are "
+                         "never retried)")
     p_batch.add_argument("--continue-on-error", action="store_true",
                          help="keep scheduling apps after a failure instead "
                          "of skipping the rest (partial results either way)")
@@ -446,16 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.dex.parse import DexSyntaxError
-    from repro.frontend.errors import FrontendError
-    from repro.ir.validate import IRValidationError
-    from repro.resources.xml_parser import LayoutXmlError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FrontendError, DexSyntaxError, LayoutXmlError, IRValidationError) as exc:
+    except ReproError as exc:
         # Malformed input: a located message and the bad-input exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.errors import ReproError
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
 from repro.platform.classes import install_platform
@@ -47,10 +48,7 @@ class AndroidApp:
         install_platform(self.program)
         for activity in self.manifest.activities:
             if self.program.clazz(activity) is None:
-                raise ValueError(
-                    f"manifest of {self.name!r} declares unknown activity "
-                    f"{activity!r}"
-                )
+                raise ReproError(f"unknown activity {activity!r}")
 
     def validate(self, strict: bool = True) -> List[str]:
         """Check IR well-formedness and resource references; see

@@ -15,6 +15,7 @@ from repro.dex.descriptors import (
     descriptor_to_type,
     split_method_descriptor,
 )
+from repro.errors import ReproError
 from repro.ir.program import Clazz, Field, Method, Program
 from repro.ir.statements import (
     Assign,
@@ -42,12 +43,8 @@ from repro.ir.statements import (
 from repro.platform.classes import install_platform
 
 
-class DexSyntaxError(Exception):
+class DexSyntaxError(ReproError):
     """Malformed Dalvik text."""
-
-    def __init__(self, message: str, line_no: int) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 _INVOKE_KINDS = {
@@ -72,10 +69,10 @@ def _strip_comment(line: str) -> Tuple[str, Optional[int]]:
     return line.strip(), source_line
 
 
-def _parse_field_ref(text: str, line_no: int) -> Tuple[str, str, str]:
+def _parse_field_ref(text: str) -> Tuple[str, str, str]:
     match = _FIELD_REF_RE.match(text.strip())
     if not match:
-        raise DexSyntaxError(f"malformed field reference {text!r}", line_no)
+        raise DexSyntaxError(f"malformed field reference {text!r}")
     return (
         descriptor_to_type(match.group(1)),
         match.group(2),
@@ -83,10 +80,10 @@ def _parse_field_ref(text: str, line_no: int) -> Tuple[str, str, str]:
     )
 
 
-def _parse_method_ref(text: str, line_no: int) -> Tuple[str, str, List[str], str]:
+def _parse_method_ref(text: str) -> Tuple[str, str, List[str], str]:
     match = _METHOD_REF_RE.match(text.strip())
     if not match:
-        raise DexSyntaxError(f"malformed method reference {text!r}", line_no)
+        raise DexSyntaxError(f"malformed method reference {text!r}")
     params, return_type = split_method_descriptor(match.group(3))
     return descriptor_to_type(match.group(1)), match.group(2), params, return_type
 
@@ -147,19 +144,20 @@ class _DexParser:
                 elif line.startswith(".field "):
                     self._parse_field(clazz, line)
                 else:
-                    raise DexSyntaxError(
-                        f"unexpected {line!r} in class body", self.index + 1
-                    )
+                    raise DexSyntaxError(f"unexpected {line!r} in class body")
             except ValueError as exc:
-                # Malformed descriptors surface from the descriptor
-                # helpers as ValueError; locate them at this line.
+                # Errors of this line (malformed descriptors, duplicate
+                # fields) are raised without a line; locate them here.
                 raise DexSyntaxError(str(exc), self.index + 1) from exc
             self.index += 1
         else:
             raise DexSyntaxError("missing .end class", line_no)
         clazz.superclass = superclass
         clazz.interfaces = tuple(interfaces)
-        self.program.add_class(clazz)
+        try:
+            self.program.add_class(clazz)
+        except ValueError as exc:  # a duplicate, located at its header
+            raise DexSyntaxError(str(exc), line_no) from exc
 
     def _parse_field(self, clazz: Clazz, line: str) -> None:
         body = line[len(".field "):].strip()
@@ -169,7 +167,7 @@ class _DexParser:
             body = body[len("static "):]
         name, _colon, descriptor = body.partition(":")
         if not descriptor:
-            raise DexSyntaxError(f"malformed field {line!r}", self.index + 1)
+            raise DexSyntaxError(f"malformed field {line!r}")
         clazz.add_field(
             Field(name.strip(), descriptor_to_type(descriptor.strip()), is_static=is_static)
         )
@@ -206,13 +204,16 @@ class _DexParser:
             if line == ".end method":
                 if pending_invoke is not None:
                     method.append(pending_invoke)
-                clazz.add_method(method)
+                try:
+                    clazz.add_method(method)
+                except ValueError as exc:  # a duplicate, located at its header
+                    raise DexSyntaxError(str(exc), line_no) from exc
                 return
             try:
                 if line.startswith(".param "):
                     reg, _comma, descriptor = line[len(".param "):].partition(",")
                     if param_index >= len(param_types):
-                        raise DexSyntaxError("too many .param directives", self.index)
+                        raise DexSyntaxError("too many .param directives")
                     declared = (
                         descriptor_to_type(descriptor.strip())
                         if descriptor.strip()
@@ -229,9 +230,9 @@ class _DexParser:
                     line, src, method, pending_invoke
                 )
             except ValueError as exc:
-                # Malformed descriptors, operand lists that do not unpack
-                # and bad integer literals all raise ValueError; locate
-                # them at this line.
+                # Errors of this line (malformed descriptors and operands,
+                # operand lists that do not unpack, bad integer literals)
+                # are raised without a line; locate them here.
                 raise DexSyntaxError(str(exc), self.index) from exc
             if stmt is not None:
                 method.append(stmt)
@@ -245,7 +246,6 @@ class _DexParser:
         pending: Optional[Invoke],
     ):
         """Returns (statement or None, new pending invoke)."""
-        line_no = self.index
 
         def flush_then(stmt):
             # An invoke not followed by move-result keeps a None lhs.
@@ -260,7 +260,7 @@ class _DexParser:
 
         if opcode.startswith("move-result"):
             if pending is None:
-                raise DexSyntaxError("move-result without invoke", line_no)
+                raise DexSyntaxError("move-result without invoke")
             pending.lhs = rest
             return pending, None
 
@@ -269,23 +269,22 @@ class _DexParser:
                 method.append(pending)
             kind = _INVOKE_KINDS.get(opcode)
             if kind is None:
-                raise DexSyntaxError(f"unknown invoke {opcode!r}", line_no)
+                raise DexSyntaxError(f"unknown invoke {opcode!r}")
             match = re.match(r"^\{([^}]*)\}\s*,\s*(.+)$", rest)
             if not match:
-                raise DexSyntaxError(f"malformed invoke {line!r}", line_no)
+                raise DexSyntaxError(f"malformed invoke {line!r}")
             registers = [r.strip() for r in match.group(1).split(",") if r.strip()]
-            class_name, mname, params, _ret = _parse_method_ref(match.group(2), line_no)
+            class_name, mname, params, _ret = _parse_method_ref(match.group(2))
             if kind is InvokeKind.STATIC:
                 base, args = None, registers
             else:
                 if not registers:
-                    raise DexSyntaxError("instance invoke needs a receiver", line_no)
+                    raise DexSyntaxError("instance invoke needs a receiver")
                 base, args = registers[0], registers[1:]
             if len(args) != len(params):
                 raise DexSyntaxError(
                     f"argument count {len(args)} does not match descriptor "
-                    f"({len(params)} params)",
-                    line_no,
+                    f"({len(params)} params)"
                 )
             return None, Invoke(None, kind, base, class_name, mname, tuple(args), line=src)
 
@@ -314,19 +313,19 @@ class _DexParser:
             return flush_then(New(reg, descriptor_to_type(descriptor), line=src))
         if opcode.startswith("iget"):
             lhs, base, ref = [p.strip() for p in rest.split(",", 2)]
-            _owner, fname, _ftype = _parse_field_ref(ref, line_no)
+            _owner, fname, _ftype = _parse_field_ref(ref)
             return flush_then(Load(lhs, base, fname, line=src))
         if opcode.startswith("iput"):
             rhs, base, ref = [p.strip() for p in rest.split(",", 2)]
-            _owner, fname, _ftype = _parse_field_ref(ref, line_no)
+            _owner, fname, _ftype = _parse_field_ref(ref)
             return flush_then(Store(base, fname, rhs, line=src))
         if opcode.startswith("sget"):
             lhs, ref = [p.strip() for p in rest.split(",", 1)]
-            owner, fname, _ftype = _parse_field_ref(ref, line_no)
+            owner, fname, _ftype = _parse_field_ref(ref)
             return flush_then(StaticLoad(lhs, owner, fname, line=src))
         if opcode.startswith("sput"):
             rhs, ref = [p.strip() for p in rest.split(",", 1)]
-            owner, fname, _ftype = _parse_field_ref(ref, line_no)
+            owner, fname, _ftype = _parse_field_ref(ref)
             return flush_then(StaticStore(owner, fname, rhs, line=src))
         if opcode == "const-layout":
             reg, name = [p.strip() for p in rest.split(",", 1)]
@@ -340,7 +339,7 @@ class _DexParser:
         if opcode == "const-string":
             reg, literal = [p.strip() for p in rest.split(",", 1)]
             if not (literal.startswith('"') and literal.endswith('"')):
-                raise DexSyntaxError("malformed string literal", line_no)
+                raise DexSyntaxError("malformed string literal")
             value = literal[1:-1].replace('\\"', '"').replace("\\\\", "\\")
             return flush_then(ConstString(reg, value, line=src))
         if opcode.startswith("const/"):
@@ -361,18 +360,18 @@ class _DexParser:
         if opcode == "binop":
             match = re.match(r'^"([^"]+)"\s+(\S+),\s*(\S+),\s*(\S+)$', rest)
             if not match:
-                raise DexSyntaxError(f"malformed binop {line!r}", line_no)
+                raise DexSyntaxError(f"malformed binop {line!r}")
             return flush_then(
                 BinOp(match.group(2), match.group(1), match.group(3), match.group(4), line=src)
             )
         if opcode == "unop":
             match = re.match(r'^"([^"]+)"\s+(\S+),\s*(\S+)$', rest)
             if not match:
-                raise DexSyntaxError(f"malformed unop {line!r}", line_no)
+                raise DexSyntaxError(f"malformed unop {line!r}")
             return flush_then(
                 UnaryOp(match.group(2), match.group(1), match.group(3), line=src)
             )
-        raise DexSyntaxError(f"unknown opcode {opcode!r}", line_no)
+        raise DexSyntaxError(f"unknown opcode {opcode!r}")
 
 
 def parse_dex_text(text: str) -> Program:

@@ -13,11 +13,12 @@ Directory convention (a trimmed Android project layout):
 
 from __future__ import annotations
 
+import contextlib
 import os
-import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.app import AndroidApp, SourceFile
+from repro.errors import ReproError
 from repro.frontend.lowering import compile_sources
 from repro.ir.program import Program
 from repro.resources.manifest import Manifest, parse_manifest_xml
@@ -61,74 +62,93 @@ def load_app_from_dir(path: str, name: Optional[str] = None) -> AndroidApp:
 
     Code comes from the ``.alite``/``.java`` sources under ``src/``, or,
     when there are none, from ``classes.smali`` (the form
-    :func:`repro.corpus.export.dump_app` writes).
+    :func:`repro.corpus.export.dump_app` writes). Errors name the file.
     """
+    if not os.path.isdir(path):
+        raise ReproError("not a project directory", path=path)
     if name is None:
         name = os.path.basename(os.path.abspath(path))
-    sources: List[str] = []
     source_paths: List[str] = []
-    src_root = os.path.join(path, "src")
-    if os.path.isdir(src_root):
-        for dirpath, dirs, files in os.walk(src_root):
-            # os.walk yields directories in filesystem order; sorting in
-            # place fixes the traversal so source order (hence synthetic
-            # paths, node ids, and goldens) is filesystem-independent.
-            dirs.sort()
-            for filename in sorted(files):
-                if filename.endswith((".alite", ".java")):
-                    full = os.path.join(dirpath, filename)
-                    sources.append(_read(full))
-                    source_paths.append(
-                        os.path.relpath(full, path).replace(os.sep, "/")
-                    )
-    smali_path = os.path.join(path, "classes.smali")
-    if not sources and os.path.isfile(smali_path):
+    for dirpath, dirs, files in os.walk(os.path.join(path, "src")):
+        # os.walk yields directories in filesystem order; sorting in
+        # place fixes the traversal so source order (hence synthetic
+        # paths, node ids, and goldens) is filesystem-independent.
+        dirs.sort()
+        source_paths.extend(
+            os.path.relpath(os.path.join(dirpath, f), path).replace(os.sep, "/")
+            for f in sorted(files)
+            if f.endswith((".alite", ".java"))
+        )
+    sources = [read_text(path, p) for p in source_paths]
+    smali = None if sources else read_text(path, "classes.smali")
+    if sources:
+        program = compile_sources(sources, source_paths)
+    elif smali is not None:
         # Looked up on the module at call time, where profilers wrap it.
         from repro.corpus import export
 
-        program, source_files = export.parse_dex_text(_read(smali_path)), []
+        with _located("classes.smali"):
+            program = export.parse_dex_text(smali)
     else:
-        program = compile_sources(sources, source_paths)
-        source_files = [SourceFile(p, t) for p, t in zip(source_paths, sources)]
-    res = os.path.join(path, "res")
-    manifest_path = os.path.join(path, "AndroidManifest.xml")
+        raise ReproError("no sources under src/ and no classes.smali", path=path)
+    with _located("res/values/ids.xml"):
+        id_names = _standalone_ids(read_text(path, "res/values/ids.xml"))
     return _assemble(
-        name, program, source_files,
-        _xml_texts(os.path.join(res, "layout")),
-        _xml_texts(os.path.join(res, "menu")),
-        _standalone_ids(os.path.join(res, "values", "ids.xml")),
-        _read(manifest_path) if os.path.isfile(manifest_path) else None,
+        name, program, [SourceFile(p, t) for p, t in zip(source_paths, sources)],
+        _xml_texts(path, "res/layout"), _xml_texts(path, "res/menu"),
+        id_names, read_text(path, "AndroidManifest.xml"),
     )
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+@contextlib.contextmanager
+def _located(path: str) -> Iterator[None]:
+    """Attach the project-relative ``path`` to input errors raised inside."""
+    try:
+        yield
+    except ReproError as exc:
+        if exc.path is None:
+            exc.path = path
+        raise
+    except RecursionError:
+        raise ReproError("elements nested too deeply", path=path) from None
 
 
-def _xml_texts(directory: str) -> Dict[str, str]:
+def read_text(root: str, relpath: str) -> Optional[str]:
+    """The UTF-8 text of ``root/relpath``, None if there is no such file.
+    An unreadable file or bytes that are not UTF-8 raise a ReproError
+    naming ``relpath``."""
+    try:
+        with open(os.path.join(root, relpath), "rb") as f:
+            data = f.read()
+        return data.decode("utf-8")
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise ReproError(f"cannot read: {exc.strerror}", path=relpath) from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ReproError(f"not UTF-8 text: {exc.reason}", line, path=relpath) from None
+
+
+def _xml_texts(root: str, directory: str) -> Dict[str, str]:
     """Resource name -> text of each ``*.xml`` file, in name order."""
-    if not os.path.isdir(directory):
-        return {}
+    full = os.path.join(root, directory)
     return {
-        os.path.splitext(filename)[0]: _read(os.path.join(directory, filename))
-        for filename in sorted(os.listdir(directory))
+        os.path.splitext(filename)[0]: read_text(root, f"{directory}/{filename}")
+        for filename in (sorted(os.listdir(full)) if os.path.isdir(full) else ())
         if filename.endswith(".xml")
     }
 
 
-def _standalone_ids(ids_path: str) -> List[str]:
+def _standalone_ids(text: Optional[str]) -> List[str]:
     """The ``<item type="id" name=...>`` entries of ``res/values/ids.xml``."""
-    if not os.path.isfile(ids_path):
+    if text is None:
         return []
-    try:
-        root = parse_android_xml(_read(ids_path))
-    except ET.ParseError as exc:
-        raise LayoutXmlError(f"res/values/ids.xml: XML parse error: {exc}") from exc
-    items = [i for i in root if i.tag == "item" and i.get("type") == "id"]
-    if not all(item.get("name") for item in items):
-        raise LayoutXmlError("res/values/ids.xml: id item without a name")
-    return [item.get("name") for item in items]
+    root = parse_android_xml(text)
+    names = [i.get("name") for i in root if i.tag == "item" and i.get("type") == "id"]
+    if not all(names):
+        raise LayoutXmlError("id item without a name")
+    return names
 
 
 def _assemble(
@@ -139,19 +159,20 @@ def _assemble(
     manifest, every activity subclass is declared, the first as launcher."""
     resources = ResourceTable()
     for layout_name, xml in layouts.items():
-        resources.add_layout(parse_layout_xml(layout_name, xml))
+        with _located(f"res/layout/{layout_name}.xml"):
+            resources.add_layout(parse_layout_xml(layout_name, xml))
     for menu_name, xml in menus.items():
-        resources.add_menu(parse_menu_xml(menu_name, xml))
+        with _located(f"res/menu/{menu_name}.xml"):
+            resources.add_menu(parse_menu_xml(menu_name, xml))
     for id_name in id_names:
         resources.view_id(id_name)
-    resources.freeze_ids()
-    manifest = Manifest(package=name)
-    if manifest_xml is not None:
-        manifest = parse_manifest_xml(manifest_xml)
-        for activity in manifest.activities:
-            if program.clazz(activity) is None:
-                raise LayoutXmlError(f"AndroidManifest.xml: unknown activity {activity!r}")
-    app = AndroidApp(name, program, resources, manifest, sources)
+    for layout_name in layouts:
+        # Expands <include>s, allocating the layouts' view ids in order.
+        with _located(f"res/layout/{layout_name}.xml"):
+            resources.layout(layout_name)
+    with _located("AndroidManifest.xml"):
+        manifest = Manifest(name) if manifest_xml is None else parse_manifest_xml(manifest_xml)
+        app = AndroidApp(name, program, resources, manifest, sources)
     if manifest_xml is None:
         for index, activity in enumerate(app.activity_classes()):
             manifest.add_activity(activity, launcher=index == 0)

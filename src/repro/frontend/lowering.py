@@ -20,7 +20,8 @@ qualified names; platform packages (``android.view``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import contextlib
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.frontend.ast_nodes import (
     AssignStmt,
@@ -47,7 +48,7 @@ from repro.frontend.ast_nodes import (
     UnaryExpr,
     WhileStmt,
 )
-from repro.frontend.errors import FrontendError, LowerError
+from repro.frontend.errors import FrontendError, LowerError, ParseError
 from repro.frontend.parser import parse_compilation_unit
 from repro.ir.builder import MethodBuilder
 from repro.ir.program import Clazz, Field, Method, Program
@@ -198,7 +199,8 @@ class _MethodLowerer:
     def lower_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, LocalDecl):
             type_name = self.resolve_type(stmt.type_name, stmt.line)
-            self.b.local(stmt.name, type_name)
+            with _declared_at(stmt.line):
+                self.b.local(stmt.name, type_name)
             if stmt.init is not None:
                 value = self.lower_expr(stmt.init, expected=type_name)
                 self.b.assign(stmt.name, value, line=stmt.line)
@@ -554,13 +556,9 @@ class _Compiler:
                 is_interface=decl.is_interface,
             )
             for f in decl.fields:
-                clazz.add_field(
-                    Field(
-                        f.name,
-                        self.resolver.resolve(f.type_name, unit, f.line),
-                        is_static=f.is_static,
-                    )
-                )
+                field_type = self.resolver.resolve(f.type_name, unit, f.line)
+                with _declared_at(f.line):
+                    clazz.add_field(Field(f.name, field_type, is_static=f.is_static))
             for m in decl.methods:
                 params = [
                     (pname, self.resolver.resolve(ptype, unit, m.line))
@@ -571,15 +569,12 @@ class _Compiler:
                     if m.return_type == "void"
                     else self.resolver.resolve(m.return_type, unit, m.line)
                 )
-                method = Method(
-                    m.name,
-                    qualified,
-                    params=params,
-                    return_type=return_type,
-                    is_static=m.is_static,
-                    is_abstract=m.body is None,
-                )
-                clazz.add_method(method)
+                with _declared_at(m.line):
+                    method = Method(
+                        m.name, qualified, params=params, return_type=return_type,
+                        is_static=m.is_static, is_abstract=m.body is None,
+                    )
+                    clazz.add_method(method)
             self.program.add_class(clazz)
             lowering_queue.append((unit, decl, clazz))
         # Pass 2: lower bodies.
@@ -593,6 +588,16 @@ class _Compiler:
                 lowerer = _MethodLowerer(self, unit, clazz, MethodBuilder(method))
                 lowerer.lower_body(m.body)
         return self.program
+
+
+@contextlib.contextmanager
+def _declared_at(line: int) -> Iterator[None]:
+    """A declaration the IR rejects (a duplicate member or parameter, a
+    local redeclared with another type) is an error at ``line``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise LowerError(str(exc), line) from None
 
 
 def compile_sources(
@@ -609,7 +614,8 @@ def compile_sources(
             units[-1].path = path
         compiler = _Compiler(units)
         return compiler.compile()
-    except FrontendError as exc:
+    except (FrontendError, RecursionError) as exc:
+        error = exc if isinstance(exc, FrontendError) else ParseError("nested too deeply")
         # The file being parsed, or the unit being lowered.
-        exc.path = compiler.unit.path if compiler and compiler.unit else path
-        raise
+        error.path = compiler.unit.path if compiler and compiler.unit else path
+        raise error from None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Set
 
+from repro.errors import ReproError
 from repro.ir.program import Clazz, Method, Program
 from repro.ir.statements import ConstLayoutId, ConstMenuId, Goto, If, Invoke, Label, Load
 from repro.ir.statements import Statement, Store
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resources.rtable import ResourceTable
 
 
-class IRValidationError(Exception):
+class IRValidationError(ReproError):
     """Raised when a program fails validation; carries all messages."""
 
     def __init__(self, errors: List[str]) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.results import AnalysisResult
+from repro.errors import ReproError
 from repro.lint.rules import ALL_RULES, Finding, Rule, Severity, rule_by_id
 from repro.lint.witness import Explainer, reconstruct_witness, render_witness
 from repro.obs import names as obs_names
@@ -154,22 +155,21 @@ def _parse_rule_list(spec: Optional[str]) -> Optional[Set[str]]:
     return ids
 
 
-def select_rules(options: LintOptions) -> List[Rule]:
-    """The rules a run will evaluate, in registry order."""
-    enabled: Optional[Set[str]] = None
-    if options.rules is not None:
-        enabled = set()
-        for ident in options.rules:
-            rule = rule_by_id(ident)
-            if rule is None:
-                raise ValueError(f"unknown lint rule: {ident!r}")
-            enabled.add(rule.id)
-    disabled: Set[str] = set()
-    for ident in options.disabled:
+def _rule_ids(idents: Sequence[str]) -> Set[str]:
+    """Registry ids of the rules named (by id or name) in ``idents``."""
+    ids: Set[str] = set()
+    for ident in idents:
         rule = rule_by_id(ident)
         if rule is None:
-            raise ValueError(f"unknown lint rule: {ident!r}")
-        disabled.add(rule.id)
+            raise ReproError(f"unknown lint rule: {ident!r}")
+        ids.add(rule.id)
+    return ids
+
+
+def select_rules(options: LintOptions) -> List[Rule]:
+    """The rules a run will evaluate, in registry order."""
+    enabled = None if options.rules is None else _rule_ids(options.rules)
+    disabled = _rule_ids(options.disabled)
     return [
         r
         for r in ALL_RULES

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.lint.engine import LintReport
 from repro.lint.rules import Finding
 
@@ -309,17 +310,16 @@ def diff_baseline(
     Returns ``(new, fixed)``: findings whose uid is absent from the
     baseline, and baseline uids no longer reported.
     """
-    if baseline.get("schema") != LINT_SCHEMA:
-        raise ValueError(
-            f"baseline is not a {LINT_SCHEMA} document "
-            f"(schema={baseline.get('schema')!r})"
-        )
+    schema = baseline.get("schema") if isinstance(baseline, dict) else None
+    if schema != LINT_SCHEMA:
+        raise ReproError(f"baseline is not a {LINT_SCHEMA} document (schema={schema!r})")
+    findings = baseline.get("findings", [])
+    if not isinstance(findings, list):
+        raise ReproError("baseline findings are not a list")
     known = {
-        f.get("uid")
-        for f in baseline.get("findings", ())
-        if isinstance(f, dict)
+        f["uid"] for f in findings if isinstance(f, dict) and isinstance(f.get("uid"), str)
     }
     current = {f.uid for f in report.findings}
     new = [f for f in report.findings if f.uid not in known]
-    fixed = sorted(uid for uid in known if uid is not None and uid not in current)
+    fixed = sorted(known - current)
     return new, fixed

@@ -14,7 +14,6 @@ from repro.resources.rtable import ResourceTable, LAYOUT_ID_BASE, VIEW_ID_BASE
 from repro.resources.xml_parser import (
     LayoutXmlError,
     parse_layout_xml,
-    parse_layout_file,
 )
 from repro.resources.manifest import Manifest
 
@@ -27,6 +26,5 @@ __all__ = [
     "NO_ID",
     "ResourceTable",
     "VIEW_ID_BASE",
-    "parse_layout_file",
     "parse_layout_xml",
 ]

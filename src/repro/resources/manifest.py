@@ -8,11 +8,10 @@ launcher entry point (where the concrete interpreter starts).
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.resources.xml_parser import LayoutXmlError, _attr, parse_android_xml
+from repro.resources.xml_parser import _attr, parse_android_xml
 
 
 @dataclass
@@ -43,10 +42,7 @@ def parse_manifest_xml(text: str) -> Manifest:
     and a nested launcher ``<intent-filter>`` with
     ``<action android:name="android.intent.action.MAIN"/>``.
     """
-    try:
-        root = parse_android_xml(text)
-    except ET.ParseError as exc:
-        raise LayoutXmlError(f"AndroidManifest.xml: XML parse error: {exc}") from exc
+    root = parse_android_xml(text)
     manifest = Manifest(package=root.get("package", "app"))
     app_elem = root.find("application")
     if app_elem is None:

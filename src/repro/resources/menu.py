@@ -8,7 +8,6 @@ of layout definitions.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -37,12 +36,9 @@ class MenuDef:
 
 def parse_menu_xml(name: str, text: str) -> MenuDef:
     """Parse one menu file. ``<group>`` children are flattened."""
-    try:
-        root = parse_android_xml(text)
-    except ET.ParseError as exc:
-        raise LayoutXmlError(f"{name}: XML parse error: {exc}") from exc
+    root = parse_android_xml(text)
     if root.tag != "menu":
-        raise LayoutXmlError(f"{name}: menu file must have a <menu> root")
+        raise LayoutXmlError("menu file must have a <menu> root")
     menu = MenuDef(name=name)
 
     def walk(elem) -> None:
@@ -52,7 +48,7 @@ def parse_menu_xml(name: str, text: str) -> MenuDef:
             elif child.tag == "item":
                 menu.items.append(
                     MenuItemDef(
-                        id_name=_parse_id(_attr(child, "id"), name),
+                        id_name=_parse_id(_attr(child, "id")),
                         title=_attr(child, "title"),
                         on_click=_attr(child, "onClick"),
                     )
@@ -62,7 +58,7 @@ def parse_menu_xml(name: str, text: str) -> MenuDef:
             elif child.tag == "menu":
                 walk(child)
             else:
-                raise LayoutXmlError(f"{name}: unexpected element <{child.tag}>")
+                raise LayoutXmlError(f"unexpected element <{child.tag}>")
 
     walk(root)
     return menu

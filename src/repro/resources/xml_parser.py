@@ -15,9 +15,11 @@ Parsing uses :mod:`xml.etree.ElementTree`; no third-party dependency.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.errors import ReproError
 from repro.resources.layout import LayoutNode, LayoutTree
 
 ANDROID_NS = "http://schemas.android.com/apk/res/android"
@@ -28,11 +30,11 @@ ANDROID_NS = "http://schemas.android.com/apk/res/android"
 _SHORT_NAME_PACKAGES = ("android.view", "android.widget", "android.webkit")
 
 
-class LayoutXmlError(Exception):
-    """Raised for malformed layout XML or unresolvable references."""
+class LayoutXmlError(ReproError):
+    """Raised for malformed resource XML or unresolvable references."""
 
 
-_ROOT_TAG_RE = None  # compiled lazily
+_ROOT_TAG_RE = re.compile(r"<([A-Za-z_][\w.$-]*)")
 
 
 def parse_android_xml(text: str) -> ET.Element:
@@ -41,24 +43,24 @@ def parse_android_xml(text: str) -> ET.Element:
     Real resource files always declare the namespace on the root
     element; hand-written fixtures frequently omit it. When the
     ``android:`` prefix is used unbound, the declaration is injected
-    into the root element and parsing is retried.
+    into the root element and parsing is retried. Malformed XML raises
+    :class:`LayoutXmlError` at expat's line and (0-based) column.
     """
-    global _ROOT_TAG_RE
     try:
-        return ET.fromstring(text)
-    except ET.ParseError:
-        if "android:" not in text or f'xmlns:android="{ANDROID_NS}"' in text:
-            raise
-        import re
-
-        if _ROOT_TAG_RE is None:
-            _ROOT_TAG_RE = re.compile(r"<([A-Za-z_][\w.$-]*)")
-        patched = _ROOT_TAG_RE.sub(
-            lambda m: f'<{m.group(1)} xmlns:android="{ANDROID_NS}"',
-            text,
-            count=1,
-        )
-        return ET.fromstring(patched)
+        try:
+            return ET.fromstring(text)
+        except ET.ParseError:
+            if "android:" not in text or f'xmlns:android="{ANDROID_NS}"' in text:
+                raise
+            patched = _ROOT_TAG_RE.sub(
+                lambda m: f'<{m.group(1)} xmlns:android="{ANDROID_NS}"', text, count=1
+            )
+            return ET.fromstring(patched)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        # The location moves from expat's ": line L, column C" suffix to fields.
+        reason = str(exc).rsplit(": line ", 1)[0]
+        raise LayoutXmlError(f"XML parse error: {reason}", line, column) from None
 
 
 def _attr(elem: ET.Element, name: str) -> Optional[str]:
@@ -72,23 +74,23 @@ def _attr(elem: ET.Element, name: str) -> Optional[str]:
     return value
 
 
-def _parse_id(raw: Optional[str], where: str) -> Optional[str]:
+def _parse_id(raw: Optional[str]) -> Optional[str]:
     if raw is None:
         return None
     for prefix in ("@+id/", "@id/", "@android:id/"):
         if raw.startswith(prefix):
             name = raw[len(prefix):]
             if not name:
-                raise LayoutXmlError(f"{where}: empty id reference {raw!r}")
+                raise LayoutXmlError(f"empty id reference {raw!r}")
             return name
-    raise LayoutXmlError(f"{where}: malformed id reference {raw!r}")
+    raise LayoutXmlError(f"malformed id reference {raw!r}")
 
 
-def _parse_layout_ref(raw: Optional[str], where: str) -> str:
+def _parse_layout_ref(raw: Optional[str]) -> str:
     if raw is None:
-        raise LayoutXmlError(f"{where}: <include> requires a layout attribute")
+        raise LayoutXmlError("<include> requires a layout attribute")
     if not raw.startswith("@layout/") or len(raw) == len("@layout/"):
-        raise LayoutXmlError(f"{where}: malformed layout reference {raw!r}")
+        raise LayoutXmlError(f"malformed layout reference {raw!r}")
     return raw[len("@layout/"):]
 
 
@@ -113,26 +115,24 @@ def resolve_view_class(
     return f"android.widget.{tag}"
 
 
-def _parse_element(
-    elem: ET.Element, layout_name: str, known_classes: Optional[Set[str]]
-) -> LayoutNode:
+def _parse_element(elem: ET.Element, known_classes: Optional[Set[str]]) -> LayoutNode:
     tag = elem.tag
     if tag == "include":
-        ref = _parse_layout_ref(_attr(elem, "layout"), layout_name)
+        ref = _parse_layout_ref(_attr(elem, "layout"))
         node = LayoutNode(view_class="<include>", include=ref)
         # An <include> may override the included root's id.
-        node.id_name = _parse_id(_attr(elem, "id"), layout_name)
+        node.id_name = _parse_id(_attr(elem, "id"))
         return node
     if tag == "merge":
         node = LayoutNode(view_class="<merge>")
     else:
         node = LayoutNode(
             view_class=resolve_view_class(tag, known_classes),
-            id_name=_parse_id(_attr(elem, "id"), layout_name),
+            id_name=_parse_id(_attr(elem, "id")),
             on_click=_attr(elem, "onClick"),
         )
     for child in elem:
-        node.add_child(_parse_element(child, layout_name, known_classes))
+        node.add_child(_parse_element(child, known_classes))
     return node
 
 
@@ -146,26 +146,10 @@ def parse_layout_xml(
     :class:`~repro.resources.rtable.ResourceTable`, which does it) once
     all referenced layouts are available.
     """
-    try:
-        root_elem = parse_android_xml(text)
-    except ET.ParseError as exc:
-        raise LayoutXmlError(f"{name}: XML parse error: {exc}") from exc
-    root = _parse_element(root_elem, name, known_classes)
+    root = _parse_element(parse_android_xml(text), known_classes)
     if root.include is not None:
-        raise LayoutXmlError(f"{name}: <include> cannot be the root element")
+        raise LayoutXmlError("<include> cannot be the root element")
     return LayoutTree(name=name, root=root)
-
-
-def parse_layout_file(
-    path: str, name: Optional[str] = None, known_classes: Optional[Set[str]] = None
-) -> LayoutTree:
-    """Parse a layout from a file; the layout name defaults to the stem."""
-    import os
-
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_layout_xml(name, f.read(), known_classes)
 
 
 def _expand_tree(
@@ -195,8 +179,10 @@ def _expand_node(
         try:
             included = lookup(node.include)
         except KeyError:
+            # Named because the error is located at the layout being
+            # expanded, which may include this one.
             raise LayoutXmlError(
-                f"{layout_name}: <include> references unknown layout "
+                f"<include> in {layout_name!r} references unknown layout "
                 f"{node.include!r}"
             ) from None
         roots = _expand_tree(included, lookup, active)

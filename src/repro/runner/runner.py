@@ -12,7 +12,7 @@ worker, never the run:
   terminated (SIGTERM, then SIGKILL) and is recorded as ``timeout``;
 * exception/crash failures are retried up to ``retries`` times with a
   linear backoff — transient faults (OOM-killed sibling, flaky I/O)
-  get a second chance, deterministic bugs fail fast;
+  get a second chance; malformed input (a ``ReproError``) never does;
 * with ``continue_on_error`` the run always degrades gracefully to
   partial results; without it, no *new* apps are scheduled after the
   first final failure (already-running workers finish, unscheduled
@@ -36,6 +36,7 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import AnalysisOptions
+from repro.errors import ReproError
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer
 from repro.runner.tasks import (
@@ -61,9 +62,10 @@ class BatchOptions:
     ``jobs`` is the number of concurrent worker processes (1 = one
     isolated worker at a time). ``timeout`` is the per-app wall-clock
     budget in seconds (None = unbounded). ``retries`` bounds re-runs
-    after an exception or worker crash; attempt *n* waits
-    ``backoff * n`` seconds before relaunching. Timeouts are not
-    retried: a hung app would just burn the budget twice.
+    after an exception or worker crash; attempt *n* waits ``backoff * n``
+    seconds before relaunching. Timeouts and malformed input are not
+    retried: a hung app would just burn the budget twice, and bad input
+    fails the same way every time.
     """
 
     jobs: int = 1
@@ -75,11 +77,11 @@ class BatchOptions:
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ReproError(f"jobs must be >= 1 (got {self.jobs})")
         if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise ReproError(f"retries must be >= 0 (got {self.retries})")
         if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+            raise ReproError(f"timeout must be positive (got {self.timeout})")
 
 
 @dataclass
@@ -139,7 +141,7 @@ class BatchResult:
 
 
 # One worker invocation: runs in the child process, writes exactly one
-# ("ok", payload) or ("error", error_dict) tuple to the pipe.
+# ("ok", payload), ("error", error) or ("input-error", error) to the pipe.
 def _worker_main(
     conn,
     target: BatchTarget,
@@ -158,7 +160,7 @@ def _worker_main(
     except BaseException as exc:  # isolate *everything*; the pipe is the report
         conn.send(
             (
-                "error",
+                "input-error" if isinstance(exc, ReproError) else "error",
                 {
                     "type": type(exc).__name__,
                     "message": str(exc),
@@ -284,7 +286,8 @@ def run_batch(
                 ),
                 "exitcode": run.proc.exitcode,
             }
-        if run.item.attempt <= options.retries and not aborted:
+        retryable = run.result is None or run.result[0] == "error"
+        if retryable and run.item.attempt <= options.retries and not aborted:
             total_retries += 1
             if tracer is not None:
                 tracer.counter(obs_names.COUNTER_BATCH_RETRIES)

@@ -28,6 +28,7 @@ from repro.core.analysis import AnalysisOptions, analyze
 from repro.core.diff import solution_fingerprint
 from repro.core.metrics import compute_graph_stats, compute_precision
 from repro.core.results import AnalysisResult
+from repro.errors import ReproError
 
 # Test hook: REPRO_BATCH_FAULT="<target>=<mode>[,<target>=<mode>...]"
 # injects a failure into the worker for the named target before it
@@ -73,14 +74,14 @@ def resolve_targets(
             name = os.path.basename(os.path.abspath(item))
             targets.append(BatchTarget(name=name, kind="dir", path=item))
         else:
-            raise ValueError(
+            raise ReproError(
                 f"unknown batch target {item!r}: neither a corpus app name "
                 "nor a project directory"
             )
     seen: Dict[str, BatchTarget] = {}
     for target in targets:
         if target.name in seen:
-            raise ValueError(f"duplicate batch target name {target.name!r}")
+            raise ReproError(f"duplicate batch target name {target.name!r}")
         seen[target.name] = target
     return targets
 

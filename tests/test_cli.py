@@ -110,7 +110,7 @@ class TestMalformedInput:
         (project / "res" / "layout" / "header.xml").write_text("<LinearLayout>")
         assert main(["analyze", str(project)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: header: XML parse error")
+        assert err.startswith("error: res/layout/header.xml:1:14: XML parse error")
 
     def test_lowering_error_names_file(self, tmp_path, capsys):
         (tmp_path / "src").mkdir()
@@ -140,15 +140,19 @@ class TestMalformedInput:
         return target
 
     def _expect_error(self, project, prefix, capsys):
-        assert main(["analyze", str(project)]) == 2
+        self._expect_cli_error(["analyze", str(project)], prefix, capsys)
+
+    def _expect_cli_error(self, argv, prefix, capsys):
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {prefix}")
+        assert sum(line.startswith("error:") for line in captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err + captured.out
 
     def test_malformed_manifest(self, tmp_path, capsys):
         project = self._notepad(tmp_path)
         (project / "AndroidManifest.xml").write_text("<manifest")
-        self._expect_error(project, "AndroidManifest.xml: XML parse error", capsys)
+        self._expect_error(project, "AndroidManifest.xml:1: XML parse error", capsys)
 
     def test_manifest_names_unknown_activity(self, tmp_path, capsys):
         project = self._notepad(tmp_path)
@@ -165,14 +169,23 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("<resources><item", "XML parse error"),
-            ('<resources><item type="id"/></resources>', "id item without a name"),
+            # Explicit ids keep the test names stable now that the
+            # expected prefix carries the file's location.
+            pytest.param(
+                "<resources><item", "res/values/ids.xml:1:11: XML parse error",
+                id="<resources><item-XML parse error",
+            ),
+            pytest.param(
+                '<resources><item type="id"/></resources>',
+                "res/values/ids.xml: id item without a name",
+                id='<resources><item type="id"/></resources>-id item without a name',
+            ),
         ],
     )
     def test_malformed_ids_xml(self, text, message, tmp_path, capsys):
         project = self._dump(tmp_path)
         (project / "res" / "values" / "ids.xml").write_text(text)
-        self._expect_error(project, f"res/values/ids.xml: {message}", capsys)
+        self._expect_error(project, message, capsys)
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -203,3 +216,120 @@ class TestMalformedInput:
         (project / "AndroidManifest.xml").unlink()
         assert main(["analyze", str(project)]) == 0
         assert "Activity0" in capsys.readouterr().out
+
+    def test_duplicate_method_in_source(self, tmp_path, capsys):
+        project = self._notepad(tmp_path)
+        source = project / "src" / "EditNoteActivity.alite"
+        text = source.read_text()
+        source.write_text(text.replace("    void open() { }\n", "    void open() { }\n" * 2, 1))
+        self._expect_error(
+            project,
+            "src/EditNoteActivity.alite:10: duplicate method open/0 in "
+            "com.example.notepad.EditNoteActivity",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (".field ", "duplicate field 'lst0' in gen.apv.Listeners"),
+            (".method ", "duplicate method onClick/1 in gen.apv.Listener0"),
+            (".class ", "duplicate class 'gen.apv.Listener0'"),
+        ],
+        ids=["field", "method", "class"],
+    )
+    def test_duplicate_member_in_smali(self, header, message, tmp_path, capsys):
+        """The second declaration of a member or class is the error line."""
+        project = self._dump(tmp_path)
+        smali = project / "classes.smali"
+        lines = smali.read_text().splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if line.startswith(header))
+        end = start
+        if header != ".field ":
+            closer = ".end method" if header == ".method " else ".end class"
+            end = next(i for i in range(start, len(lines)) if lines[i].startswith(closer))
+        block = lines[start:end + 1]
+        smali.write_text("".join(lines[:end + 1] + block + lines[end + 1:]))
+        self._expect_error(project, f"classes.smali:{end + 2}: {message}", capsys)
+
+    @pytest.mark.parametrize(
+        "relpath",
+        [
+            "src/EditNoteActivity.alite",
+            "res/layout/header.xml",
+            "res/menu/list_actions.xml",
+            "AndroidManifest.xml",
+        ],
+    )
+    def test_non_utf8_file(self, relpath, tmp_path, capsys):
+        project = self._notepad(tmp_path)
+        path = project / relpath
+        path.write_bytes(path.read_bytes() + b"\n\xff\n")
+        line = path.read_bytes().count(b"\n")
+        self._expect_error(project, f"{relpath}:{line}: not UTF-8 text", capsys)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("int x = 1; String x = null;", "src/A.alite:3: local 'x' redeclared"),
+            ("int x = " + "(" * 300 + "1" + ")" * 300 + ";", "src/A.alite: nested too deeply"),
+        ],
+        ids=["local-redeclared", "deep-nesting"],
+    )
+    def test_bad_method_body(self, body, message, tmp_path, capsys):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "A.alite").write_text(
+            f"package p;\nclass A {{\n  void f() {{ {body} }}\n}}\n"
+        )
+        self._expect_error(tmp_path, message, capsys)
+
+    def test_deeply_nested_layout(self, tmp_path, capsys):
+        project = self._notepad(tmp_path)
+        depth = 3000
+        (project / "res" / "layout" / "header.xml").write_text(
+            "<LinearLayout>" * depth + "</LinearLayout>" * depth
+        )
+        self._expect_error(
+            project, "res/layout/header.xml: elements nested too deeply", capsys
+        )
+
+    def test_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        self._expect_error(missing, f"{missing}: not a project directory", capsys)
+
+    def test_directory_without_code(self, tmp_path, capsys):
+        (tmp_path / "res").mkdir()
+        self._expect_error(
+            tmp_path, f"{tmp_path}: no sources under src/ and no classes.smali", capsys
+        )
+
+    def test_batch_zero_jobs(self, capsys):
+        self._expect_cli_error(["batch", "--jobs", "0"], "jobs must be >= 1 (got 0)", capsys)
+
+    @pytest.mark.parametrize("option", ["--baseline", "--suppress"])
+    def test_lint_missing_option_file(self, option, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        self._expect_cli_error(
+            ["lint", PROJECT, option, str(missing)],
+            f"{missing}: no such {option} file",
+            capsys,
+        )
+
+    def test_lint_baseline_not_json(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"schema": \n')
+        self._expect_cli_error(
+            ["lint", PROJECT, "--baseline", str(baseline)],
+            f"{baseline}:2:1: --baseline is not JSON",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("document", ['{"schema": "other"}', "[]"])
+    def test_lint_baseline_wrong_schema(self, document, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(document)
+        self._expect_cli_error(
+            ["lint", PROJECT, "--baseline", str(baseline)],
+            "baseline is not a repro.lint/1 document",
+            capsys,
+        )

@@ -209,7 +209,7 @@ class TestMalformedDescriptorsLocated:
         lines[index] = lines[index].replace(old, new, 1)
         with pytest.raises(DexSyntaxError) as info:
             parse_dex_text("\n".join(lines))
-        assert info.value.line_no == index + 1
+        assert info.value.line == index + 1
         assert str(info.value).startswith(f"line {index + 1}: ")
 
 

@@ -340,6 +340,18 @@ class TestCorpusAcceptance:
         assert bad.error["type"] == "ParseError"
         assert bad.error["message"].startswith("src/BrokenActivity.alite:12:1: ")
 
+    def test_input_error_not_retried(self):
+        """Malformed input is deterministic: one attempt, no backoff."""
+        broken = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "projects", "broken"
+        )
+        result = run_batch([broken], BatchOptions(jobs=1, retries=1))
+        bad = result.outcome("broken")
+        assert bad.status == "failed"
+        assert bad.error["type"] == "ParseError"
+        assert bad.attempts == 1
+        assert result.retries == 0
+
 
 # -- bench harness wiring -----------------------------------------------------
 
