@@ -5,7 +5,9 @@ tools; this package implements four representative clients:
 
 * :mod:`repro.clients.transitions` — the (activity, view, event,
   handler) tuples and the activity transition graph used by run-time
-  exploration / test generation (A3E, concolic testing);
+  exploration / test generation (A3E, concolic testing): one CHA call
+  graph per app, one walk per distinct handler for the activities it
+  instantiates;
 * :mod:`repro.clients.gui_model` — reverse engineering of the GUI
   model (Yang et al.): widgets, ids, handlers per activity, with DOT
   export;

@@ -5,17 +5,17 @@ need tuples (activity ``a``, GUI object ``v``, event ``e``, handler
 ``h``) plus the activities those handlers start. Full intent tracking
 is out of scope for ALite; the client approximates "handler ``h``
 starts activity ``A2``" by: some activity class ``A2`` is instantiated
-(``new A2``) in code reachable from ``h`` in the CHA call graph, or a
-platform ``startActivity``-family call is reachable whose argument set
-contains an object whose class is an activity. This matches the
-paper's observation that the handlers — often outside the activity
-class — are where transitions originate.
+(``new A2``) in code reachable from ``h`` in the CHA call graph. The
+client builds that call graph once per app and walks it once per
+distinct handler. This matches the paper's observation that the
+handlers — often outside the activity class — are where transitions
+originate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.results import AnalysisResult, GuiTuple
 from repro.hierarchy.callgraph import build_call_graph
@@ -65,39 +65,27 @@ class ActivityTransitionGraph:
         return "\n".join(lines)
 
 
-def _activities_started_by(
-    result: AnalysisResult, handler: MethodSig, activity_classes: Set[str]
-) -> Set[str]:
-    """Activity classes instantiated in code reachable from ``handler``."""
-    program = result.app.program
-    call_graph = build_call_graph(program, result.hierarchy)
-    reachable = call_graph.reachable_from([handler])
-    reachable.add(handler)
-    started: Set[str] = set()
-    for sig in reachable:
-        method = program.method(sig.class_name, sig.name, sig.arity)
-        if method is None:
-            continue
-        for stmt in method.body:
-            if isinstance(stmt, New) and stmt.class_name in activity_classes:
-                started.add(stmt.class_name)
-    return started
-
-
 def build_transition_graph(result: AnalysisResult) -> ActivityTransitionGraph:
     """Build the transition graph from a solved analysis."""
+    program = result.app.program
     activity_classes = set(result.app.activity_classes())
     graph = ActivityTransitionGraph(activities=sorted(activity_classes))
     graph.tuples = sorted(result.gui_tuples(), key=str)
-    # Cache reachability per handler: many tuples share handlers.
-    started_cache: Dict[MethodSig, Set[str]] = {}
+    call_graph = build_call_graph(program, result.hierarchy)
+    started: Dict[MethodSig, List[str]] = {}
     for gui_tuple in graph.tuples:
         handler = gui_tuple.handler
-        if handler not in started_cache:
-            started_cache[handler] = _activities_started_by(
-                result, handler, activity_classes
-            )
-        for target in sorted(started_cache[handler]):
+        if handler not in started:
+            targets: Set[str] = set()
+            for sig in call_graph.reachable_from([handler]):
+                method = program.method(sig.class_name, sig.name, sig.arity)
+                if method is None:
+                    continue
+                for stmt in method.body:
+                    if isinstance(stmt, New) and stmt.class_name in activity_classes:
+                        targets.add(stmt.class_name)
+            started[handler] = sorted(targets)
+        for target in started[handler]:
             graph.transitions.append(
                 Transition(gui_tuple.activity_class, target, gui_tuple)
             )

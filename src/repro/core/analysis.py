@@ -584,28 +584,30 @@ class GuiReferenceAnalysis:
         if cached is not None:
             return cached
         tree = self.app.resources.layout(layout_id.name)
-        graph = self.graph
-        resources = self.app.resources
-
-        def instantiate(node: LayoutNode, path: Tuple[int, ...]) -> InflViewNode:
-            infl = graph.infl_view(op.site, layout_id.name, path, node.view_class, node.id_name)
-            self._add_values(infl, {infl})
-            if node.id_name is not None:
-                id_node = graph.view_id(node.id_name, resources.view_id(node.id_name))
-                self._add_values(id_node, {id_node})
-                graph.add_rel(RelKind.HAS_ID, infl, id_node)
-            if node.on_click is not None:
-                self._onclick_names[infl] = node.on_click
-            for child_index, child in enumerate(node.children):
-                child_infl = instantiate(child, path + (child_index,))
-                graph.add_rel(RelKind.CHILD, infl, child_infl)
-            return infl
-
-        root = instantiate(tree.root, ())
-        graph.add_rel(RelKind.INFL_ROOT, root, op)
-        graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id)
+        root = self._instantiate_node(op, layout_id.name, tree.root, ())
+        self.graph.add_rel(RelKind.INFL_ROOT, root, op)
+        self.graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id)
         self._inflated[key] = root
         return root
+
+    def _instantiate_node(
+        self, op: OpNode, layout: str, node: LayoutNode, path: Tuple[int, ...]
+    ) -> InflViewNode:
+        # Not a closure: a closure that calls itself is a reference cycle
+        # holding the whole analysis until the cycle collector runs.
+        graph = self.graph
+        infl = graph.infl_view(op.site, layout, path, node.view_class, node.id_name)
+        self._add_values(infl, {infl})
+        if node.id_name is not None:
+            id_node = graph.view_id(node.id_name, self.app.resources.view_id(node.id_name))
+            self._add_values(id_node, {id_node})
+            graph.add_rel(RelKind.HAS_ID, infl, id_node)
+        if node.on_click is not None:
+            self._onclick_names[infl] = node.on_click
+        for child_index, child in enumerate(node.children):
+            child_infl = self._instantiate_node(op, layout, child, path + (child_index,))
+            graph.add_rel(RelKind.CHILD, infl, child_infl)
+        return infl
 
     def _op_inflate1(self, op: OpNode) -> bool:
         changed = False

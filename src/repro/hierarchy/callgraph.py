@@ -9,7 +9,7 @@ the constraint-graph builder) can iterate call edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.ir.program import Method, MethodSig, Program
 from repro.ir.statements import Invoke, InvokeKind
@@ -33,12 +33,14 @@ class CallGraph:
     def __init__(self) -> None:
         self._edges: Dict[CallSite, List[MethodSig]] = {}
         self._callers: Dict[MethodSig, Set[CallSite]] = {}
+        self._callees: Dict[MethodSig, Set[MethodSig]] = {}
 
     def add_edge(self, site: CallSite, target: MethodSig) -> None:
         targets = self._edges.setdefault(site, [])
         if target not in targets:
             targets.append(target)
             self._callers.setdefault(target, set()).add(site)
+            self._callees.setdefault(site.caller, set()).add(target)
 
     def targets(self, site: CallSite) -> List[MethodSig]:
         return list(self._edges.get(site, ()))
@@ -46,17 +48,11 @@ class CallGraph:
     def callers_of(self, target: MethodSig) -> Set[CallSite]:
         return set(self._callers.get(target, ()))
 
-    def sites(self) -> Iterator[CallSite]:
-        return iter(self._edges)
-
     def edge_count(self) -> int:
         return sum(len(ts) for ts in self._edges.values())
 
     def reachable_from(self, roots: List[MethodSig]) -> Set[MethodSig]:
-        """Methods transitively callable from ``roots``."""
-        by_caller: Dict[MethodSig, List[MethodSig]] = {}
-        for site, targets in self._edges.items():
-            by_caller.setdefault(site.caller, []).extend(targets)
+        """``roots`` and the methods transitively callable from them."""
         seen: Set[MethodSig] = set()
         work = list(roots)
         while work:
@@ -64,7 +60,7 @@ class CallGraph:
             if m in seen:
                 continue
             seen.add(m)
-            work.extend(by_caller.get(m, ()))
+            work.extend(self._callees.get(m, ()))
         return seen
 
 

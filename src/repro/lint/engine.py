@@ -167,14 +167,18 @@ def _rule_ids(idents: Sequence[str]) -> Set[str]:
 
 
 def select_rules(options: LintOptions) -> List[Rule]:
-    """The rules a run will evaluate, in registry order."""
+    """The rules a run will evaluate, in registry order. Selecting none
+    is an input error rather than an empty report."""
     enabled = None if options.rules is None else _rule_ids(options.rules)
     disabled = _rule_ids(options.disabled)
-    return [
+    rules = [
         r
         for r in ALL_RULES
         if (enabled is None or r.id in enabled) and r.id not in disabled
     ]
+    if not rules:
+        raise ReproError("no lint rule selected")
+    return rules
 
 
 def run_lint(

@@ -44,23 +44,30 @@ def parse_android_xml(text: str) -> ET.Element:
     element; hand-written fixtures frequently omit it. When the
     ``android:`` prefix is used unbound, the declaration is injected
     into the root element and parsing is retried. Malformed XML raises
-    :class:`LayoutXmlError` at expat's line and (0-based) column.
+    :class:`LayoutXmlError` at expat's line and 1-based column in
+    ``text``, the text before any injection.
     """
+    declaration = f' xmlns:android="{ANDROID_NS}"'
+    injected_at = None
     try:
         try:
             return ET.fromstring(text)
         except ET.ParseError:
-            if "android:" not in text or f'xmlns:android="{ANDROID_NS}"' in text:
+            match = _ROOT_TAG_RE.search(text)
+            if "android:" not in text or declaration[1:] in text or match is None:
                 raise
-            patched = _ROOT_TAG_RE.sub(
-                lambda m: f'<{m.group(1)} xmlns:android="{ANDROID_NS}"', text, count=1
-            )
-            return ET.fromstring(patched)
+            offset = match.end()
+            line_start = text.rfind("\n", 0, offset) + 1
+            injected_at = (text.count("\n", 0, offset) + 1, offset - line_start)
+            return ET.fromstring(text[:offset] + declaration + text[offset:])
     except ET.ParseError as exc:
         line, column = exc.position
+        if injected_at is not None and line == injected_at[0]:
+            if column >= injected_at[1] + len(declaration):
+                column -= len(declaration)
         # The location moves from expat's ": line L, column C" suffix to fields.
         reason = str(exc).rsplit(": line ", 1)[0]
-        raise LayoutXmlError(f"XML parse error: {reason}", line, column) from None
+        raise LayoutXmlError(f"XML parse error: {reason}", line, column + 1) from None
 
 
 def _attr(elem: ET.Element, name: str) -> Optional[str]:

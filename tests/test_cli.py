@@ -110,7 +110,7 @@ class TestMalformedInput:
         (project / "res" / "layout" / "header.xml").write_text("<LinearLayout>")
         assert main(["analyze", str(project)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: res/layout/header.xml:1:14: XML parse error")
+        assert err.startswith("error: res/layout/header.xml:1:15: XML parse error")
 
     def test_lowering_error_names_file(self, tmp_path, capsys):
         (tmp_path / "src").mkdir()
@@ -152,7 +152,7 @@ class TestMalformedInput:
     def test_malformed_manifest(self, tmp_path, capsys):
         project = self._notepad(tmp_path)
         (project / "AndroidManifest.xml").write_text("<manifest")
-        self._expect_error(project, "AndroidManifest.xml:1: XML parse error", capsys)
+        self._expect_error(project, "AndroidManifest.xml:1:1: XML parse error", capsys)
 
     def test_manifest_names_unknown_activity(self, tmp_path, capsys):
         project = self._notepad(tmp_path)
@@ -172,7 +172,7 @@ class TestMalformedInput:
             # Explicit ids keep the test names stable now that the
             # expected prefix carries the file's location.
             pytest.param(
-                "<resources><item", "res/values/ids.xml:1:11: XML parse error",
+                "<resources><item", "res/values/ids.xml:1:12: XML parse error",
                 id="<resources><item-XML parse error",
             ),
             pytest.param(
@@ -313,6 +313,16 @@ class TestMalformedInput:
             ["lint", PROJECT, option, str(missing)],
             f"{missing}: no such {option} file",
             capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "selection",
+        [["--rules", ","], ["--rules", "GUI001", "--disable", "GUI001"]],
+        ids=["empty-list", "all-disabled"],
+    )
+    def test_lint_no_rule_selected(self, selection, capsys):
+        self._expect_cli_error(
+            ["lint", PROJECT, *selection], "no lint rule selected", capsys
         )
 
     def test_lint_baseline_not_json(self, tmp_path, capsys):

@@ -68,6 +68,111 @@ class TestTransitionGraph:
         assert "click" in dot
 
 
+@pytest.fixture(scope="module")
+def nav_result():
+    """Three handlers: one reaches ``new Detail`` only through CHA
+    dispatch to a subclass override two calls deep, one is in a
+    mutual-recursion cycle that instantiates ``Settings``, and one
+    instantiates no activity."""
+    source = """
+    package nav;
+    import android.app.Activity;
+    import android.view.View;
+    import android.widget.Button;
+
+    class Home extends Activity {
+        void onCreate() {
+            this.setContentView(R.layout.home);
+            Button deep = (Button) this.findViewById(R.id.deep);
+            deep.setOnClickListener(new DeepHandler());
+            Button loop = (Button) this.findViewById(R.id.loop);
+            loop.setOnClickListener(new LoopHandler());
+            Button stay = (Button) this.findViewById(R.id.stay);
+            stay.setOnClickListener(new StayHandler());
+        }
+    }
+    class Detail extends Activity {
+        void onCreate() { this.setContentView(R.layout.home); }
+    }
+    class Settings extends Activity {
+        void onCreate() { this.setContentView(R.layout.home); }
+    }
+    class Step {
+        void go() { this.next(); }
+        void next() { }
+    }
+    class FastStep extends Step {
+        void next() { Detail d = new Detail(); }
+    }
+    class Note {
+        void touch() { Note n = new Note(); }
+    }
+    class DeepHandler implements View.OnClickListener {
+        void onClick(View v) {
+            Step s = new Step();
+            s.go();
+        }
+    }
+    class LoopHandler implements View.OnClickListener {
+        void onClick(View v) { this.bounce(v); }
+        void bounce(View v) {
+            Settings s = new Settings();
+            this.onClick(v);
+        }
+    }
+    class StayHandler implements View.OnClickListener {
+        void onClick(View v) {
+            Note n = new Note();
+            n.touch();
+        }
+    }
+    """
+    layout = (
+        '<LinearLayout><Button android:id="@+id/deep"/>'
+        '<Button android:id="@+id/loop"/><Button android:id="@+id/stay"/>'
+        "</LinearLayout>"
+    )
+    return analyze(load_app_from_sources("nav", [source], {"home": layout}))
+
+
+class TestTransitionWalk:
+    @staticmethod
+    def _targets(graph, handler_class):
+        return {
+            t.target for t in graph.transitions
+            if t.trigger.handler.class_name == handler_class
+        }
+
+    def test_one_call_graph_per_build(self, nav_result, monkeypatch):
+        import repro.clients.transitions as transitions
+
+        calls = []
+        real = transitions.build_call_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transitions, "build_call_graph", counting)
+        graph = build_transition_graph(nav_result)
+        assert len({t.handler for t in graph.tuples}) == 3
+        assert len(calls) == 1
+
+    def test_edge_through_subclass_override_two_calls_deep(self, nav_result):
+        graph = build_transition_graph(nav_result)
+        assert self._targets(graph, "nav.DeepHandler") == {"nav.Detail"}
+
+    def test_handler_in_recursion_cycle(self, nav_result):
+        graph = build_transition_graph(nav_result)
+        assert self._targets(graph, "nav.LoopHandler") == {"nav.Settings"}
+
+    def test_handler_without_activity_has_no_edge(self, nav_result):
+        graph = build_transition_graph(nav_result)
+        assert any(t.handler.class_name == "nav.StayHandler" for t in graph.tuples)
+        assert self._targets(graph, "nav.StayHandler") == set()
+        assert graph.successors("nav.Home") == {"nav.Detail", "nav.Settings"}
+
+
 class TestGuiModel:
     def test_widgets_enumerated(self, shop_result):
         model = build_gui_model(shop_result)

@@ -5,7 +5,8 @@ Each test mutates one file of a real project — APV's dumped
 layout, a menu and the manifest — by seeded line and byte edits. Every
 mutant must either load, validate and analyze to a converged result,
 or raise :class:`repro.errors.ReproError`; any other exception is a
-bug (an untyped crash escaping the loader or the analysis).
+bug (an untyped crash escaping the loader or the analysis). An error
+located in the mutated file must point at a line and column inside it.
 """
 
 import os
@@ -80,19 +81,32 @@ def _check(project: str, relpath: str, edits) -> None:
     path = os.path.join(project, relpath)
     with open(path, "rb") as f:
         original = f.read()
+    mutated = _mutate(original, edits)
     try:
         with open(path, "wb") as f:
-            f.write(_mutate(original, edits))
+            f.write(mutated)
         try:
             app = load_app_from_dir(project)
             app.validate()
             result = analyze(app)
-        except ReproError:
+        except ReproError as exc:
+            if exc.path == relpath and exc.line:
+                _check_location(mutated.decode("utf-8", "replace"), exc)
             return
         assert result.converged
     finally:
         with open(path, "wb") as f:
             f.write(original)
+
+
+def _check_location(text: str, exc: ReproError) -> None:
+    """``exc`` points into ``text``: an existing line, or the one after
+    the last (end of file after a trailing newline), and a column at
+    most one past the end of its line."""
+    lines = text.splitlines()
+    assert 1 <= exc.line <= len(lines) + 1, str(exc)
+    if exc.column and exc.line <= len(lines):
+        assert exc.column <= len(lines[exc.line - 1]) + 1, str(exc)
 
 
 @pytest.fixture(scope="module")

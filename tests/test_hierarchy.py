@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hierarchy.cha import ClassHierarchy
-from repro.hierarchy.callgraph import CallSite, build_call_graph
+from repro.hierarchy.callgraph import CallGraph, CallSite, build_call_graph
 from repro.ir.builder import ProgramBuilder
 from repro.ir.program import MethodSig, Program
 from repro.ir.statements import InvokeKind
@@ -127,6 +127,15 @@ class TestCallGraph:
         graph = build_call_graph(program)
         reach = graph.reachable_from([MethodSig("app.Main", "run", 0)])
         assert MethodSig("app.Derived", "greet", 0) in reach
+
+    def test_reachable_from_sees_edges_added_after_a_query(self):
+        graph = CallGraph()
+        a, b, c = (MethodSig("app.M", name, 0) for name in "abc")
+        graph.add_edge(CallSite(a, 0), b)
+        assert graph.reachable_from([a]) == {a, b}
+        graph.add_edge(CallSite(b, 0), c)
+        assert graph.reachable_from([a]) == {a, b, c}
+        assert graph.reachable_from([c]) == {c}
 
     def test_platform_calls_produce_no_edges(self):
         pb = ProgramBuilder()

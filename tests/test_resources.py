@@ -76,6 +76,19 @@ class TestXmlParser:
         with pytest.raises(LayoutXmlError, match="XML parse error"):
             parse_layout_xml("main", "<LinearLayout>")
 
+    def test_error_column_ignores_injected_namespace(self):
+        # Unbound ``android:`` makes the parser retry with the namespace
+        # declared on the root tag; the error column still counts from
+        # the text as written, 1-based. expat places a mismatched end
+        # tag at its name: "LinearLayout" in "</LinearLayout>" starts at
+        # column 52 of this 64-character line (the injected text would
+        # put it at 111).
+        text = '<LinearLayout android:id="@+id/screen_root"><Foo></LinearLayout>'
+        with pytest.raises(LayoutXmlError, match="mismatched tag") as info:
+            parse_layout_xml("main", text)
+        assert (info.value.line, info.value.column) == (1, 52)
+        assert text[51:].startswith("LinearLayout>")
+
     def test_include_cannot_be_root(self):
         with pytest.raises(LayoutXmlError, match="cannot be the root"):
             parse_layout_xml("main", '<include layout="@layout/other"/>')
