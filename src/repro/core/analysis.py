@@ -33,9 +33,10 @@ only picks which ops a round evaluates and when the loop stops:
 * ``"seminaive"`` (default) — delta-driven scheduling: after a first
   full sweep, an operation rule only re-runs when one of its inputs
   actually changed, and the solve stops when nothing is dirty. Inputs
-  are (a) the op's receiver/argument ports (``_add_values`` marks the
-  owning op dirty on a delta), (b) the relationship-edge kinds the rule
-  read (``_read_rel``/``_read_descendants`` subscribe the op being
+  are (a) the op's receiver/argument ports (each port is listed under
+  its op in ``_node_deps``, so a delta there marks the op dirty), (b)
+  the relationship-edge kinds the rule read
+  (``_read_rel``/``_read_descendants`` subscribe the op being
   evaluated to the kind, and a ``rel_listener`` on the graph marks the
   subscribers on each new edge), and (c) pointer nodes the rule read
   outside its ports, such as the return variables of
@@ -55,37 +56,35 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Collection, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.app import AndroidApp
 from repro.core.builder import build_constraint_graph
-from repro.core.graph import ConstraintGraph, RelKind
+from repro.core.graph import RECV, ConstraintGraph, RelKind
 from repro.core.nodes import (
     ActivityNode,
-    InflViewNode,
+    AllocNode,
     LayoutIdNode,
     MenuIdNode,
     MenuItemNode,
     Node,
-    OpArg,
     OpNode,
-    OpRecv,
     Site,
-    ValueNode,
-    VarNode,
     ViewIdNode,
     is_activity_like,
     value_class_name,
     value_is_a,
 )
 from repro.core.provenance import FactOrder
-from repro.core.results import AnalysisResult, XmlHandlerBinding
+from repro.core.results import AnalysisResult, PointsTo, XmlHandlerBinding
 from repro.hierarchy.cha import ClassHierarchy
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
-from repro.ir.program import Method, MethodSig
+from repro.ir.program import Method
 from repro.platform.api import OpKind
 from repro.resources.layout import LayoutNode
+
+_NO_VALUES: FrozenSet[int] = frozenset()
 
 
 @dataclass
@@ -129,7 +128,17 @@ class AnalysisOptions:
 
 
 class GuiReferenceAnalysis:
-    """One analysis run over one :class:`AndroidApp`."""
+    """One analysis run over one :class:`AndroidApp`.
+
+    The solver works on the graph's dense node ids (see
+    :mod:`repro.core.graph`): ``pts`` maps a pointer node's id to the
+    ids of the values flowing to it, and so do the worklist, the
+    pending deltas and the dependency index. Rules decode an id through
+    ``graph.node_list`` when they need a node's fields, and read and add
+    relationship edges, which stay on nodes. The result exposes ``pts``
+    through :class:`~repro.core.results.PointsTo`, which decodes on
+    access.
+    """
 
     def __init__(
         self,
@@ -143,13 +152,18 @@ class GuiReferenceAnalysis:
         build = build_constraint_graph(app, tracer=self.tracer)
         self.graph: ConstraintGraph = build.graph
         self.hierarchy: ClassHierarchy = build.hierarchy
-        self.pts: Dict[Node, Set[ValueNode]] = {}
-        self._inflated: Dict[Tuple[object, str], InflViewNode] = {}
-        self._inflated_menus: Set[Tuple[Site, str]] = set()
+        # id -> node; the graph appends to this list as it interns.
+        self._nodes: List[Node] = self.graph.node_list
+        self.pts: Dict[int, Set[int]] = {}
+        # (op id, layout name) -> root view id, and (op id, menu name).
+        self._inflated: Dict[Tuple[int, str], int] = {}
+        self._inflated_menus: Set[Tuple[int, str]] = set()
         self.menu_items_by_class: Dict[str, List[MenuItemNode]] = {}
-        self._onclick_names: Dict[InflViewNode, str] = {}
-        self._bound_handlers: Set[Tuple[ValueNode, MethodSig]] = set()
-        self._bound_xml: Set[Tuple[str, InflViewNode]] = set()
+        # Inflated view id -> its android:onClick handler name.
+        self._onclick_names: Dict[int, str] = {}
+        # (listener id, handler's ``this`` id) and (activity class, view id).
+        self._bound_handlers: Set[Tuple[int, int]] = set()
+        self._bound_xml: Set[Tuple[str, int]] = set()
         self.xml_handlers: List[XmlHandlerBinding] = []
         self.rounds = 0
         self.solve_seconds = 0.0
@@ -167,22 +181,23 @@ class GuiReferenceAnalysis:
         # from the seed drain are overwhelmingly singletons; merging
         # them per node before propagating amortises the per-edge
         # traversal cost across the whole batch.
-        self._pending: Dict[Node, Set[ValueNode]] = {}
-        self._queue: Deque[Node] = deque()
-        # Dirty ops in mark order (dict-as-ordered-set for determinism).
-        self._dirty: Dict[OpNode, None] = {}
-        # Dynamically discovered dependencies: pointer node -> ops that
-        # read its points-to set outside their own ports.
-        self._node_deps: Dict[Node, Set[OpNode]] = {}
+        self._pending: Dict[int, Set[int]] = {}
+        self._queue: Deque[int] = deque()
+        # Dirty op ids in mark order (dict-as-ordered-set for determinism).
+        self._dirty: Dict[int, None] = {}
+        # Pointer node -> ops that read its points-to set: each port's
+        # own op, plus nodes rules read outside their ports
+        # (``_depend_on_node``).
+        self._node_deps: Dict[int, Set[int]] = {}
+        for port, op in self.graph.port_owners():
+            self._node_deps[port] = {op}
         # Read-tracked subscriptions: relationship-edge kind -> ops
         # whose rule read edges of that kind while being evaluated
         # (``_current_op``); never removed. Stored as dicts so one edge
         # notification marks every subscriber dirty with a single
         # ``dict.update``.
-        self._rel_subs: Dict[RelKind, Dict[OpNode, None]] = {
-            kind: {} for kind in RelKind
-        }
-        self._current_op: Optional[OpNode] = None
+        self._rel_subs: Dict[RelKind, Dict[int, None]] = {kind: {} for kind in RelKind}
+        self._current_op: Optional[int] = None
         self._xml_dirty = False
         # (value class, cast filter) -> bool memo for cast filtering.
         self._cast_cache: Dict[Tuple[str, str], bool] = {}
@@ -193,13 +208,12 @@ class GuiReferenceAnalysis:
         # flow edges are inserted, each guarded by ``is not None``; it
         # never feeds back into solving.
         self._order: Optional[FactOrder] = (
-            FactOrder() if self.options.provenance else None
+            FactOrder(self.graph) if self.options.provenance else None
         )
-        self.graph.fact_order = self._order
 
     # -- flowsTo maintenance ---------------------------------------------------
 
-    def _add_values(self, node: Node, values: Set[ValueNode]) -> bool:
+    def _add_values(self, node: int, values: Set[int]) -> bool:
         current = self.pts.get(node)
         if current is None:
             current = set()
@@ -219,8 +233,6 @@ class GuiReferenceAnalysis:
             pending |= delta
         # Delta scheduling: a changed input port dirties its op; a
         # changed node some rule read dynamically dirties that rule.
-        if isinstance(node, (OpRecv, OpArg)):
-            self._dirty[node.op] = None
         deps = self._node_deps.get(node)
         if deps:
             dirty = self._dirty
@@ -228,7 +240,7 @@ class GuiReferenceAnalysis:
                 dirty[op] = None
         return True
 
-    def _add_flow_dynamic(self, src: Node, dst: Node) -> bool:
+    def _add_flow_dynamic(self, src: int, dst: int) -> bool:
         """Add a flow edge discovered during solving and propagate.
 
         Only a *new* edge needs an explicit push of the source's
@@ -236,10 +248,10 @@ class GuiReferenceAnalysis:
         on ``src`` (including any still sitting in the worklist) is
         propagated across it by the drain loop, so re-pushing the full
         set would only recompute an empty difference."""
-        if not self.graph.add_flow(src, dst):
+        if not self.graph.add_flow_ids(src, dst):
             return False
         if self._order is not None:
-            self._order.add_edge(src, dst)
+            self._order.add_edge(self._nodes[src], self._nodes[dst])
         existing = self.pts.get(src)
         if existing:
             self._add_values(dst, existing)
@@ -267,7 +279,7 @@ class GuiReferenceAnalysis:
         dirty = self._dirty
         node_deps = self._node_deps
         order = self._order
-        empty: Dict[Node, Optional[str]] = {}
+        empty: Dict[int, Optional[str]] = {}
         while queue:
             node = queue.popleft()
             delta = pending.pop(node, None)
@@ -303,26 +315,22 @@ class GuiReferenceAnalysis:
                     queue.append(succ)
                 else:
                     prior |= new
-                cls = succ.__class__
-                if cls is OpRecv or cls is OpArg:
-                    dirty[succ.op] = None
                 deps = node_deps.get(succ)
                 if deps:
                     for op in deps:
                         dirty[op] = None
         return changed
 
-    def _filter_values_cached(
-        self, values: Set[ValueNode], type_filter: str
-    ) -> Set[ValueNode]:
+    def _filter_values_cached(self, values: Set[int], type_filter: str) -> Set[int]:
         """The values that pass an edge's cast filter, with the subtype
         decision memoised per (value class, filter). Values without a
         run-time class (layout/view ids) pass through; reference casts
         only constrain abstract objects."""
         cache = self._cast_cache
-        kept: Set[ValueNode] = set()
+        nodes = self._nodes
+        kept: Set[int] = set()
         for v in values:
-            cn = value_class_name(v)
+            cn = value_class_name(nodes[v])
             if cn is None:
                 kept.add(v)
                 continue
@@ -339,18 +347,43 @@ class GuiReferenceAnalysis:
         return kept
 
     # -- value classification ----------------------------------------------------
+    # Rules read a port by id (None when the op has no such port, which
+    # reads as an empty set) and get value ids back, except where they
+    # need the nodes' fields.
 
-    def _views(self, node: Node) -> Set[ValueNode]:
-        return {v for v in self.pts.get(node, ()) if self.graph.is_view_value(v)}
+    def _port_values(self, op: int, slot: int) -> Set[int]:
+        return self.pts.get(self.graph.port(op, slot), _NO_VALUES)
 
-    def _activity_likes(self, node: Node) -> Set[ValueNode]:
-        return {v for v in self.pts.get(node, ()) if is_activity_like(self.hierarchy, v)}
+    def _views(self, op: int, slot: int) -> Set[int]:
+        is_view = self.graph.is_view_id
+        return {v for v in self._port_values(op, slot) if is_view(v)}
 
-    def _layout_ids(self, node: Node) -> Set[LayoutIdNode]:
-        return {v for v in self.pts.get(node, ()) if isinstance(v, LayoutIdNode)}
+    def _activity_likes(self, op: int, slot: int) -> Set[int]:
+        nodes, hierarchy = self._nodes, self.hierarchy
+        return {
+            v for v in self._port_values(op, slot) if is_activity_like(hierarchy, nodes[v])
+        }
 
-    def _view_ids(self, node: Node) -> Set[ViewIdNode]:
-        return {v for v in self.pts.get(node, ()) if isinstance(v, ViewIdNode)}
+    def _instances(self, op: int, slot: int, class_name: str) -> Set[int]:
+        nodes, hierarchy = self._nodes, self.hierarchy
+        return {
+            v
+            for v in self._port_values(op, slot)
+            if value_is_a(hierarchy, nodes[v], class_name)
+        }
+
+    def _nodes_of(self, op: int, slot: int, cls: type) -> List[Node]:
+        """The values at a port that are nodes of kind ``cls``."""
+        nodes = self._nodes
+        return [nodes[v] for v in self._port_values(op, slot) if nodes[v].__class__ is cls]
+
+    def _decode(self, ids: Set[int]) -> List[Node]:
+        nodes = self._nodes
+        return [nodes[i] for i in ids]
+
+    def _encode(self, nodes: Set[Node]) -> Set[int]:
+        id_of = self.graph.id_of
+        return {id_of(n) for n in nodes}
 
     # -- solving -------------------------------------------------------------------
 
@@ -416,7 +449,7 @@ class GuiReferenceAnalysis:
             app=self.app,
             graph=self.graph,
             hierarchy=self.hierarchy,
-            pts=self.pts,
+            pts=PointsTo(self.graph, self.pts),
             options=self.options,
             rounds=self.rounds,
             solve_seconds=self.solve_seconds,
@@ -459,13 +492,15 @@ class GuiReferenceAnalysis:
         how the two schedules pick a round's ops and stop)."""
         tracer = self.tracer
         graph = self.graph
-        all_ops = graph.ops()
+        all_ops = graph.ids_of_kind(OpNode)
+        kinds = {op: self._nodes[op].kind for op in all_ops}
         total_ops = len(all_ops)
         schedule_all = self.options.solver == "naive"
         bind_xml = self.options.model_xml_onclick
         rules = self._RULES
-        for value in self._initial_values():
-            self._add_values(value, {value})
+        for cls in (AllocNode, ActivityNode, LayoutIdNode, ViewIdNode, MenuIdNode):
+            for value in graph.ids_of_kind(cls):
+                self._add_values(value, {value})
         self._propagate()
         self.converged = False
         for round_index in range(self.options.max_rounds):
@@ -483,13 +518,14 @@ class GuiReferenceAnalysis:
             rules_fired = 0
             for op in batch:
                 self._current_op = op
-                fired = rules[op.kind](self, op)
+                kind = kinds[op]
+                fired = rules[kind](self, op)
                 if fired:
                     rules_fired += 1
                 if tracer is not None:
-                    tracer.counter(obs_names.RULE_EVALUATED[op.kind])
+                    tracer.counter(obs_names.RULE_EVALUATED[kind])
                     if fired:
-                        tracer.counter(obs_names.RULE_FIRED[op.kind])
+                        tracer.counter(obs_names.RULE_FIRED[kind])
             self._current_op = None
             changed = rules_fired > 0
             # The XML binding runs after the round's ops, so it sees the
@@ -549,6 +585,8 @@ class GuiReferenceAnalysis:
 
     def _on_rel_added(self, kind: RelKind, src: Node, dst: Node) -> None:
         """Graph notification: a new relationship edge appeared."""
+        if self._order is not None:
+            self._order.add_rel(kind, src, dst)
         subs = self._rel_subs[kind]
         if subs:
             self._dirty.update(subs)
@@ -557,135 +595,129 @@ class GuiReferenceAnalysis:
             # grow exactly when ROOT/CHILD edges appear.
             self._xml_dirty = True
 
-    def _depend_on_node(self, node: Node) -> None:
+    def _depend_on_node(self, node: int) -> None:
         """Record that the op being evaluated read ``node``'s points-to
         set, so future deltas on ``node`` re-schedule it."""
         op = self._current_op
         if op is not None:
             self._node_deps.setdefault(node, set()).add(op)
 
-    def _initial_values(self) -> List[ValueNode]:
-        values: List[ValueNode] = []
-        values.extend(self.graph.allocs())
-        values.extend(self.graph.activities())
-        values.extend(self.graph.layout_id_nodes())
-        values.extend(self.graph.view_id_nodes())
-        values.extend(self.graph.menu_id_nodes())
-        return values
-
     # -- operation rules ------------------------------------------------------------
 
     # Rules INFLATE1/INFLATE2 (Section 3.2.1, constraint rules in 4.2).
 
-    def _instantiate_layout(self, op: OpNode, layout_id: LayoutIdNode) -> InflViewNode:
-        """Create the fresh inflated-view node family for (site, layout)."""
-        key = (op.site, layout_id.name)
+    def _instantiate_layout(self, op: int, layout_id: LayoutIdNode) -> int:
+        """Create the fresh inflated-view node family for (site, layout);
+        returns the root's id."""
+        key = (op, layout_id.name)
         cached = self._inflated.get(key)
         if cached is not None:
             return cached
         tree = self.app.resources.layout(layout_id.name)
-        root = self._instantiate_node(op, layout_id.name, tree.root, ())
-        self.graph.add_rel(RelKind.INFL_ROOT, root, op)
-        self.graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id)
+        op_node = self._nodes[op]
+        root = self._instantiate_node(op_node.site, layout_id.name, tree.root, ())
+        self.graph.add_rel(RelKind.INFL_ROOT, self._nodes[root], op_node)
+        self.graph.add_rel(RelKind.LAYOUT_ORIGIN, self._nodes[root], layout_id)
         self._inflated[key] = root
         return root
 
     def _instantiate_node(
-        self, op: OpNode, layout: str, node: LayoutNode, path: Tuple[int, ...]
-    ) -> InflViewNode:
+        self, site: Site, layout: str, node: LayoutNode, path: Tuple[int, ...]
+    ) -> int:
         # Not a closure: a closure that calls itself is a reference cycle
         # holding the whole analysis until the cycle collector runs.
-        graph = self.graph
-        infl = graph.infl_view(op.site, layout, path, node.view_class, node.id_name)
+        graph, nodes = self.graph, self._nodes
+        infl = graph.infl_view_id(site, layout, path, node.view_class, node.id_name)
         self._add_values(infl, {infl})
         if node.id_name is not None:
-            id_node = graph.view_id(node.id_name, self.app.resources.view_id(node.id_name))
+            id_node = graph.view_id_id(node.id_name, self.app.resources.view_id(node.id_name))
             self._add_values(id_node, {id_node})
-            graph.add_rel(RelKind.HAS_ID, infl, id_node)
+            graph.add_rel(RelKind.HAS_ID, nodes[infl], nodes[id_node])
         if node.on_click is not None:
             self._onclick_names[infl] = node.on_click
         for child_index, child in enumerate(node.children):
-            child_infl = self._instantiate_node(op, layout, child, path + (child_index,))
-            graph.add_rel(RelKind.CHILD, infl, child_infl)
+            child_infl = self._instantiate_node(site, layout, child, path + (child_index,))
+            graph.add_rel(RelKind.CHILD, nodes[infl], nodes[child_infl])
         return infl
 
-    def _op_inflate1(self, op: OpNode) -> bool:
+    def _op_inflate1(self, op: int) -> bool:
         changed = False
-        for layout_id in self._layout_ids(OpArg(op, 0)):
-            key = (op.site, layout_id.name)
-            fresh = key not in self._inflated
+        for layout_id in self._nodes_of(op, 0, LayoutIdNode):
+            fresh = (op, layout_id.name) not in self._inflated
             root = self._instantiate_layout(op, layout_id)
             changed |= fresh
             changed |= self._add_values(op, {root})
         return changed
 
-    def _op_inflate2(self, op: OpNode) -> bool:
+    def _op_inflate2(self, op: int) -> bool:
         changed = False
-        holders = self._activity_likes(OpRecv(op))
-        for layout_id in self._layout_ids(OpArg(op, 0)):
-            key = (op.site, layout_id.name)
-            fresh = key not in self._inflated
-            root = self._instantiate_layout(op, layout_id)
+        nodes = self._nodes
+        holders = self._activity_likes(op, RECV)
+        for layout_id in self._nodes_of(op, 0, LayoutIdNode):
+            fresh = (op, layout_id.name) not in self._inflated
+            root = nodes[self._instantiate_layout(op, layout_id)]
             changed |= fresh
             for holder in holders:
-                changed |= self.graph.add_rel(RelKind.ROOT, holder, root)
+                changed |= self.graph.add_rel(RelKind.ROOT, nodes[holder], root)
         return changed
 
     # Rules ADDVIEW1/ADDVIEW2.
 
-    def _op_addview1(self, op: OpNode) -> bool:
+    def _op_addview1(self, op: int) -> bool:
         changed = False
-        for holder in self._activity_likes(OpRecv(op)):
-            for view in self._views(OpArg(op, 0)):
-                changed |= self.graph.add_rel(RelKind.ROOT, holder, view)
+        nodes = self._nodes
+        for holder in self._activity_likes(op, RECV):
+            for view in self._views(op, 0):
+                changed |= self.graph.add_rel(RelKind.ROOT, nodes[holder], nodes[view])
         return changed
 
-    def _op_addview2(self, op: OpNode) -> bool:
+    def _op_addview2(self, op: int) -> bool:
         changed = False
-        for parent in self._views(OpRecv(op)):
-            for child in self._views(OpArg(op, 0)):
-                if parent is not child:
-                    changed |= self.graph.add_rel(RelKind.CHILD, parent, child)
+        nodes = self._nodes
+        for parent in self._views(op, RECV):
+            for child in self._views(op, 0):
+                if parent != child:
+                    changed |= self.graph.add_rel(RelKind.CHILD, nodes[parent], nodes[child])
         return changed
 
     # Rule SETID.
 
-    def _op_setid(self, op: OpNode) -> bool:
+    def _op_setid(self, op: int) -> bool:
         changed = False
-        for view in self._views(OpRecv(op)):
-            for id_node in self._view_ids(OpArg(op, 0)):
-                changed |= self.graph.add_rel(RelKind.HAS_ID, view, id_node)
+        nodes = self._nodes
+        for view in self._views(op, RECV):
+            for id_node in self._nodes_of(op, 0, ViewIdNode):
+                changed |= self.graph.add_rel(RelKind.HAS_ID, nodes[view], id_node)
         return changed
 
     # Rule SETLISTENER plus callback modelling (end of Section 3).
 
-    def _op_setlistener(self, op: OpNode) -> bool:
-        spec = self.graph.op_spec(op).listener
+    def _op_setlistener(self, op: int) -> bool:
+        spec = self.graph.op_specs[op].listener
         if spec is None:  # pragma: no cover - classification guarantees it
             return False
         changed = False
-        views = self._views(OpRecv(op))
-        listeners = {
-            v
-            for v in self.pts.get(OpArg(op, 0), ())
-            if value_is_a(self.hierarchy, v, spec.interface)
-        }
+        graph, nodes = self.graph, self._nodes
+        views = self._views(op, RECV)
+        listeners = self._instances(op, 0, spec.interface)
         for view in views:
             for listener in listeners:
-                changed |= self.graph.add_rel(RelKind.LISTENER, view, listener)
+                changed |= graph.add_rel(RelKind.LISTENER, nodes[view], nodes[listener])
         for listener in listeners:
             method = self.hierarchy.app_callback(
-                value_class_name(listener), spec.handler, (spec.handler_arity,)
+                value_class_name(nodes[listener]),
+                spec.handler,
+                (spec.handler_arity,),
             )
             if method is None:
                 continue
-            handler = method.sig
-            key = (listener, handler)
+            this = graph.var_id(method.sig, "this")
+            key = (listener, this)
             if key not in self._bound_handlers:
                 self._bound_handlers.add(key)
                 changed = True
             # The platform callback y.n(x): listener to `this` ...
-            changed |= self._add_flow_dynamic(listener, self.graph.var(handler, "this"))
+            changed |= self._add_flow_dynamic(listener, this)
             # ... and the view to the handler's view parameter.
             if spec.view_param_index is not None:
                 param = self._handler_view_param(method, spec.view_param_index)
@@ -701,27 +733,25 @@ class GuiReferenceAnalysis:
                     for view in views:
                         # _add_flow_dynamic adds flow edges/values only,
                         # so iterating the live CHILD set is safe.
-                        for child in self._read_rel(RelKind.CHILD, view):
-                            changed |= self._add_flow_dynamic(child, param)
+                        for child in self._read_rel(RelKind.CHILD, nodes[view]):
+                            changed |= self._add_flow_dynamic(graph.id_of(child), param)
         return changed
 
-    def _handler_view_param(self, handler: Method, index: int) -> Optional[VarNode]:
+    def _handler_view_param(self, handler: Method, index: int) -> Optional[int]:
         if index >= len(handler.param_names):
             return None
-        return self.graph.var(handler.sig, handler.param_names[index])
+        return self.graph.var_id(handler.sig, handler.param_names[index])
 
     # Rules FINDVIEW1/2/3 and the GetParent extension.
 
-    def _find_by_id(
-        self, start_views: Set[ValueNode], ids: Set[ViewIdNode]
-    ) -> Set[ValueNode]:
+    def _find_by_id(self, start_views: Collection[Node], ids: Collection[Node]) -> Set[Node]:
         """``find`` from the semantics: descendants (reflexively) of any
         start view whose associated ids intersect ``ids``.
 
         Intersects the HAS_ID inverted index (the few views carrying a
         requested id) with the cached descendant closure of each start
         view, instead of scanning every descendant and testing its ids."""
-        results: Set[ValueNode] = set()
+        results: Set[Node] = set()
         if not ids or not start_views:
             return results
         candidates: Set[Node] = set()
@@ -734,56 +764,57 @@ class GuiReferenceAnalysis:
         for start in start_views:
             descendants = self._read_descendants(start)
             if len(candidates) <= len(descendants):
-                results.update(c for c in candidates if c in descendants)  # type: ignore[misc]
+                results.update(c for c in candidates if c in descendants)
                 if len(results) == len(candidates):
                     break
             else:
-                results.update(d for d in descendants if d in candidates)  # type: ignore[misc]
+                results.update(d for d in descendants if d in candidates)
         return results
 
-    def _op_findview1(self, op: OpNode) -> bool:
-        results = self._find_by_id(
-            self._views(OpRecv(op)), self._view_ids(OpArg(op, 0))
-        )
-        return self._add_values(op, results) if results else False
+    def _add_found(self, op: int, results: Set[Node]) -> bool:
+        """Views a lookup rule found (relationship-edge nodes) flow out of ``op``."""
+        return self._add_values(op, self._encode(results)) if results else False
 
-    def _op_findview2(self, op: OpNode) -> bool:
-        roots: Set[ValueNode] = set()
-        for holder in self._activity_likes(OpRecv(op)):
-            roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
-        results = self._find_by_id(roots, self._view_ids(OpArg(op, 0)))
-        return self._add_values(op, results) if results else False
+    def _op_findview1(self, op: int) -> bool:
+        starts = self._decode(self._views(op, RECV))
+        return self._add_found(op, self._find_by_id(starts, self._nodes_of(op, 0, ViewIdNode)))
 
-    def _op_findview3(self, op: OpNode) -> bool:
-        spec = self.graph.op_spec(op)
+    def _op_findview2(self, op: int) -> bool:
+        roots: Set[Node] = set()
+        for holder in self._decode(self._activity_likes(op, RECV)):
+            roots.update(self._read_rel(RelKind.ROOT, holder))
+        return self._add_found(op, self._find_by_id(roots, self._nodes_of(op, 0, ViewIdNode)))
+
+    def _op_findview3(self, op: int) -> bool:
+        spec = self.graph.op_specs[op]
         children_only = (
             spec.children_only and self.options.findview3_children_only_refinement
         )
-        results: Set[ValueNode] = set()
-        for view in self._views(OpRecv(op)):
+        results: Set[Node] = set()
+        for view in self._decode(self._views(op, RECV)):
             if children_only:
-                results.update(self._read_rel(RelKind.CHILD, view))  # type: ignore[arg-type]
+                results.update(self._read_rel(RelKind.CHILD, view))
             else:
-                results.update(self._read_descendants(view))  # type: ignore[arg-type]
-        return self._add_values(op, results) if results else False
+                results.update(self._read_descendants(view))
+        return self._add_found(op, results)
 
-    def _op_getparent(self, op: OpNode) -> bool:
-        results: Set[ValueNode] = set()
-        for view in self._views(OpRecv(op)):
-            results.update(self._read_rel(RelKind.CHILD, view, backward=True))  # type: ignore[arg-type]
-        return self._add_values(op, results) if results else False
+    def _op_getparent(self, op: int) -> bool:
+        results: Set[Node] = set()
+        for view in self._decode(self._views(op, RECV)):
+            results.update(self._read_rel(RelKind.CHILD, view, backward=True))
+        return self._add_found(op, results)
 
     # Fragment extension (not in the paper's implementation).
 
-    def _op_fragment_mgr(self, op: OpNode) -> bool:
+    def _op_fragment_mgr(self, op: int) -> bool:
         """Managers/transactions alias the activity that owns them: the
         activity-like receiver values flow straight through."""
-        holders = self._activity_likes(OpRecv(op))
+        holders = self._activity_likes(op, RECV)
         return self._add_values(op, holders) if holders else False
 
     def _callback_view_roots(
-        self, value: ValueNode, method_name: str, arities: Tuple[int, ...]
-    ) -> Set[ValueNode]:
+        self, value: int, method_name: str, arities: Tuple[int, ...]
+    ) -> Set[int]:
         """Views returned by ``value``'s framework-invoked view factory
         (a fragment's ``onCreateView``, an adapter's ``getView``).
 
@@ -795,42 +826,41 @@ class GuiReferenceAnalysis:
         reschedules it.
         """
         method = self.hierarchy.app_callback(
-            value_class_name(value), method_name, arities
+            value_class_name(self._nodes[value]), method_name, arities
         )
         if method is None:
             return set()
-        self._add_flow_dynamic(value, self.graph.var(method.sig, "this"))
-        roots: Set[ValueNode] = set()
+        graph = self.graph
+        sig = method.sig
+        self._add_flow_dynamic(value, graph.var_id(sig, "this"))
+        roots: Set[int] = set()
         from repro.ir.statements import Return
 
         for stmt in method.body:
             if isinstance(stmt, Return) and stmt.var is not None:
-                node = self.graph.var(method.sig, stmt.var)
+                node = graph.var_id(sig, stmt.var)
                 self._depend_on_node(node)
-                roots.update(v for v in self.pts.get(node, ()) if self.graph.is_view_value(v))
+                roots.update(v for v in self.pts.get(node, ()) if graph.is_view_id(v))
         return roots
 
-    def _op_fragment_tx(self, op: OpNode) -> bool:
+    def _op_fragment_tx(self, op: int) -> bool:
         """``tx.add(containerId, fragment)``: the fragment's view
         hierarchy becomes a child of the container view(s) with that id
         in the owning activity's hierarchies."""
         changed = False
-        holders = self._activity_likes(OpRecv(op))
-        ids = self._view_ids(OpArg(op, 0))
-        fragments = {
-            v
-            for v in self.pts.get(OpArg(op, 1), ())
-            if value_is_a(self.hierarchy, v, "android.app.Fragment")
-        }
+        nodes = self._nodes
+        holders = self._activity_likes(op, RECV)
+        ids = self._nodes_of(op, 0, ViewIdNode)
+        fragments = self._instances(op, 1, "android.app.Fragment")
         if not fragments:
             return False
-        roots: Set[ValueNode] = set()
+        roots: Set[Node] = set()
         for holder in holders:
-            roots.update(self._read_rel(RelKind.ROOT, holder))  # type: ignore[arg-type]
+            roots.update(self._read_rel(RelKind.ROOT, nodes[holder]))
         containers = self._find_by_id(roots, ids)
         for fragment in fragments:
             # The views returned by the fragment's onCreateView override.
-            for froot in self._callback_view_roots(fragment, "onCreateView", (0, 3)):
+            for froot in self._decode(self._callback_view_roots(fragment, "onCreateView", (0, 3))):
                 for container in containers:
                     if container is not froot:
                         changed |= self.graph.add_rel(RelKind.CHILD, container, froot)
@@ -838,60 +868,55 @@ class GuiReferenceAnalysis:
 
     # Adapter extension: AdapterView.setAdapter(adapter).
 
-    def _op_set_adapter(self, op: OpNode) -> bool:
+    def _op_set_adapter(self, op: int) -> bool:
         """The adapter's ``getView`` produces the row views displayed as
         children of the AdapterView receiver."""
         changed = False
-        adapters = {
-            v
-            for v in self.pts.get(OpArg(op, 0), ())
-            if value_is_a(self.hierarchy, v, "android.widget.BaseAdapter")
-        }
+        nodes = self._nodes
+        adapters = self._instances(op, 0, "android.widget.BaseAdapter")
         if not adapters:
             return False
-        parents = self._views(OpRecv(op))
+        parents = self._views(op, RECV)
         for adapter in adapters:
             for row in self._callback_view_roots(adapter, "getView", (0, 3)):
                 for parent in parents:
-                    if parent is not row:
-                        changed |= self.graph.add_rel(RelKind.CHILD, parent, row)
+                    if parent != row:
+                        changed |= self.graph.add_rel(RelKind.CHILD, nodes[parent], nodes[row])
         return changed
 
     # Options-menu extension.
 
-    def _op_menu_inflate(self, op: OpNode) -> bool:
+    def _op_menu_inflate(self, op: int) -> bool:
         """``menuInflater.inflate(R.menu.x, menu)``: instantiate menu
         items, attribute them to the enclosing (activity) class, and
         flow each item into ``onOptionsItemSelected`` and its own
         ``android:onClick`` handler."""
         changed = False
-        owner_class = op.site.method.class_name
-        for menu_id in {
-            v for v in self.pts.get(OpArg(op, 0), ()) if isinstance(v, MenuIdNode)
-        }:
-            key = (op.site, menu_id.name)
+        graph, nodes = self.graph, self._nodes
+        site = nodes[op].site
+        owner_class = site.method.class_name
+        for menu_id in self._nodes_of(op, 0, MenuIdNode):
+            key = (op, menu_id.name)
             if key in self._inflated_menus:
                 continue
             self._inflated_menus.add(key)
             changed = True
             menu = self.app.resources.menu(menu_id.name)
             for index, item_def in enumerate(menu.items):
-                item = self.graph.menu_item(
-                    op.site, menu_id.name, index, item_def.id_name
-                )
+                item = graph.menu_item_id(site, menu_id.name, index, item_def.id_name)
                 self._add_values(item, {item})
-                self.menu_items_by_class.setdefault(owner_class, []).append(item)
+                self.menu_items_by_class.setdefault(owner_class, []).append(nodes[item])
                 if item_def.id_name is not None:
-                    id_node = self.graph.view_id(
+                    id_node = graph.view_id_id(
                         item_def.id_name, self.app.resources.view_id(item_def.id_name)
                     )
                     self._add_values(id_node, {id_node})
-                    self.graph.add_rel(RelKind.HAS_ID, item, id_node)
+                    graph.add_rel(RelKind.HAS_ID, nodes[item], nodes[id_node])
                 for handler_name in (item_def.on_click, "onOptionsItemSelected"):
                     method = self.hierarchy.app_callback(owner_class, handler_name, (1,))
                     if method is None:
                         continue
-                    param = self.graph.var(method.sig, method.param_names[0])
+                    param = graph.var_id(method.sig, method.param_names[0])
                     self._add_flow_dynamic(item, param)
         return changed
 
@@ -905,45 +930,48 @@ class GuiReferenceAnalysis:
         Not an op: it re-runs when a ROOT/CHILD edge appears
         (``_xml_dirty``), so it reads the graph directly."""
         changed = False
-        graph = self.graph
+        graph, nodes = self.graph, self._nodes
         onclick = self._onclick_names
-        for act in graph.activities():
+        for act in graph.ids_of_kind(ActivityNode):
+            act_node = nodes[act]
             pending = [
                 (view, name)
                 for view, name in onclick.items()
-                if (act.class_name, view) not in self._bound_xml
+                if (act_node.class_name, view) not in self._bound_xml
             ]
             if not pending:
                 continue
             reachable: Set[Node] = set()
-            for root in graph.rel_view(RelKind.ROOT, act):
+            for root in graph.rel_view(RelKind.ROOT, act_node):
                 reachable |= graph.descendants_cached(root)
             for view, handler_name in pending:
-                if view in reachable:
+                if nodes[view] in reachable:
                     changed |= self._bind_xml_handler(act, view, handler_name)
         return changed
 
-    def _bind_xml_handler(
-        self, act: ActivityNode, view: InflViewNode, handler_name: str
-    ) -> bool:
-        key = (act.class_name, view)
+    def _bind_xml_handler(self, act: int, view: int, handler_name: str) -> bool:
+        class_name = self._nodes[act].class_name
+        key = (class_name, view)
         if key in self._bound_xml:
             return False
-        method = self.hierarchy.app_callback(act.class_name, handler_name, (1,))
+        method = self.hierarchy.app_callback(class_name, handler_name, (1,))
         if method is None:
             return False
         self._bound_xml.add(key)
-        param = self.graph.var(method.sig, method.param_names[0])
+        graph = self.graph
+        param = graph.var_id(method.sig, method.param_names[0])
         self._add_flow_dynamic(view, param)
-        self._add_values(self.graph.var(method.sig, "this"), {act})
-        self.xml_handlers.append(XmlHandlerBinding(act.class_name, view, method.sig))
+        self._add_values(graph.var_id(method.sig, "this"), {act})
+        self.xml_handlers.append(
+            XmlHandlerBinding(class_name, self._nodes[view], method.sig)
+        )
         return True
 
     # The inference rule of each operation kind. A class-level table of
     # plain functions: bound methods stored on the instance would form a
     # reference cycle that keeps every finished analysis alive until the
     # cyclic garbage collector runs.
-    _RULES: Dict[OpKind, Callable[["GuiReferenceAnalysis", OpNode], bool]] = {
+    _RULES: Dict[OpKind, Callable[["GuiReferenceAnalysis", int], bool]] = {
         OpKind.INFLATE1: _op_inflate1,
         OpKind.INFLATE2: _op_inflate2,
         OpKind.ADDVIEW1: _op_addview1,

@@ -18,10 +18,10 @@ application method (all are considered executable) and adds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.app import AndroidApp
-from repro.core.graph import ConstraintGraph
+from repro.core.graph import RECV, ConstraintGraph
 from repro.core.nodes import Site
 from repro.hierarchy.cha import ClassHierarchy
 from repro.hierarchy.callgraph import resolve_invoke
@@ -73,6 +73,8 @@ class _GraphBuilder:
         self.result = BuildResult(self.graph, self.hierarchy, app)
         # Return variables per method, for call-return edges.
         self._returns: Dict[MethodSig, List[str]] = {}
+        # (static class, field name) -> declaring class.
+        self._field_owners: Dict[Tuple[str, str], str] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -83,11 +85,17 @@ class _GraphBuilder:
         that accesses through different static types of the same object
         share one node.
         """
-        for cname in self.hierarchy.superclass_chain(start_class):
-            c = self.program.clazz(cname)
-            if c is not None and field_name in c.fields:
-                return cname
-        return start_class
+        key = (start_class, field_name)
+        owner = self._field_owners.get(key)
+        if owner is None:
+            owner = start_class
+            for cname in self.hierarchy.superclass_chain(start_class):
+                c = self.program.clazz(cname)
+                if c is not None and field_name in c.fields:
+                    owner = cname
+                    break
+            self._field_owners[key] = owner
+        return owner
 
     def _returns_of(self, sig: MethodSig) -> List[str]:
         cached = self._returns.get(sig)
@@ -110,11 +118,14 @@ class _GraphBuilder:
     def build(self, tracer: Optional[Tracer] = None) -> BuildResult:
         methods = 0
         statements = 0
+        graph = self.graph
         for method in self.program.application_methods():
             methods += 1
+            sig = method.sig
+            locals_ = graph.locals_of(sig)
             for index, stmt in enumerate(method.body):
                 statements += 1
-                self._translate(method, index, stmt)
+                self._translate(method, sig, locals_, index, stmt)
         self._model_activities()
         if tracer is not None:
             tracer.counter(obs_names.COUNTER_BUILD_METHODS, methods)
@@ -125,98 +136,111 @@ class _GraphBuilder:
             tracer.counter(obs_names.COUNTER_BUILD_OPS, len(self.graph.ops()))
         return self.result
 
-    def _translate(self, method: Method, index: int, stmt) -> None:
+    def _translate(
+        self, method: Method, sig: MethodSig, locals_: Dict[str, int], index: int, stmt
+    ) -> None:
+        """Add the edges of one statement; ``locals_`` is the graph's
+        name -> id table of ``sig``'s locals."""
         g = self.graph
-        sig = method.sig
+        flow = g.add_flow_ids
+        local = g.local_id
         if isinstance(stmt, Assign):
-            g.add_flow(g.var(sig, stmt.rhs), g.var(sig, stmt.lhs))
+            flow(local(locals_, sig, stmt.rhs), local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, Cast):
-            g.add_flow(
-                g.var(sig, stmt.rhs), g.var(sig, stmt.lhs), type_filter=stmt.type_name
+            flow(
+                local(locals_, sig, stmt.rhs),
+                local(locals_, sig, stmt.lhs),
+                type_filter=stmt.type_name,
             )
         elif isinstance(stmt, New):
             site = Site(sig, index, stmt.line)
-            alloc = g.alloc(
+            alloc = g.alloc_id(
                 site,
                 stmt.class_name,
                 is_view=self._is_view_class(stmt.class_name),
                 is_listener=self.hierarchy.is_listener_class(stmt.class_name),
             )
-            g.add_flow(alloc, g.var(sig, stmt.lhs))
+            flow(alloc, local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, Load):
             base_type = method.locals[stmt.base].type_name
             owner = self._field_owner(base_type, stmt.field_name)
-            g.add_flow(g.field(owner, stmt.field_name), g.var(sig, stmt.lhs))
+            flow(g.field_id(owner, stmt.field_name), local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, Store):
             base_type = method.locals[stmt.base].type_name
             owner = self._field_owner(base_type, stmt.field_name)
-            g.add_flow(g.var(sig, stmt.rhs), g.field(owner, stmt.field_name))
+            flow(local(locals_, sig, stmt.rhs), g.field_id(owner, stmt.field_name))
         elif isinstance(stmt, StaticLoad):
-            g.add_flow(
-                g.static_field(stmt.class_name, stmt.field_name), g.var(sig, stmt.lhs)
+            flow(
+                g.static_field_id(stmt.class_name, stmt.field_name),
+                local(locals_, sig, stmt.lhs),
             )
         elif isinstance(stmt, StaticStore):
-            g.add_flow(
-                g.var(sig, stmt.rhs), g.static_field(stmt.class_name, stmt.field_name)
+            flow(
+                local(locals_, sig, stmt.rhs),
+                g.static_field_id(stmt.class_name, stmt.field_name),
             )
         elif isinstance(stmt, ConstLayoutId):
             value = self.app.resources.layout_id(stmt.layout_name)
-            g.add_flow(g.layout_id(stmt.layout_name, value), g.var(sig, stmt.lhs))
+            flow(g.layout_id_id(stmt.layout_name, value), local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, ConstViewId):
             value = self.app.resources.view_id(stmt.id_name)
-            g.add_flow(g.view_id(stmt.id_name, value), g.var(sig, stmt.lhs))
+            flow(g.view_id_id(stmt.id_name, value), local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, ConstMenuId):
             value = self.app.resources.menu_id(stmt.menu_name)
-            g.add_flow(g.menu_id(stmt.menu_name, value), g.var(sig, stmt.lhs))
+            flow(g.menu_id_id(stmt.menu_name, value), local(locals_, sig, stmt.lhs))
         elif isinstance(stmt, ConstInt):
             # Raw integers that coincide with R constants behave as ids
             # (apps occasionally pass the literal value around).
             layout_name = self.app.resources.layout_name_of(stmt.value)
             if layout_name is not None:
-                g.add_flow(
-                    g.layout_id(layout_name, stmt.value), g.var(sig, stmt.lhs)
+                flow(
+                    g.layout_id_id(layout_name, stmt.value), local(locals_, sig, stmt.lhs)
                 )
             id_name = self.app.resources.view_id_name_of(stmt.value)
             if id_name is not None:
-                g.add_flow(g.view_id(id_name, stmt.value), g.var(sig, stmt.lhs))
+                flow(g.view_id_id(id_name, stmt.value), local(locals_, sig, stmt.lhs))
         elif isinstance(
             stmt, (ConstString, ConstNull, Label, Goto, If, Return, BinOp, UnaryOp)
         ):
             pass  # no reference flow (returns handled at call sites)
         elif isinstance(stmt, Invoke):
-            self._translate_invoke(method, index, stmt)
+            self._translate_invoke(method, sig, locals_, index, stmt)
 
-    def _translate_invoke(self, method: Method, index: int, stmt: Invoke) -> None:
+    def _translate_invoke(
+        self, method: Method, sig: MethodSig, locals_: Dict[str, int], index: int, stmt: Invoke
+    ) -> None:
         g = self.graph
-        sig = method.sig
+        local = g.local_id
         spec = classify_invoke(self.hierarchy, method, stmt)
         if spec is not None:
-            self._add_op(method, index, stmt, spec)
+            self._add_op(sig, locals_, index, stmt, spec)
             return
         # Ordinary interprocedural flow, resolved with CHA.
         for target in resolve_invoke(self.program, self.hierarchy, method, stmt):
             tsig = target.sig
+            callee = g.locals_of(tsig)
             if target.is_instance and stmt.base is not None:
-                g.add_flow(g.var(sig, stmt.base), g.var(tsig, "this"))
+                g.add_flow_ids(local(locals_, sig, stmt.base), local(callee, tsig, "this"))
             for arg, pname in zip(stmt.args, target.param_names):
-                g.add_flow(g.var(sig, arg), g.var(tsig, pname))
+                g.add_flow_ids(local(locals_, sig, arg), local(callee, tsig, pname))
             if stmt.lhs is not None:
                 for rname in self._returns_of(tsig):
-                    g.add_flow(g.var(tsig, rname), g.var(sig, stmt.lhs))
+                    g.add_flow_ids(local(callee, tsig, rname), local(locals_, sig, stmt.lhs))
 
-    def _add_op(self, method: Method, index: int, stmt: Invoke, spec: OpSpec) -> None:
+    def _add_op(
+        self, sig: MethodSig, locals_: Dict[str, int], index: int, stmt: Invoke, spec: OpSpec
+    ) -> None:
         g = self.graph
-        sig = method.sig
-        site = Site(sig, index, stmt.line)
-        op = g.op(spec.kind, site, spec)
+        local = g.local_id
+        op = g.op_id(spec.kind, Site(sig, index, stmt.line), spec)
         if stmt.base is not None:
-            g.add_flow(g.var(sig, stmt.base), g.op_recv(op))
+            g.add_flow_ids(local(locals_, sig, stmt.base), g.port_id(op, RECV))
         if spec.arg_index is not None and spec.arg_index < len(stmt.args):
-            g.add_flow(g.var(sig, stmt.args[spec.arg_index]), g.op_arg(op, 0))
+            g.add_flow_ids(local(locals_, sig, stmt.args[spec.arg_index]), g.port_id(op, 0))
         if spec.arg_index2 is not None and spec.arg_index2 < len(stmt.args):
-            g.add_flow(g.var(sig, stmt.args[spec.arg_index2]), g.op_arg(op, 1))
+            g.add_flow_ids(local(locals_, sig, stmt.args[spec.arg_index2]), g.port_id(op, 1))
         if stmt.lhs is not None:
-            g.add_flow(op, g.var(sig, stmt.lhs))
+            g.add_flow_ids(op, local(locals_, sig, stmt.lhs))
 
     # -- activity modelling -------------------------------------------------------
 
@@ -230,7 +254,7 @@ class _GraphBuilder:
         """
         g = self.graph
         for class_name in self.app.activity_classes():
-            act = g.activity(class_name)
+            act = g.activity_id(class_name)
             for cname in self.hierarchy.superclass_chain(class_name):
                 c = self.program.clazz(cname)
                 if c is None or c.is_platform:
@@ -238,7 +262,7 @@ class _GraphBuilder:
                 for m in c.methods.values():
                     if m.is_static or not is_framework_callback(m.name):
                         continue
-                    g.add_flow(act, g.var(m.sig, "this"))
+                    g.add_flow_ids(act, g.var_id(m.sig, "this"))
 
 
 def build_constraint_graph(

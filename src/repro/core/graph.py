@@ -10,20 +10,32 @@ Two edge families, following Section 4.1:
   view-to-listener association, inflate-root and layout-origin
   provenance.
 
-Relationship edges grow during the fixed point (e.g. a new
-parent-child edge appears when a parent/child pair reaches an
-``AddView2`` node); the graph exposes mutation methods returning
-whether anything changed so the solver can drive its worklist, and an
-optional ``rel_listener`` callback that fires once per *new*
-relationship edge so the solver can schedule exactly the operation
-nodes whose inputs changed.
+**Dense ids.** Interning a node gives it the next small int id, and
+``node_list[id]`` is the node. Each kind is interned through a table
+keyed by the fields that identify it: locals per method
+(``MethodSig`` → name → id, so the builder hashes a method's signature
+once, not once per statement), operation ports per operation id. The
+builder and the solver work on ids (the ``*_id`` methods,
+:meth:`add_flow_ids`, ``flow``), so propagation hashes no node.
+Apart from relationship edges (below), node objects appear only at
+the boundary: the node-returning interning methods, :meth:`id_of`
+(which finds a node's id through its kind's table, so a freshly built
+equal node such as ``OpRecv(op)`` is found), and the node-facing flow
+queries ``has_flow``, ``flow_filter``, ``flow_edges`` and ``nodes``.
 
 Each flow edge is one record: ``flow[src][dst]`` is its cast filter
-(None when unfiltered). The solver's propagation iterates the inner
-dicts in place, and ``has_flow``, ``flow_filter`` and ``flow_edges``
-read the same map. Only witnesses read predecessors, so
+(None when unfiltered), over ids. The solver's propagation iterates
+the inner dicts in place. Only witnesses read predecessors, so
 :class:`~repro.lint.witness.Explainer` builds its own reverse map.
-Nodes enter ``nodes`` when they are interned.
+
+Relationship edges stay on node objects: there are few of them (587 on
+the K9 corpus app, against 40,072 flow edges). They grow during the
+fixed point (e.g. a new parent-child edge appears when a parent/child
+pair reaches an ``AddView2`` node); the graph exposes mutation methods
+returning whether anything changed so the solver can drive its
+worklist, and an optional ``rel_listener`` callback that fires once
+per *new* relationship edge so the solver can schedule exactly the
+operation nodes whose inputs changed.
 
 ``descendants_cached(view)`` is the reflexive CHILD-closure backed by
 an incrementally maintained cache. Inserting a CHILD edge ``p -> c``
@@ -35,7 +47,9 @@ all entries exact).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from collections.abc import Set as AbstractSet
+from operator import attrgetter
+from typing import Callable, Collection, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.nodes import (
     ActivityNode,
@@ -54,7 +68,6 @@ from repro.core.nodes import (
     VarNode,
     ViewIdNode,
 )
-from repro.core.provenance import FactOrder
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
 
@@ -74,32 +87,70 @@ class RelKind(enum.Enum):
 
 
 _EMPTY_NODE_SET: FrozenSet[Node] = frozenset()
-_NO_EDGES: Dict[Node, Optional[str]] = {}
+_NO_EDGES: Dict[int, Optional[str]] = {}
+_NO_IDS: Dict[str, int] = {}
+
+# The port slot of an operation's receiver; argument ports use their index.
+RECV = -1
+
+# The fields that identify a node of each kind (besides locals and ports):
+# the key of its interning table.
+_KEYS: Dict[type, Callable[[Node], object]] = {
+    FieldNode: attrgetter("class_name", "field_name"),
+    StaticFieldNode: attrgetter("class_name", "field_name"),
+    AllocNode: attrgetter("site"),
+    ActivityNode: attrgetter("class_name"),
+    LayoutIdNode: attrgetter("name"),
+    ViewIdNode: attrgetter("name"),
+    MenuIdNode: attrgetter("name"),
+    MenuItemNode: attrgetter("op_site", "menu", "index"),
+    OpNode: attrgetter("site"),
+    InflViewNode: attrgetter("op_site", "layout", "path"),
+}
+
+
+class NodeSet(AbstractSet):
+    """A read-only set of interned nodes, held as ids and decoded on
+    access; ``in`` accepts any equal node."""
+
+    __slots__ = ("_graph", "_ids")
+
+    def __init__(self, graph: "ConstraintGraph", ids: Collection[int]) -> None:
+        self._graph = graph
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[Node]:
+        nodes = self._graph.node_list
+        return (nodes[i] for i in self._ids)
+
+    def __contains__(self, node: object) -> bool:
+        i = self._graph.id_of(node)
+        return i is not None and i in self._ids
 
 
 class ConstraintGraph:
     """Mutable constraint graph with node interning.
 
-    Flow edges are one successor map over :class:`Node`; relationship
-    edges are kept in per-label forward/backward maps for the queries
-    the solver needs (children-of, ids-of, roots-of, ...).
+    Flow edges are one successor map over node ids; relationship edges
+    are kept in per-label forward/backward maps over nodes for the
+    queries the solver needs (children-of, ids-of, roots-of, ...).
     """
 
     def __init__(self) -> None:
-        self.nodes: Set[Node] = set()
-        # src -> {dst: cast filter or None}: one record per flow edge.
-        self.flow: Dict[Node, Dict[Node, Optional[str]]] = {}
+        # id -> node, in interning order.
+        self.node_list: List[Node] = []
+        # src id -> {dst id: cast filter or None}: one record per flow edge.
+        self.flow: Dict[int, Dict[int, Optional[str]]] = {}
         self._flow_count = 0
         # Relationship edges, forward and backward.
         self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
         # Called once per *new* relationship edge (kind, src, dst);
-        # installed by the solver for delta scheduling.
+        # installed by the solver for delta scheduling and fact order.
         self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
-        # Fact order table (``AnalysisOptions.provenance``). When set,
-        # ``add_rel`` numbers each *new* edge; None (the default) costs
-        # one ``is not None`` test per new edge.
-        self.fact_order: Optional[FactOrder] = None
         # Incrementally maintained reflexive CHILD-closure cache:
         # root -> descendant set, plus the inverted membership index
         # (node -> cached roots whose set contains it) that makes
@@ -108,130 +159,153 @@ class ConstraintGraph:
         self._desc_containing: Dict[Node, Set[Node]] = {}
         self.desc_cache_hits = 0
         self.desc_cache_misses = 0
-        # Interning tables.
-        self._vars: Dict[Tuple[MethodSig, str], VarNode] = {}
-        self._fields: Dict[Tuple[str, str], FieldNode] = {}
-        self._static_fields: Dict[Tuple[str, str], StaticFieldNode] = {}
-        self._allocs: Dict[Site, AllocNode] = {}
-        self._activities: Dict[str, ActivityNode] = {}
-        self._layout_ids: Dict[str, LayoutIdNode] = {}
-        self._view_ids: Dict[str, ViewIdNode] = {}
-        self._menu_ids: Dict[str, MenuIdNode] = {}
-        self._menu_items: Dict[Tuple[Site, str, int], MenuItemNode] = {}
-        self._ops: Dict[Site, OpNode] = {}
-        self._op_specs: Dict[OpNode, OpSpec] = {}
-        self._infl_views: Dict[Tuple[Site, str, Tuple[int, ...]], InflViewNode] = {}
-        # Value-category registries.
-        self.view_allocs: Set[AllocNode] = set()
-        self.listener_allocs: Set[AllocNode] = set()
+        # Interning tables: method -> local name -> id; (op id, slot) -> port
+        # id; and one table per other kind, keyed by ``_KEYS``.
+        self._vars: Dict[MethodSig, Dict[str, int]] = {}
+        self._ports: Dict[Tuple[int, int], int] = {}
+        self._tables: Dict[type, Dict[object, int]] = {cls: {} for cls in _KEYS}
+        self.op_specs: Dict[int, OpSpec] = {}
+        # Value-category registries (allocation ids).
+        self._view_allocs: Set[int] = set()
+        self._listener_allocs: Set[int] = set()
 
     # -- node interning ------------------------------------------------------
 
+    def _add(self, node: Node) -> int:
+        self.node_list.append(node)
+        return len(self.node_list) - 1
+
+    def _intern(self, cls: type, key: object, *fields: object) -> int:
+        table = self._tables[cls]
+        i = table.get(key)
+        if i is None:
+            i = table[key] = self._add(cls(*fields))
+        return i
+
+    def locals_of(self, method: MethodSig) -> Dict[str, int]:
+        """The live name -> id table of ``method``'s locals; pass it to
+        :meth:`local_id` to intern locals without hashing ``method``."""
+        table = self._vars.get(method)
+        if table is None:
+            table = self._vars[method] = {}
+        return table
+
+    def local_id(self, table: Dict[str, int], method: MethodSig, name: str) -> int:
+        i = table.get(name)
+        if i is None:
+            i = table[name] = self._add(VarNode(method, name))
+        return i
+
+    def var_id(self, method: MethodSig, name: str) -> int:
+        return self.local_id(self.locals_of(method), method, name)
+
+    def field_id(self, class_name: str, field_name: str) -> int:
+        return self._intern(FieldNode, (class_name, field_name), class_name, field_name)
+
+    def static_field_id(self, class_name: str, field_name: str) -> int:
+        key = (class_name, field_name)
+        return self._intern(StaticFieldNode, key, class_name, field_name)
+
+    def alloc_id(
+        self, site: Site, class_name: str, is_view: bool = False, is_listener: bool = False
+    ) -> int:
+        table = self._tables[AllocNode]
+        i = table.get(site)
+        if i is None:
+            i = table[site] = self._add(AllocNode(site, class_name))
+            if is_view:
+                self._view_allocs.add(i)
+            if is_listener:
+                self._listener_allocs.add(i)
+        return i
+
+    def activity_id(self, class_name: str) -> int:
+        return self._intern(ActivityNode, class_name, class_name)
+
+    def layout_id_id(self, name: str, value: int) -> int:
+        return self._intern(LayoutIdNode, name, name, value)
+
+    def view_id_id(self, name: str, value: int) -> int:
+        return self._intern(ViewIdNode, name, name, value)
+
+    def menu_id_id(self, name: str, value: int) -> int:
+        return self._intern(MenuIdNode, name, name, value)
+
+    def menu_item_id(
+        self, op_site: Site, menu: str, index: int, id_name: Optional[str]
+    ) -> int:
+        key = (op_site, menu, index)
+        return self._intern(MenuItemNode, key, op_site, menu, index, id_name)
+
+    def op_id(self, kind: OpKind, site: Site, spec: OpSpec) -> int:
+        table = self._tables[OpNode]
+        i = table.get(site)
+        if i is None:
+            i = table[site] = self._add(OpNode(kind, site))
+            self.op_specs[i] = spec
+        return i
+
+    def port_id(self, op: int, slot: int) -> int:
+        """The receiver (``slot`` :data:`RECV`) or argument port of op ``op``."""
+        key = (op, slot)
+        i = self._ports.get(key)
+        if i is None:
+            node = self.node_list[op]
+            port = OpRecv(node) if slot == RECV else OpArg(node, slot)
+            i = self._ports[key] = self._add(port)
+        return i
+
+    def port(self, op: int, slot: int) -> Optional[int]:
+        """The id of an existing port of op ``op``, or None."""
+        return self._ports.get((op, slot))
+
+    def port_owners(self) -> Iterator[Tuple[int, int]]:
+        """(port id, op id) of every port."""
+        for (op, _slot), port in self._ports.items():
+            yield port, op
+
+    def infl_view_id(
+        self,
+        op_site: Site,
+        layout: str,
+        path: Tuple[int, ...],
+        view_class: str,
+        id_name: Optional[str],
+    ) -> int:
+        key = (op_site, layout, path)
+        return self._intern(InflViewNode, key, op_site, layout, path, view_class, id_name)
+
+    # Node-returning interning, for callers outside the builder and solver.
+
     def var(self, method: MethodSig, name: str) -> VarNode:
-        key = (method, name)
-        node = self._vars.get(key)
-        if node is None:
-            node = VarNode(method, name)
-            self._vars[key] = node
-            self.nodes.add(node)
-        return node
+        return self.node_list[self.var_id(method, name)]
 
     def field(self, class_name: str, field_name: str) -> FieldNode:
-        key = (class_name, field_name)
-        node = self._fields.get(key)
-        if node is None:
-            node = FieldNode(class_name, field_name)
-            self._fields[key] = node
-            self.nodes.add(node)
-        return node
-
-    def static_field(self, class_name: str, field_name: str) -> StaticFieldNode:
-        key = (class_name, field_name)
-        node = self._static_fields.get(key)
-        if node is None:
-            node = StaticFieldNode(class_name, field_name)
-            self._static_fields[key] = node
-            self.nodes.add(node)
-        return node
+        return self.node_list[self.field_id(class_name, field_name)]
 
     def alloc(
         self, site: Site, class_name: str, is_view: bool = False, is_listener: bool = False
     ) -> AllocNode:
-        node = self._allocs.get(site)
-        if node is None:
-            node = AllocNode(site, class_name)
-            self._allocs[site] = node
-            self.nodes.add(node)
-            if is_view:
-                self.view_allocs.add(node)
-            if is_listener:
-                self.listener_allocs.add(node)
-        return node
+        i = self.alloc_id(site, class_name, is_view, is_listener)
+        return self.node_list[i]
 
     def activity(self, class_name: str) -> ActivityNode:
-        node = self._activities.get(class_name)
-        if node is None:
-            node = ActivityNode(class_name)
-            self._activities[class_name] = node
-            self.nodes.add(node)
-        return node
+        return self.node_list[self.activity_id(class_name)]
 
     def layout_id(self, name: str, value: int) -> LayoutIdNode:
-        node = self._layout_ids.get(name)
-        if node is None:
-            node = LayoutIdNode(name, value)
-            self._layout_ids[name] = node
-            self.nodes.add(node)
-        return node
+        return self.node_list[self.layout_id_id(name, value)]
 
     def view_id(self, name: str, value: int) -> ViewIdNode:
-        node = self._view_ids.get(name)
-        if node is None:
-            node = ViewIdNode(name, value)
-            self._view_ids[name] = node
-            self.nodes.add(node)
-        return node
-
-    def menu_id(self, name: str, value: int) -> MenuIdNode:
-        node = self._menu_ids.get(name)
-        if node is None:
-            node = MenuIdNode(name, value)
-            self._menu_ids[name] = node
-            self.nodes.add(node)
-        return node
-
-    def menu_item(
-        self, op_site: Site, menu: str, index: int, id_name: Optional[str]
-    ) -> MenuItemNode:
-        key = (op_site, menu, index)
-        node = self._menu_items.get(key)
-        if node is None:
-            node = MenuItemNode(op_site, menu, index, id_name)
-            self._menu_items[key] = node
-            self.nodes.add(node)
-        return node
+        return self.node_list[self.view_id_id(name, value)]
 
     def op(self, kind: OpKind, site: Site, spec: OpSpec) -> OpNode:
-        node = self._ops.get(site)
-        if node is None:
-            node = OpNode(kind, site)
-            self._ops[site] = node
-            self._op_specs[node] = spec
-            self.nodes.add(node)
-        return node
-
-    def op_spec(self, op: OpNode) -> OpSpec:
-        return self._op_specs[op]
+        return self.node_list[self.op_id(kind, site, spec)]
 
     def op_recv(self, op: OpNode) -> OpRecv:
-        node = OpRecv(op)
-        self.nodes.add(node)
-        return node
+        return self.node_list[self.port_id(self._require(op), RECV)]
 
     def op_arg(self, op: OpNode, index: int = 0) -> OpArg:
-        node = OpArg(op, index)
-        self.nodes.add(node)
-        return node
+        return self.node_list[self.port_id(self._require(op), index)]
 
     def infl_view(
         self,
@@ -241,62 +315,119 @@ class ConstraintGraph:
         view_class: str,
         id_name: Optional[str],
     ) -> InflViewNode:
-        key = (op_site, layout, path)
-        node = self._infl_views.get(key)
-        if node is None:
-            node = InflViewNode(op_site, layout, path, view_class, id_name)
-            self._infl_views[key] = node
-            self.nodes.add(node)
-        return node
+        i = self.infl_view_id(op_site, layout, path, view_class, id_name)
+        return self.node_list[i]
+
+    # -- ids and nodes -------------------------------------------------------------
+
+    def id_of(self, node: Node) -> Optional[int]:
+        """The id of the interned node equal to ``node``, or None."""
+        cls = node.__class__
+        if cls is VarNode:
+            return self._vars.get(node.method, _NO_IDS).get(node.name)
+        if cls is OpRecv or cls is OpArg:
+            op = self.id_of(node.op)
+            slot = RECV if cls is OpRecv else node.index
+            return None if op is None else self._ports.get((op, slot))
+        key = _KEYS.get(cls)
+        if key is None:
+            return None
+        i = self._tables[cls].get(key(node))
+        if i is not None:
+            interned = self.node_list[i]
+            if interned is not node and interned != node:
+                return None  # same key, other fields differ
+        return i
+
+    def _require(self, node: Node) -> int:
+        i = self.id_of(node)
+        if i is None:
+            raise KeyError(f"{node} is not a node of this graph")
+        return i
+
+    @property
+    def nodes(self) -> NodeSet:
+        """Every interned node."""
+        return NodeSet(self, range(len(self.node_list)))
+
+    @property
+    def view_allocs(self) -> NodeSet:
+        """Allocations of view classes."""
+        return NodeSet(self, self._view_allocs)
+
+    @property
+    def listener_allocs(self) -> NodeSet:
+        """Allocations of classes implementing a listener interface."""
+        return NodeSet(self, self._listener_allocs)
 
     # -- accessors -------------------------------------------------------------
 
+    def ids_of_kind(self, cls: type) -> List[int]:
+        """Ids of the interned nodes of kind ``cls``, in interning order."""
+        return list(self._tables[cls].values())
+
+    def _nodes_of_kind(self, cls: type) -> List[Node]:
+        nodes = self.node_list
+        return [nodes[i] for i in self._tables[cls].values()]
+
     def ops(self) -> List[OpNode]:
-        return list(self._ops.values())
+        return self._nodes_of_kind(OpNode)
 
     def op_at(self, site: Site) -> Optional[OpNode]:
-        return self._ops.get(site)
+        i = self._tables[OpNode].get(site)
+        return None if i is None else self.node_list[i]
+
+    def op_spec(self, op: OpNode) -> OpSpec:
+        return self.op_specs[self._require(op)]
 
     def allocs(self) -> List[AllocNode]:
-        return list(self._allocs.values())
+        return self._nodes_of_kind(AllocNode)
 
     def activities(self) -> List[ActivityNode]:
-        return list(self._activities.values())
+        return self._nodes_of_kind(ActivityNode)
 
     def layout_id_nodes(self) -> List[LayoutIdNode]:
-        return list(self._layout_ids.values())
+        return self._nodes_of_kind(LayoutIdNode)
 
     def view_id_nodes(self) -> List[ViewIdNode]:
-        return list(self._view_ids.values())
+        return self._nodes_of_kind(ViewIdNode)
 
     def menu_id_nodes(self) -> List[MenuIdNode]:
-        return list(self._menu_ids.values())
+        return self._nodes_of_kind(MenuIdNode)
 
     def menu_item_nodes(self) -> List[MenuItemNode]:
-        return list(self._menu_items.values())
+        return self._nodes_of_kind(MenuItemNode)
 
     def infl_view_nodes(self) -> List[InflViewNode]:
-        return list(self._infl_views.values())
+        return self._nodes_of_kind(InflViewNode)
 
     def lookup_var(self, method: MethodSig, name: str) -> Optional[VarNode]:
-        return self._vars.get((method, name))
+        i = self._vars.get(method, _NO_IDS).get(name)
+        return None if i is None else self.node_list[i]
 
     def lookup_layout_id(self, name: str) -> Optional[LayoutIdNode]:
-        return self._layout_ids.get(name)
+        i = self._tables[LayoutIdNode].get(name)
+        return None if i is None else self.node_list[i]
 
     def lookup_view_id(self, name: str) -> Optional[ViewIdNode]:
-        return self._view_ids.get(name)
+        i = self._tables[ViewIdNode].get(name)
+        return None if i is None else self.node_list[i]
+
+    def is_view_id(self, i: int) -> bool:
+        """Is node ``i`` a view: an inflated view or a view allocation?"""
+        return i in self._view_allocs or self.node_list[i].__class__ is InflViewNode
 
     def is_view_value(self, value: Node) -> bool:
         """Inflated views and allocations of view classes."""
-        return isinstance(value, InflViewNode) or value in self.view_allocs
+        if isinstance(value, InflViewNode):
+            return True
+        return isinstance(value, AllocNode) and self.id_of(value) in self._view_allocs
 
     # -- flow edges --------------------------------------------------------------
 
-    def add_flow(
-        self, src: Node, dst: Node, type_filter: Optional[str] = None
-    ) -> bool:
-        """Add ``src → dst``; returns True when the edge is new.
+    def add_flow_ids(self, src: int, dst: int, type_filter: Optional[str] = None) -> bool:
+        """Add ``src → dst`` between node ids; returns True when the edge
+        is new.
 
         ``type_filter`` restricts which values may traverse the edge to
         (abstract objects of) subtypes of the named class — used for
@@ -312,17 +443,24 @@ class ConstraintGraph:
         self._flow_count += 1
         return True
 
+    def add_flow(self, src: Node, dst: Node, type_filter: Optional[str] = None) -> bool:
+        """:meth:`add_flow_ids` between two interned nodes."""
+        return self.add_flow_ids(self._require(src), self._require(dst), type_filter)
+
     def flow_filter(self, src: Node, dst: Node) -> Optional[str]:
         """The type filter on edge ``src → dst``, if any."""
-        return self.flow.get(src, _NO_EDGES).get(dst)
+        i, j = self.id_of(src), self.id_of(dst)
+        return self.flow.get(i, _NO_EDGES).get(j)
 
     def has_flow(self, src: Node, dst: Node) -> bool:
-        return dst in self.flow.get(src, _NO_EDGES)
+        i, j = self.id_of(src), self.id_of(dst)
+        return j in self.flow.get(i, _NO_EDGES)
 
     def flow_edges(self) -> Iterator[Tuple[Node, Node]]:
+        nodes = self.node_list
         for src, out in self.flow.items():
             for dst in out:
-                yield src, dst
+                yield nodes[src], nodes[dst]
 
     def flow_edge_count(self) -> int:
         return self._flow_count
@@ -343,8 +481,6 @@ class ConstraintGraph:
         self._rel_back[kind].setdefault(dst, set()).add(src)
         if kind is RelKind.CHILD:
             self._extend_descendant_cache(src, dst)
-        if self.fact_order is not None:
-            self.fact_order.add_rel(kind, src, dst)
         if self.rel_listener is not None:
             self.rel_listener(kind, src, dst)
         return True
@@ -468,10 +604,10 @@ class ConstraintGraph:
 
     def summary(self) -> Dict[str, int]:
         return {
-            "nodes": len(self.nodes),
+            "nodes": len(self.node_list),
             "flow_edges": self._flow_count,
             "rel_edges": sum(self.rel_edge_count(k) for k in RelKind),
-            "ops": len(self._ops),
-            "allocs": len(self._allocs),
-            "inflated_views": len(self._infl_views),
+            "ops": len(self._tables[OpNode]),
+            "allocs": len(self._tables[AllocNode]),
+            "inflated_views": len(self._tables[InflViewNode]),
         }

@@ -10,12 +10,14 @@ Nodes split into two families:
   allocation sites of listener classes; activities and views may also
   act as listeners.)
 
-All node classes are frozen dataclasses so they are hashable and can be
-interned by the graph. Their hashes are cached per instance
-(:func:`_cached_hash`): nodes are immutable, nest recursively
-(``OpArg`` → ``OpNode`` → ``Site`` → ``MethodSig``), and the solver
-hashes them millions of times during set propagation — recomputing the
-recursive field-tuple hash on every lookup dominates solve time.
+All node classes are frozen, slotted dataclasses: hashable, comparable
+by value, and without a per-instance ``__dict__``. Their hash is the
+plain dataclass hash, recomputed through the nested fields
+(``OpArg`` → ``OpNode`` → ``Site`` → ``MethodSig``) on every call and
+never stored, so it is always the hash of the current process, even
+for a node that was pickled in another. Nodes are hashed only at the
+result boundary: the graph interns each node once to a dense int id
+(:mod:`repro.core.graph`), and the builder and the solver work on ids.
 """
 
 from __future__ import annotations
@@ -30,29 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hierarchy.cha import ClassHierarchy
 
 
-def _cached_hash(cls):
-    """Class decorator: memoise the dataclass-generated ``__hash__``.
-
-    Safe exactly because instances are frozen: the hash can never
-    change after construction. ``object.__setattr__`` bypasses the
-    frozen-dataclass write guard for the one-time memo store.
-    """
-    base_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash_memo
-        except AttributeError:
-            memo = base_hash(self)
-            object.__setattr__(self, "_hash_memo", memo)
-            return memo
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Site:
     """A static program point: method, statement index, source line."""
 
@@ -72,8 +52,7 @@ class Node:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarNode(Node):
     """A local variable of a method (including ``this`` and parameters)."""
 
@@ -84,8 +63,7 @@ class VarNode(Node):
         return f"{self.method.class_name.rsplit('.', 1)[-1]}.{self.method.name}${self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldNode(Node):
     """An instance field, field-based: one node per field declaration."""
 
@@ -96,8 +74,7 @@ class FieldNode(Node):
         return f"{self.class_name.rsplit('.', 1)[-1]}.{self.field_name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticFieldNode(Node):
     """A static field."""
 
@@ -108,8 +85,7 @@ class StaticFieldNode(Node):
         return f"{self.class_name.rsplit('.', 1)[-1]}.{self.field_name}(static)"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocNode(Node):
     """An allocation site ``x := new C``.
 
@@ -126,8 +102,7 @@ class AllocNode(Node):
         return f"{simple}_{self.site.line if self.site.line is not None else self.site.index}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivityNode(Node):
     """The platform-created instance(s) of an activity class."""
 
@@ -137,8 +112,7 @@ class ActivityNode(Node):
         return self.class_name.rsplit(".", 1)[-1]
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutIdNode(Node):
     """An ``R.layout`` constant."""
 
@@ -149,8 +123,7 @@ class LayoutIdNode(Node):
         return f"R.layout.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewIdNode(Node):
     """An ``R.id`` constant."""
 
@@ -161,8 +134,7 @@ class ViewIdNode(Node):
         return f"R.id.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MenuIdNode(Node):
     """An ``R.menu`` constant (menu extension)."""
 
@@ -173,8 +145,7 @@ class MenuIdNode(Node):
         return f"R.menu.{self.name}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MenuItemNode(Node):
     """A menu item created by inflating a menu at one site (extension).
 
@@ -192,8 +163,7 @@ class MenuItemNode(Node):
         return f"MenuItem_{where}.{suffix}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpNode(Node):
     """An operation node for one classified call site.
 
@@ -209,8 +179,7 @@ class OpNode(Node):
         return f"{self.kind.value}_{self.site.line if self.site.line is not None else self.site.index}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpRecv(Node):
     """The receiver input port of an operation node."""
 
@@ -220,8 +189,7 @@ class OpRecv(Node):
         return f"{self.op}.recv"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpArg(Node):
     """An argument input port of an operation node."""
 
@@ -232,8 +200,7 @@ class OpArg(Node):
         return f"{self.op}.arg{self.index}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InflViewNode(Node):
     """A view created by inflating one layout node at one inflation site.
 

@@ -23,13 +23,18 @@ Facts are plain tagged tuples, so they double as premise references:
 from __future__ import annotations
 
 from itertools import count
-from typing import Collection, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.graph import ConstraintGraph
 
 FLOW = "flow"
 REL = "rel"
 EDGE = "edge"
 
 Fact = Tuple[object, ...]
+
+_NONE: Dict[int, int] = {}
 
 
 def flow_fact(node: object, value: object) -> Fact:
@@ -47,22 +52,28 @@ def edge_fact(src: object, dst: object) -> Fact:
 class FactOrder:
     """The order in which one analysis run first added each fact.
 
-    ``flow`` maps node -> value -> number (one dict per node, so the
-    solver's propagation loop numbers a whole delta with one
-    ``dict.update``); ``rel`` and ``edge`` map the fact's fields to its
-    number. ``next`` is the number the next new fact gets.
+    ``flow`` maps node id -> value id -> number (one dict per node, so
+    the solver's propagation loop numbers a whole delta with one
+    ``dict.update``); ``rel`` and ``edge`` map the fact's fields, as
+    nodes, to its number. ``next`` is the number the next new fact
+    gets. :meth:`of` takes facts over nodes and looks their ids up in
+    ``graph``.
     """
 
-    __slots__ = ("flow", "rel", "edge", "next")
+    __slots__ = ("graph", "flow", "rel", "edge", "next")
 
-    def __init__(self) -> None:
-        self.flow: Dict[object, Dict[object, int]] = {}
+    def __init__(self, graph: "ConstraintGraph") -> None:
+        self.graph = graph
+        self.flow: Dict[int, Dict[int, int]] = {}
         self.rel: Dict[Tuple[object, object, object], int] = {}
         self.edge: Dict[Tuple[object, object], int] = {}
         self.next = 0
 
-    def add_flows(self, node: object, values: Collection[object]) -> None:
-        self.flow.setdefault(node, {}).update(zip(values, count(self.next)))
+    def add_flows(self, node: int, values: Collection[int]) -> None:
+        numbers = self.flow.get(node)
+        if numbers is None:
+            numbers = self.flow[node] = {}
+        numbers.update(zip(values, count(self.next)))
         self.next += len(values)
 
     def add_rel(self, kind: object, src: object, dst: object) -> None:
@@ -76,7 +87,8 @@ class FactOrder:
     def of(self, fact: Fact) -> Optional[int]:
         """The number of ``fact``, or None (an axiom, or not a fact)."""
         if fact[0] == FLOW:
-            return self.flow.get(fact[1], {}).get(fact[2])
+            id_of = self.graph.id_of
+            return self.flow.get(id_of(fact[1]), _NONE).get(id_of(fact[2]))
         return (self.rel if fact[0] == REL else self.edge).get(fact[1:])  # type: ignore
 
     def record_count(self) -> int:

@@ -8,10 +8,11 @@ Section 6 describes as input to test generation, and hierarchy dumps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.graph import ConstraintGraph, RelKind
+from repro.core.graph import ConstraintGraph, NodeSet, RelKind
 from repro.core.nodes import (
     InflViewNode,
     MenuItemNode,
@@ -32,6 +33,59 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.app import AndroidApp
     from repro.core.analysis import AnalysisOptions
     from repro.core.provenance import FactOrder
+
+
+class PointsTo(Mapping):
+    """The solved ``flowsTo`` sets: node -> the values flowing to it.
+
+    A read-only view over the solver's table of node ids -> value ids.
+    A key may be any node equal to an interned one (such as a fresh
+    ``OpRecv(op)``); each value is a :class:`~repro.core.graph.NodeSet`
+    that decodes value ids as it is iterated. No node-keyed copy of the
+    solution is ever built.
+    """
+
+    __slots__ = ("_graph", "by_id")
+
+    def __init__(self, graph: ConstraintGraph, by_id: Dict[int, Set[int]]) -> None:
+        self._graph = graph
+        # The solver's table itself: node id -> value ids. Read-only.
+        self.by_id = by_id
+
+    def __getitem__(self, node: Node) -> NodeSet:
+        values = self.by_id.get(self._graph.id_of(node))
+        if values is None:
+            raise KeyError(node)
+        return NodeSet(self._graph, values)
+
+    def get(self, node: Node, default=None):
+        values = self.by_id.get(self._graph.id_of(node))
+        return default if values is None else NodeSet(self._graph, values)
+
+    def __contains__(self, node: object) -> bool:
+        return self._graph.id_of(node) in self.by_id
+
+    def __iter__(self) -> Iterator[Node]:
+        nodes = self._graph.node_list
+        return (nodes[i] for i in self.by_id)
+
+    def __len__(self) -> int:
+        return len(self.by_id)
+
+    def items(self) -> Iterator[Tuple[Node, NodeSet]]:
+        graph = self._graph
+        nodes = graph.node_list
+        return ((nodes[i], NodeSet(graph, values)) for i, values in self.by_id.items())
+
+    def values(self) -> Iterator[NodeSet]:
+        graph = self._graph
+        return (NodeSet(graph, values) for values in self.by_id.values())
+
+    def holds(self, node: Node, value: Node) -> bool:
+        """Does ``value`` flow to ``node``? Decodes nothing."""
+        id_of = self._graph.id_of
+        values = self.by_id.get(id_of(node))
+        return values is not None and id_of(value) in values
 
 
 @dataclass(frozen=True)
@@ -65,7 +119,7 @@ class AnalysisResult:
     app: "AndroidApp"
     graph: ConstraintGraph
     hierarchy: ClassHierarchy
-    pts: Dict[Node, Set[ValueNode]]
+    pts: PointsTo
     options: "AnalysisOptions"
     rounds: int
     solve_seconds: float

@@ -2,7 +2,9 @@
 
 All queries are precomputed or memoised; the corpus apps have hundreds
 to thousands of classes and the constraint-graph construction issues a
-subtype query per call site.
+subtype query per call site. The hierarchy is immutable after
+construction, so memo entries never go stale; queries return tuples and
+frozensets so that no caller can corrupt a later answer.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class ClassHierarchy:
         self.program = program
         self._supertypes: Dict[str, FrozenSet[str]] = {}
         self._subtypes: Dict[str, Set[str]] = {}
+        # Memos of the per-class queries below.
+        self._subtypes_memo: Dict[str, FrozenSet[str]] = {}
+        self._chains: Dict[str, Tuple[str, ...]] = {}
+        self._listener_interfaces: Dict[str, Tuple[str, ...]] = {}
         self._dispatch_cache: Dict[Tuple[str, str, int], Optional[Method]] = {}
         # (sub, sup) -> bool memo for is_subtype; the hierarchy is
         # immutable after construction so entries never go stale.
@@ -61,10 +67,13 @@ class ClassHierarchy:
             self._supertypes[name] = result
         return result
 
-    def subtypes(self, name: str) -> Set[str]:
+    def subtypes(self, name: str) -> FrozenSet[str]:
         """All transitive subtypes of ``name``, including itself."""
-        result = set(self._subtypes.get(name, ()))
-        result.add(name)
+        result = self._subtypes_memo.get(name)
+        if result is None:
+            result = self._subtypes_memo[name] = frozenset(
+                self._subtypes.get(name, ())
+            ) | {name}
         return result
 
     def is_subtype(self, sub: str, sup: str) -> bool:
@@ -85,8 +94,11 @@ class ClassHierarchy:
         self._subtype_cache[key] = result
         return result
 
-    def superclass_chain(self, name: str) -> List[str]:
+    def superclass_chain(self, name: str) -> Tuple[str, ...]:
         """``name`` and its superclasses, most-derived first."""
+        cached = self._chains.get(name)
+        if cached is not None:
+            return cached
         chain: List[str] = []
         current: Optional[str] = name
         seen: Set[str] = set()
@@ -95,7 +107,8 @@ class ClassHierarchy:
             chain.append(current)
             c = self.program.clazz(current)
             current = c.superclass if c is not None else None
-        return chain
+        result = self._chains[name] = tuple(chain)
+        return result
 
     # -- dispatch ----------------------------------------------------------
 
@@ -162,12 +175,16 @@ class ClassHierarchy:
     def is_dialog_class(self, name: str) -> bool:
         return self.is_subtype(name, "android.app.Dialog")
 
-    def listener_interfaces_of(self, name: str) -> List[str]:
+    def listener_interfaces_of(self, name: str) -> Tuple[str, ...]:
         """Modelled listener interfaces implemented by class ``name``."""
-        from repro.platform.events import listener_interfaces
+        cached = self._listener_interfaces.get(name)
+        if cached is None:
+            from repro.platform.events import listener_interfaces
 
-        supers = self.supertypes(name)
-        return [i for i in listener_interfaces() if i in supers]
+            supers = self.supertypes(name)
+            cached = tuple(i for i in listener_interfaces() if i in supers)
+            self._listener_interfaces[name] = cached
+        return cached
 
     def is_listener_class(self, name: str) -> bool:
         return bool(self.listener_interfaces_of(name))

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.ir.statements import Statement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSig:
     """A method signature: owning class, name, and parameter arity.
 

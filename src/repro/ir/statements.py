@@ -34,7 +34,7 @@ class InvokeKind(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     """Base class for all IR statements.
 
@@ -54,7 +54,7 @@ class Statement:
         return ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Statement):
     """``lhs := rhs`` (both locals)."""
 
@@ -68,7 +68,7 @@ class Assign(Statement):
         return (self.rhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Statement):
     """``lhs := (type) rhs``.
 
@@ -87,7 +87,7 @@ class Cast(Statement):
         return (self.rhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class New(Statement):
     """``lhs := new class_name``.
 
@@ -102,7 +102,7 @@ class New(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Load(Statement):
     """``lhs := base.field_name`` (instance field read)."""
 
@@ -117,7 +117,7 @@ class Load(Statement):
         return (self.base,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Store(Statement):
     """``base.field_name := rhs`` (instance field write)."""
 
@@ -129,7 +129,7 @@ class Store(Statement):
         return (self.base, self.rhs)
 
 
-@dataclass
+@dataclass(slots=True)
 class StaticLoad(Statement):
     """``lhs := class_name.field_name`` (static field read)."""
 
@@ -141,7 +141,7 @@ class StaticLoad(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class StaticStore(Statement):
     """``class_name.field_name := rhs`` (static field write)."""
 
@@ -153,7 +153,7 @@ class StaticStore(Statement):
         return (self.rhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstLayoutId(Statement):
     """``lhs := R.layout.layout_name`` — load a layout id constant."""
 
@@ -164,7 +164,7 @@ class ConstLayoutId(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstViewId(Statement):
     """``lhs := R.id.id_name`` — load a view id constant."""
 
@@ -175,7 +175,7 @@ class ConstViewId(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstMenuId(Statement):
     """``lhs := R.menu.f`` — load a menu id constant (menu extension)."""
 
@@ -186,7 +186,7 @@ class ConstMenuId(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstInt(Statement):
     """``lhs := value`` (plain integer constant)."""
 
@@ -197,7 +197,7 @@ class ConstInt(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstString(Statement):
     """``lhs := "value"``."""
 
@@ -208,7 +208,7 @@ class ConstString(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstNull(Statement):
     """``lhs := null``."""
 
@@ -218,7 +218,7 @@ class ConstNull(Statement):
         return (self.lhs,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Invoke(Statement):
     """``lhs := base.method(args)`` / ``base.method(args)`` / static call.
 
@@ -251,7 +251,7 @@ class Invoke(Statement):
         return base + self.args
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(Statement):
     """``lhs := a <op> b`` over primitives (or reference equality).
 
@@ -272,7 +272,7 @@ class BinOp(Statement):
         return (self.a, self.b)
 
 
-@dataclass
+@dataclass(slots=True)
 class UnaryOp(Statement):
     """``lhs := <op> a`` where op is ``!`` or ``-``."""
 
@@ -287,7 +287,7 @@ class UnaryOp(Statement):
         return (self.a,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Statement):
     """``return var`` or ``return`` (``var`` is None)."""
 
@@ -297,21 +297,21 @@ class Return(Statement):
         return (self.var,) if self.var is not None else ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Label(Statement):
     """Jump target; a no-op when executed."""
 
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Goto(Statement):
     """Unconditional jump to ``target`` label."""
 
     target: str
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Statement):
     """``if cond != 0 goto target``.
 

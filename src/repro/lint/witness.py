@@ -105,9 +105,15 @@ class Explainer:
         self._memo: Dict[Fact, Optional[Derivation]] = {}
         self._is_view = self.graph.is_view_value
         # The graph keeps successors only; ``Assign`` needs predecessors.
-        self._flow_pred: Dict[Node, List[Node]] = {}
-        for src, dst in self.graph.flow_edges():
-            self._flow_pred.setdefault(dst, []).append(src)
+        # Over node ids, like the graph's successor map it inverts.
+        self._flow_pred: Dict[int, List[int]] = {}
+        for src, out in self.graph.flow.items():
+            for dst in out:
+                preds = self._flow_pred.get(dst)
+                if preds is None:
+                    self._flow_pred[dst] = [src]
+                else:
+                    preds.append(src)
 
     def rank(self, fact: Fact) -> Optional[int]:
         """The order number of ``fact``: -1 for a flow edge from a
@@ -173,7 +179,7 @@ class Explainer:
     # -- reading the solution (as the solver's rules do) -----------------------
 
     def _holds(self, node: Node, value: Node) -> bool:
-        return value in self.pts.get(node, ())
+        return self.pts.holds(node, value)
 
     def _values(self, node: Node, pred) -> List[Node]:
         return [v for v in self.pts.get(node, ()) if pred(v)]
@@ -197,8 +203,8 @@ class Explainer:
                     if ret is not None and self._holds(ret, view):
                         yield flow_fact(arg, value), flow_fact(ret, view)
 
-    def _passes(self, src: Node, dst: Node, value: Node) -> bool:
-        type_filter = self.graph.flow_filter(src, dst)
+    def _passes(self, type_filter: Optional[str], value: Node) -> bool:
+        """Does ``value`` pass a flow edge with cast filter ``type_filter``?"""
         if type_filter is None or not self.result.options.filter_casts:
             return True
         return value_class_name(value) is None or self._is_a(value, type_filter)
@@ -284,9 +290,12 @@ class Explainer:
                 yield self._menu_item(value)
             else:
                 yield "Seed", ()
-        for pred in self._flow_pred.get(node, ()):
-            if self._holds(pred, value) and self._passes(pred, node, value):
-                yield "Assign", (flow_fact(pred, value), edge_fact(pred, node))
+        graph, by_id = self.graph, self.pts.by_id
+        dst, held = graph.id_of(node), graph.id_of(value)
+        for pred in self._flow_pred.get(dst, ()):
+            if held in by_id.get(pred, ()) and self._passes(graph.flow[pred][dst], value):
+                src = graph.node_list[pred]
+                yield "Assign", (flow_fact(src, value), edge_fact(src, node))
         if isinstance(node, OpNode):
             yield from self._op_output(node, value, limit)
         elif isinstance(node, VarNode) and node.name == "this" and isinstance(value, ActivityNode):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.graph import ConstraintGraph, RelKind
-from repro.core.nodes import Site
+from repro.core.nodes import AllocNode, OpArg, OpRecv, Site, VarNode
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
 
@@ -42,6 +42,26 @@ class TestInterning:
         op = graph.op(OpKind.SETID, site, spec)
         assert graph.op(OpKind.SETID, site, spec) is op
         assert graph.op_spec(op) is spec
+
+    def test_ports_interned(self, graph):
+        op = graph.op(OpKind.SETID, Site(SIG, 3, 12), OpSpec(OpKind.SETID, arg_index=0))
+        assert graph.op_recv(op) is graph.op_recv(op)
+        assert graph.op_arg(op, 0) is graph.op_arg(op, 0)
+        assert graph.op_arg(op, 1) is not graph.op_arg(op, 0)
+        assert OpRecv(op) in graph.nodes and OpArg(op, 1) in graph.nodes
+        assert OpArg(op, 2) not in graph.nodes
+        assert len(graph.nodes) == 4
+
+    def test_fresh_equal_nodes_found(self, graph):
+        x = graph.var(SIG, "x")
+        site = Site(SIG, 0, 10)
+        graph.alloc(site, "android.widget.Button", is_view=True)
+        assert graph.id_of(VarNode(MethodSig("app.C", "m", 0), "x")) == graph.id_of(x)
+        assert AllocNode(Site(SIG, 0, 10), "android.widget.Button") in graph.nodes
+        assert AllocNode(site, "android.widget.Button") in graph.view_allocs
+        # Same interning key, another class: a different node.
+        assert AllocNode(site, "android.widget.TextView") not in graph.nodes
+        assert graph.id_of(VarNode(SIG, "y")) is None
 
     def test_infl_view_interned_by_site_layout_path(self, graph):
         site = Site(SIG, 1, 9)

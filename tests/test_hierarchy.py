@@ -52,7 +52,22 @@ class TestSubtyping:
 
     def test_superclass_chain(self, diamond_program):
         h = ClassHierarchy(diamond_program)
-        assert h.superclass_chain("app.B") == ["app.B", "app.A", "java.lang.Object"]
+        assert h.superclass_chain("app.B") == ("app.B", "app.A", "java.lang.Object")
+
+    def test_class_facts_are_memoised_and_immutable(self, diamond_program):
+        """Per-class answers are computed once, and a caller cannot
+        change what a later query returns."""
+        h = ClassHierarchy(diamond_program)
+        chain = h.superclass_chain("app.B")
+        subs = h.subtypes("app.A")
+        listeners = h.listener_interfaces_of("app.C")
+        assert h.superclass_chain("app.B") is chain
+        assert h.subtypes("app.A") is subs
+        assert h.listener_interfaces_of("app.C") is listeners
+        assert isinstance(chain, tuple) and isinstance(listeners, tuple)
+        with pytest.raises(AttributeError):
+            subs.add("app.Z")  # type: ignore[attr-defined]
+        assert h.subtypes("app.A") == {"app.A", "app.B", "app.C"}
 
     def test_unknown_class_has_self_supertype(self, diamond_program):
         h = ClassHierarchy(diamond_program)
