@@ -4,7 +4,10 @@ The emitted dialect mirrors smali: ``.class``/``.super``/
 ``.implements`` headers, ``.field`` and ``.method`` members, register
 declarations via ``.local`` (carrying the static types ALite tracks),
 and register-based instructions (``iget``/``iput``, ``invoke-*`` +
-``move-result``, ``const*``, ``check-cast``, branches).
+``move-result``, ``const*``, ``check-cast``, branches). A string
+constant escapes backslash, double quote and every character
+``str.splitlines`` breaks a line on, so it stays on its line and reads
+back unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.dex.descriptors import join_method_descriptor, type_to_descriptor
+from repro.dex.parse import _INVOKE_KINDS
 from repro.ir.program import Clazz, Method, Program
 from repro.ir.statements import (
     Assign,
@@ -37,20 +41,31 @@ from repro.ir.statements import (
     UnaryOp,
 )
 
-_INVOKE_NAMES = {
-    InvokeKind.VIRTUAL: "invoke-virtual",
-    InvokeKind.SPECIAL: "invoke-direct",
-    InvokeKind.STATIC: "invoke-static",
-    InvokeKind.INTERFACE: "invoke-interface",
-}
+_INVOKE_NAMES = {kind: name for name, kind in _INVOKE_KINDS.items()}
+
+# Backslash, double quote and every character `str.splitlines` breaks a
+# line on; the loader decodes these escapes.
+_STRING_ESCAPES = str.maketrans({
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    **{c: f"\\u{ord(c):04x}" for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+})
 
 
-def _class_ref(class_name: str) -> str:
-    return type_to_descriptor(class_name)
-
-
-def _field_ref(class_name: str, field_name: str, type_name: str = "java.lang.Object") -> str:
-    return f"{_class_ref(class_name)}->{field_name}:{type_to_descriptor(type_name)}"
+def _field_ref(program: Program, owner: str, name: str) -> str:
+    """``Lp/A;->f:T``, with ``T`` the type of the field ``owner`` sees."""
+    type_name = "java.lang.Object"
+    current: Optional[str] = owner
+    while current is not None:
+        c = program.clazz(current)
+        if c is None:
+            break
+        if name in c.fields:
+            type_name = c.fields[name].type_name
+            break
+        current = c.superclass
+    return f"{type_to_descriptor(owner)}->{name}:{type_to_descriptor(type_name)}"
 
 
 def _method_ref(program: Program, stmt: Invoke) -> str:
@@ -62,25 +77,14 @@ def _method_ref(program: Program, stmt: Invoke) -> str:
         descriptor = join_method_descriptor(
             ["java.lang.Object"] * len(stmt.args), "java.lang.Object"
         )
-    return f"{_class_ref(stmt.class_name)}->{stmt.method_name}{descriptor}"
+    return f"{type_to_descriptor(stmt.class_name)}->{stmt.method_name}{descriptor}"
 
 
 def _line_suffix(stmt) -> str:
     return f"  # line {stmt.line}" if stmt.line is not None else ""
 
 
-def _assemble_stmt(program: Program, clazz: Clazz, method: Method, stmt) -> List[str]:
-    def ftype(owner: str, name: str) -> str:
-        current: Optional[str] = owner
-        while current is not None:
-            c = program.clazz(current)
-            if c is None:
-                break
-            if name in c.fields:
-                return c.fields[name].type_name
-            current = c.superclass
-        return "java.lang.Object"
-
+def _assemble_stmt(program: Program, method: Method, stmt) -> List[str]:
     sfx = _line_suffix(stmt)
     if isinstance(stmt, Assign):
         return [f"    move {stmt.lhs}, {stmt.rhs}{sfx}"]
@@ -88,32 +92,22 @@ def _assemble_stmt(program: Program, clazz: Clazz, method: Method, stmt) -> List
         out = []
         if stmt.lhs != stmt.rhs:
             out.append(f"    move {stmt.lhs}, {stmt.rhs}{sfx}")
-        out.append(f"    check-cast {stmt.lhs}, {_class_ref(stmt.type_name)}{sfx}")
+        out.append(f"    check-cast {stmt.lhs}, {type_to_descriptor(stmt.type_name)}{sfx}")
         return out
     if isinstance(stmt, New):
-        return [f"    new-instance {stmt.lhs}, {_class_ref(stmt.class_name)}{sfx}"]
+        return [f"    new-instance {stmt.lhs}, {type_to_descriptor(stmt.class_name)}{sfx}"]
     if isinstance(stmt, Load):
-        owner = method.locals[stmt.base].type_name
-        return [
-            f"    iget-object {stmt.lhs}, {stmt.base}, "
-            f"{_field_ref(owner, stmt.field_name, ftype(owner, stmt.field_name))}{sfx}"
-        ]
+        ref = _field_ref(program, method.locals[stmt.base].type_name, stmt.field_name)
+        return [f"    iget-object {stmt.lhs}, {stmt.base}, {ref}{sfx}"]
     if isinstance(stmt, Store):
-        owner = method.locals[stmt.base].type_name
-        return [
-            f"    iput-object {stmt.rhs}, {stmt.base}, "
-            f"{_field_ref(owner, stmt.field_name, ftype(owner, stmt.field_name))}{sfx}"
-        ]
+        ref = _field_ref(program, method.locals[stmt.base].type_name, stmt.field_name)
+        return [f"    iput-object {stmt.rhs}, {stmt.base}, {ref}{sfx}"]
     if isinstance(stmt, StaticLoad):
-        return [
-            f"    sget-object {stmt.lhs}, "
-            f"{_field_ref(stmt.class_name, stmt.field_name, ftype(stmt.class_name, stmt.field_name))}{sfx}"
-        ]
+        ref = _field_ref(program, stmt.class_name, stmt.field_name)
+        return [f"    sget-object {stmt.lhs}, {ref}{sfx}"]
     if isinstance(stmt, StaticStore):
-        return [
-            f"    sput-object {stmt.rhs}, "
-            f"{_field_ref(stmt.class_name, stmt.field_name, ftype(stmt.class_name, stmt.field_name))}{sfx}"
-        ]
+        ref = _field_ref(program, stmt.class_name, stmt.field_name)
+        return [f"    sput-object {stmt.rhs}, {ref}{sfx}"]
     if isinstance(stmt, ConstLayoutId):
         return [f"    const-layout {stmt.lhs}, {stmt.layout_name}{sfx}"]
     if isinstance(stmt, ConstViewId):
@@ -123,7 +117,7 @@ def _assemble_stmt(program: Program, clazz: Clazz, method: Method, stmt) -> List
     if isinstance(stmt, ConstInt):
         return [f"    const/16 {stmt.lhs}, {stmt.value}{sfx}"]
     if isinstance(stmt, ConstString):
-        escaped = stmt.value.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = stmt.value.translate(_STRING_ESCAPES)
         return [f'    const-string {stmt.lhs}, "{escaped}"{sfx}']
     if isinstance(stmt, ConstNull):
         return [f"    const/4 {stmt.lhs}, 0{sfx}"]
@@ -155,7 +149,7 @@ def _assemble_stmt(program: Program, clazz: Clazz, method: Method, stmt) -> List
     raise TypeError(f"cannot assemble {type(stmt).__name__}")
 
 
-def assemble_method(program: Program, clazz: Clazz, method: Method) -> List[str]:
+def assemble_method(program: Program, method: Method) -> List[str]:
     params = [method.locals[p].type_name for p in method.param_names]
     descriptor = join_method_descriptor(params, method.return_type)
     flags = "static " if method.is_static else ""
@@ -169,24 +163,24 @@ def assemble_method(program: Program, clazz: Clazz, method: Method) -> List[str]
             continue
         lines.append(f"    .local {name}, {type_to_descriptor(local.type_name)}")
     for stmt in method.body:
-        lines.extend(_assemble_stmt(program, clazz, method, stmt))
+        lines.extend(_assemble_stmt(program, method, stmt))
     lines.append(".end method")
     return lines
 
 
 def assemble_class(program: Program, clazz: Clazz) -> List[str]:
     kind = ".interface" if clazz.is_interface else ".class"
-    lines = [f"{kind} {_class_ref(clazz.name)}"]
+    lines = [f"{kind} {type_to_descriptor(clazz.name)}"]
     if clazz.superclass is not None:
-        lines.append(f".super {_class_ref(clazz.superclass)}")
+        lines.append(f".super {type_to_descriptor(clazz.superclass)}")
     for interface in clazz.interfaces:
-        lines.append(f".implements {_class_ref(interface)}")
+        lines.append(f".implements {type_to_descriptor(interface)}")
     for f in clazz.fields.values():
         flags = "static " if f.is_static else ""
         lines.append(f".field {flags}{f.name}:{type_to_descriptor(f.type_name)}")
     for method in clazz.methods.values():
         lines.append("")
-        lines.extend(assemble_method(program, clazz, method))
+        lines.extend(assemble_method(program, method))
     lines.append(".end class")
     return lines
 

@@ -1,15 +1,25 @@
 """Assembler/loader: Dalvik text → ALite IR.
 
-Parses the dialect emitted by :mod:`repro.dex.assemble`. The loader is
-line-based: directives start with ``.``, labels with ``:``, everything
-else is an instruction. ``invoke-*`` followed by ``move-result*``
-merges into a single IR call with a result.
+Parses the dialect emitted by :mod:`repro.dex.assemble` in one pass.
+:func:`_scan` yields each non-blank line once, as (line number, code,
+``# line N`` value); a ``#`` starts a comment only outside a string
+literal. Directives start with ``.``, labels with ``:``; every other
+line is an instruction, dispatched on its opcode word through
+``_OPCODES``. A key ending in ``*`` names a family (``iget*`` covers
+``iget``, ``iget-object``, ``iget-wide``, ...). An ``invoke-*`` is
+appended when it is read; a ``move-result*`` right after it sets its
+result, so the two form one IR call.
+
+A string literal is ``"..."`` with the escapes ``\\\\``, ``\\"``,
+``\\n`` and ``\\uXXXX`` (the ones :mod:`repro.dex.assemble` writes),
+decoded in one left-to-right pass; anything else after a backslash is
+an error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.dex.descriptors import (
     descriptor_to_type,
@@ -54,324 +64,342 @@ _INVOKE_KINDS = {
     "invoke-interface": InvokeKind.INTERFACE,
 }
 
-_FIELD_REF_RE = re.compile(r"^(L[^;]+;)->([\w$<>]+):(.+)$")
-_METHOD_REF_RE = re.compile(r"^(L[^;]+;)->([\w$<>]+)(\(.*\).+)$")
+# The code part of a line holding a quote: everything before the first
+# '#' outside a string literal (an unterminated literal runs to the end).
+_CODE_RE = re.compile(r'(?:[^"#]+|"[^"\\]*(?:\\.[^"\\]*)*"?)*')
+_SOURCE_LINE_RE = re.compile(r"line\s+(\d+)")
+_STRING_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
+_ESCAPE_RE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+_METHOD_HEADER_RE = re.compile(r"([\w$<>]+)(\(.*\).+)")
+_FIELD_REF_RE = re.compile(r"(L[^;]+;)->([\w$<>]+):(.+)")
+_METHOD_REF_RE = re.compile(r"(L[^;]+;)->([\w$<>]+)(\(.*\).+)")
+_INVOKE_RE = re.compile(r"\{([^}]*)\}\s*,\s*(.+)")
+_BINOP_RE = re.compile(r'"([^"]+)"\s+(\S+),\s*(\S+),\s*(\S+)')
+_UNOP_RE = re.compile(r'"([^"]+)"\s+(\S+),\s*(\S+)')
 
 
-def _strip_comment(line: str) -> Tuple[str, Optional[int]]:
-    source_line: Optional[int] = None
-    if "#" in line:
-        code, _hash, comment = line.partition("#")
-        match = re.search(r"line\s+(\d+)", comment)
-        if match:
-            source_line = int(match.group(1))
-        line = code
-    return line.strip(), source_line
+def _scan(text: str) -> Iterator[Tuple[int, str, Optional[int]]]:
+    """Yield (line number, code, ``# line N`` value) per non-blank line."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        if '"' in raw:
+            code = _CODE_RE.match(raw).group()
+            comment = raw[len(code) + 1:]
+        else:
+            code, _hash, comment = raw.partition("#")
+        code = code.strip()
+        if code:
+            match = _SOURCE_LINE_RE.search(comment) if comment else None
+            yield number, code, int(match.group(1)) if match else None
 
 
-def _parse_field_ref(text: str) -> Tuple[str, str, str]:
-    match = _FIELD_REF_RE.match(text.strip())
-    if not match:
-        raise DexSyntaxError(f"malformed field reference {text!r}")
-    return (
-        descriptor_to_type(match.group(1)),
-        match.group(2),
-        descriptor_to_type(match.group(3)),
-    )
+def _match(pattern: "re.Pattern[str]", text: str, what: str) -> "re.Match[str]":
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise DexSyntaxError(f"malformed {what} {text!r}")
+    return match
 
 
-def _parse_method_ref(text: str) -> Tuple[str, str, List[str], str]:
-    match = _METHOD_REF_RE.match(text.strip())
-    if not match:
-        raise DexSyntaxError(f"malformed method reference {text!r}")
-    params, return_type = split_method_descriptor(match.group(3))
-    return descriptor_to_type(match.group(1)), match.group(2), params, return_type
+def _operands(args: str, maxsplit: int = -1) -> List[str]:
+    return [p.strip() for p in args.split(",", maxsplit)]
+
+
+def _split_static(body: str) -> Tuple[bool, str]:
+    body = body.strip()
+    if body.startswith("static "):
+        return True, body[len("static "):]
+    return False, body
+
+
+def _field_ref(text: str) -> Tuple[str, str]:
+    """(owner class, field name) of ``Lp/A;->f:T``; ``T`` is checked."""
+    match = _match(_FIELD_REF_RE, text, "field reference")
+    owner = descriptor_to_type(match.group(1))
+    descriptor_to_type(match.group(3))
+    return owner, match.group(2)
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    escape = match.group(1)
+    if escape[0] == "u" and len(escape) == 5:
+        return chr(int(escape[1:], 16))
+    if escape not in _ESCAPES:
+        raise DexSyntaxError(f"unknown escape \\{escape} in string literal")
+    return _ESCAPES[escape]
+
+
+# -- instructions --------------------------------------------------------------
+#
+# A handler takes (opcode, operand text, "# line N" value, method body)
+# and returns the statement to append, or None.
+
+
+def _move(op, args, src, body):
+    lhs, rhs = _operands(args)
+    return Assign(lhs, rhs, line=src)
+
+
+def _move_result(op, args, src, body):
+    call = body[-1] if body else None
+    if not isinstance(call, Invoke) or call.lhs is not None:
+        raise DexSyntaxError("move-result without invoke")
+    call.lhs = args
+    return None
+
+
+def _check_cast(op, args, src, body):
+    reg, descriptor = _operands(args)
+    type_name = descriptor_to_type(descriptor)
+    # Peephole: `move x, y; check-cast x, T` is the assembly of
+    # `x := (T) y`; merge it back so cast type-filtering (and the
+    # original statement structure) survives the round trip.
+    if body and isinstance(body[-1], Assign) and body[-1].lhs == reg:
+        return Cast(reg, type_name, body.pop().rhs, line=src)
+    return Cast(reg, type_name, reg, line=src)
+
+
+def _new_instance(op, args, src, body):
+    reg, descriptor = _operands(args)
+    return New(reg, descriptor_to_type(descriptor), line=src)
+
+
+def _iget(op, args, src, body):
+    lhs, base, ref = _operands(args, 2)
+    return Load(lhs, base, _field_ref(ref)[1], line=src)
+
+
+def _iput(op, args, src, body):
+    rhs, base, ref = _operands(args, 2)
+    return Store(base, _field_ref(ref)[1], rhs, line=src)
+
+
+def _sget(op, args, src, body):
+    lhs, ref = _operands(args, 1)
+    return StaticLoad(lhs, *_field_ref(ref), line=src)
+
+
+def _sput(op, args, src, body):
+    rhs, ref = _operands(args, 1)
+    return StaticStore(*_field_ref(ref), rhs, line=src)
+
+
+def _const_named(statement):
+    """Handler for ``const-layout``/``const-view-id``/``const-menu``."""
+
+    def handler(op, args, src, body):
+        reg, name = _operands(args, 1)
+        return statement(reg, name, line=src)
+
+    return handler
+
+
+def _const_string(op, args, src, body):
+    reg, literal = _operands(args, 1)
+    match = _STRING_RE.fullmatch(literal)
+    if match is None:
+        raise DexSyntaxError("malformed string literal")
+    return ConstString(reg, _ESCAPE_RE.sub(_unescape, match.group(1)), line=src)
+
+
+def _const(op, args, src, body):
+    reg, value = _operands(args, 1)
+    number = int(value, 0)
+    if op == "const/4" and number == 0:
+        return ConstNull(reg, line=src)
+    return ConstInt(reg, number, line=src)
+
+
+def _return(op, args, src, body):
+    return Return(None if op == "return-void" else args, line=src)
+
+
+def _goto(op, args, src, body):
+    return Goto(args.lstrip(":"), line=src)
+
+
+def _if_nez(op, args, src, body):
+    reg, target = _operands(args, 1)
+    return If(reg, target.lstrip(":"), line=src)
+
+
+def _binop(op, args, src, body):
+    match = _match(_BINOP_RE, args, "binop")
+    return BinOp(match.group(2), match.group(1), match.group(3), match.group(4), line=src)
+
+
+def _unop(op, args, src, body):
+    match = _match(_UNOP_RE, args, "unop")
+    return UnaryOp(match.group(2), match.group(1), match.group(3), line=src)
+
+
+def _invoke(op, args, src, body):
+    kind = _INVOKE_KINDS.get(op)
+    if kind is None:
+        raise DexSyntaxError(f"unknown invoke {op!r}")
+    match = _match(_INVOKE_RE, args, "invoke")
+    registers = [r.strip() for r in match.group(1).split(",") if r.strip()]
+    ref = _match(_METHOD_REF_RE, match.group(2), "method reference")
+    params, _ret = split_method_descriptor(ref.group(3))
+    if kind is InvokeKind.STATIC:
+        base, call_args = None, registers
+    else:
+        if not registers:
+            raise DexSyntaxError("instance invoke needs a receiver")
+        base, call_args = registers[0], registers[1:]
+    if len(call_args) != len(params):
+        raise DexSyntaxError(
+            f"argument count {len(call_args)} does not match descriptor "
+            f"({len(params)} params)"
+        )
+    owner = descriptor_to_type(ref.group(1))
+    return Invoke(None, kind, base, owner, ref.group(2), tuple(call_args), line=src)
+
+
+_OPCODES = {
+    "move": _move,
+    "move-result*": _move_result,
+    "check-cast": _check_cast,
+    "new-instance": _new_instance,
+    "iget*": _iget,
+    "iput*": _iput,
+    "sget*": _sget,
+    "sput*": _sput,
+    "const-layout": _const_named(ConstLayoutId),
+    "const-view-id": _const_named(ConstViewId),
+    "const-menu": _const_named(ConstMenuId),
+    "const-string": _const_string,
+    "const/*": _const,
+    "return*": _return,
+    "goto": _goto,
+    "if-nez": _if_nez,
+    "binop": _binop,
+    "unop": _unop,
+    "invoke-*": _invoke,
+}
+# The stem of each family key; an opcode word starting with a stem
+# belongs to that family unless the word is itself a key.
+_FAMILY_RE = re.compile("|".join(re.escape(k[:-1]) for k in _OPCODES if k[-1] == "*"))
+
+
+def _handler(opcode: str):
+    handler = _OPCODES.get(opcode)
+    if handler is None:
+        family = _FAMILY_RE.match(opcode)
+        if family is None:
+            raise DexSyntaxError(f"unknown opcode {opcode!r}")
+        handler = _OPCODES[family.group() + "*"]
+    return handler
 
 
 class _DexParser:
     def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
-        self.index = 0
+        self.lines = _scan(text)
         self.program = Program()
         install_platform(self.program)
 
     def parse(self) -> Program:
-        while self.index < len(self.lines):
-            raw = self.lines[self.index]
-            line, _src = _strip_comment(raw)
-            if not line:
-                self.index += 1
-                continue
-            if line.startswith((".class", ".interface")):
-                self._parse_class(line)
-            else:
-                raise DexSyntaxError(f"unexpected top-level {line!r}", self.index + 1)
+        for number, code, _src in self.lines:
+            if not code.startswith((".class", ".interface")):
+                raise DexSyntaxError(f"unexpected top-level {code!r}", number)
+            self._parse_class(code, number)
         return self.program
 
     # -- class level ------------------------------------------------------------
 
-    def _parse_class(self, header: str) -> None:
-        line_no = self.index + 1
-        is_interface = header.startswith(".interface")
+    def _parse_class(self, header: str, header_no: int) -> None:
         parts = header.split()
         if len(parts) != 2:
-            raise DexSyntaxError("expected '.class <descriptor>'", line_no)
+            raise DexSyntaxError("expected '.class <descriptor>'", header_no)
         try:
             name = descriptor_to_type(parts[1])
         except ValueError as exc:
-            raise DexSyntaxError(str(exc), line_no) from exc
-        clazz = Clazz(name, superclass=None, is_interface=is_interface)
+            raise DexSyntaxError(str(exc), header_no) from exc
+        clazz = Clazz(name, superclass=None, is_interface=header.startswith(".interface"))
         interfaces: List[str] = []
         superclass = "java.lang.Object" if name != "java.lang.Object" else None
-        self.index += 1
-        while self.index < len(self.lines):
-            raw = self.lines[self.index]
-            line, _src = _strip_comment(raw)
-            if not line:
-                self.index += 1
-                continue
-            if line == ".end class":
-                self.index += 1
+        for number, code, _src in self.lines:
+            if code == ".end class":
                 break
-            if line.startswith(".method "):
-                self._parse_method(clazz, line)
+            if code.startswith(".method "):
+                self._parse_method(clazz, code, number)
                 continue
             try:
-                if line.startswith(".super "):
-                    superclass = descriptor_to_type(line.split()[1])
-                elif line.startswith(".implements "):
-                    interfaces.append(descriptor_to_type(line.split()[1]))
-                elif line.startswith(".field "):
-                    self._parse_field(clazz, line)
+                if code.startswith(".super "):
+                    superclass = descriptor_to_type(code.split()[1])
+                elif code.startswith(".implements "):
+                    interfaces.append(descriptor_to_type(code.split()[1]))
+                elif code.startswith(".field "):
+                    is_static, body = _split_static(code[len(".field "):])
+                    fname, _colon, descriptor = body.partition(":")
+                    if not descriptor:
+                        raise DexSyntaxError(f"malformed field {code!r}")
+                    clazz.add_field(Field(
+                        fname.strip(), descriptor_to_type(descriptor.strip()),
+                        is_static=is_static,
+                    ))
                 else:
-                    raise DexSyntaxError(f"unexpected {line!r} in class body")
+                    raise DexSyntaxError(f"unexpected {code!r} in class body")
             except ValueError as exc:
                 # Errors of this line (malformed descriptors, duplicate
                 # fields) are raised without a line; locate them here.
-                raise DexSyntaxError(str(exc), self.index + 1) from exc
-            self.index += 1
+                raise DexSyntaxError(str(exc), number) from exc
         else:
-            raise DexSyntaxError("missing .end class", line_no)
+            raise DexSyntaxError("missing .end class", header_no)
         clazz.superclass = superclass
         clazz.interfaces = tuple(interfaces)
         try:
             self.program.add_class(clazz)
         except ValueError as exc:  # a duplicate, located at its header
-            raise DexSyntaxError(str(exc), line_no) from exc
-
-    def _parse_field(self, clazz: Clazz, line: str) -> None:
-        body = line[len(".field "):].strip()
-        is_static = False
-        if body.startswith("static "):
-            is_static = True
-            body = body[len("static "):]
-        name, _colon, descriptor = body.partition(":")
-        if not descriptor:
-            raise DexSyntaxError(f"malformed field {line!r}")
-        clazz.add_field(
-            Field(name.strip(), descriptor_to_type(descriptor.strip()), is_static=is_static)
-        )
+            raise DexSyntaxError(str(exc), header_no) from exc
 
     # -- method level --------------------------------------------------------------
 
-    def _parse_method(self, clazz: Clazz, header: str) -> None:
-        line_no = self.index + 1
-        body = header[len(".method "):].strip()
-        is_static = False
-        if body.startswith("static "):
-            is_static = True
-            body = body[len("static "):]
-        match = re.match(r"^([\w$<>]+)(\(.*\).+)$", body)
-        if not match:
-            raise DexSyntaxError(f"malformed method header {header!r}", line_no)
-        name = match.group(1)
+    def _parse_method(self, clazz: Clazz, header: str, header_no: int) -> None:
+        is_static, signature = _split_static(header[len(".method "):])
         try:
+            match = _match(_METHOD_HEADER_RE, signature, "method header")
             param_types, return_type = split_method_descriptor(match.group(2))
         except ValueError as exc:
-            raise DexSyntaxError(str(exc), line_no) from exc
+            raise DexSyntaxError(str(exc), header_no) from exc
         method = Method(
-            name, clazz.name, params=[], return_type=return_type, is_static=is_static
+            match.group(1), clazz.name, params=[], return_type=return_type,
+            is_static=is_static,
         )
-        self.index += 1
-        param_index = 0
-        pending_invoke: Optional[Invoke] = None
-        while self.index < len(self.lines):
-            raw = self.lines[self.index]
-            line, src = _strip_comment(raw)
-            self.index += 1
-            if not line:
-                continue
-            if line == ".end method":
-                if pending_invoke is not None:
-                    method.append(pending_invoke)
+        body = method.body
+        for number, code, src in self.lines:
+            if code == ".end method":
                 try:
                     clazz.add_method(method)
                 except ValueError as exc:  # a duplicate, located at its header
-                    raise DexSyntaxError(str(exc), line_no) from exc
+                    raise DexSyntaxError(str(exc), header_no) from exc
                 return
             try:
-                if line.startswith(".param "):
-                    reg, _comma, descriptor = line[len(".param "):].partition(",")
-                    if param_index >= len(param_types):
+                if code.startswith(".param "):
+                    reg, _comma, descriptor = code[len(".param "):].partition(",")
+                    if len(method.param_names) >= len(param_types):
                         raise DexSyntaxError("too many .param directives")
                     declared = (
                         descriptor_to_type(descriptor.strip())
                         if descriptor.strip()
-                        else param_types[param_index]
+                        else param_types[len(method.param_names)]
                     )
                     method.add_param(reg.strip(), declared)
-                    param_index += 1
-                    continue
-                if line.startswith(".local "):
-                    reg, _comma, descriptor = line[len(".local "):].partition(",")
+                elif code.startswith(".local "):
+                    reg, _comma, descriptor = code[len(".local "):].partition(",")
                     method.add_local(reg.strip(), descriptor_to_type(descriptor.strip()))
-                    continue
-                stmt, pending_invoke = self._parse_instruction(
-                    line, src, method, pending_invoke
-                )
+                elif code[0] == ":":
+                    body.append(Label(code[1:], line=src))
+                else:
+                    opcode, _space, args = code.partition(" ")
+                    stmt = _handler(opcode)(opcode, args.strip(), src, body)
+                    if stmt is not None:
+                        body.append(stmt)
             except ValueError as exc:
                 # Errors of this line (malformed descriptors and operands,
                 # operand lists that do not unpack, bad integer literals)
                 # are raised without a line; locate them here.
-                raise DexSyntaxError(str(exc), self.index) from exc
-            if stmt is not None:
-                method.append(stmt)
-        raise DexSyntaxError("missing .end method", line_no)
-
-    def _parse_instruction(
-        self,
-        line: str,
-        src: Optional[int],
-        method: Method,
-        pending: Optional[Invoke],
-    ):
-        """Returns (statement or None, new pending invoke)."""
-
-        def flush_then(stmt):
-            # An invoke not followed by move-result keeps a None lhs.
-            if pending is not None:
-                method.append(pending)
-            return stmt, None
-
-        if line.startswith(":"):
-            return flush_then(Label(line[1:], line=src))
-        opcode, _space, rest = line.partition(" ")
-        rest = rest.strip()
-
-        if opcode.startswith("move-result"):
-            if pending is None:
-                raise DexSyntaxError("move-result without invoke")
-            pending.lhs = rest
-            return pending, None
-
-        if opcode.startswith("invoke-"):
-            if pending is not None:
-                method.append(pending)
-            kind = _INVOKE_KINDS.get(opcode)
-            if kind is None:
-                raise DexSyntaxError(f"unknown invoke {opcode!r}")
-            match = re.match(r"^\{([^}]*)\}\s*,\s*(.+)$", rest)
-            if not match:
-                raise DexSyntaxError(f"malformed invoke {line!r}")
-            registers = [r.strip() for r in match.group(1).split(",") if r.strip()]
-            class_name, mname, params, _ret = _parse_method_ref(match.group(2))
-            if kind is InvokeKind.STATIC:
-                base, args = None, registers
-            else:
-                if not registers:
-                    raise DexSyntaxError("instance invoke needs a receiver")
-                base, args = registers[0], registers[1:]
-            if len(args) != len(params):
-                raise DexSyntaxError(
-                    f"argument count {len(args)} does not match descriptor "
-                    f"({len(params)} params)"
-                )
-            return None, Invoke(None, kind, base, class_name, mname, tuple(args), line=src)
-
-        # Every other opcode flushes a pending invoke first.
-        if opcode == "move":
-            lhs, rhs = [p.strip() for p in rest.split(",")]
-            return flush_then(Assign(lhs, rhs, line=src))
-        if opcode == "check-cast":
-            reg, descriptor = [p.strip() for p in rest.split(",")]
-            type_name = descriptor_to_type(descriptor)
-            if pending is not None:
-                method.append(pending)
-            # Peephole: `move x, y; check-cast x, T` is the assembly of
-            # `x := (T) y`; merge it back so cast type-filtering (and
-            # the original statement structure) survives the round trip.
-            if (
-                method.body
-                and isinstance(method.body[-1], Assign)
-                and method.body[-1].lhs == reg
-            ):
-                previous = method.body.pop()
-                return Cast(reg, type_name, previous.rhs, line=src), None
-            return Cast(reg, type_name, reg, line=src), None
-        if opcode == "new-instance":
-            reg, descriptor = [p.strip() for p in rest.split(",")]
-            return flush_then(New(reg, descriptor_to_type(descriptor), line=src))
-        if opcode.startswith("iget"):
-            lhs, base, ref = [p.strip() for p in rest.split(",", 2)]
-            _owner, fname, _ftype = _parse_field_ref(ref)
-            return flush_then(Load(lhs, base, fname, line=src))
-        if opcode.startswith("iput"):
-            rhs, base, ref = [p.strip() for p in rest.split(",", 2)]
-            _owner, fname, _ftype = _parse_field_ref(ref)
-            return flush_then(Store(base, fname, rhs, line=src))
-        if opcode.startswith("sget"):
-            lhs, ref = [p.strip() for p in rest.split(",", 1)]
-            owner, fname, _ftype = _parse_field_ref(ref)
-            return flush_then(StaticLoad(lhs, owner, fname, line=src))
-        if opcode.startswith("sput"):
-            rhs, ref = [p.strip() for p in rest.split(",", 1)]
-            owner, fname, _ftype = _parse_field_ref(ref)
-            return flush_then(StaticStore(owner, fname, rhs, line=src))
-        if opcode == "const-layout":
-            reg, name = [p.strip() for p in rest.split(",", 1)]
-            return flush_then(ConstLayoutId(reg, name, line=src))
-        if opcode == "const-view-id":
-            reg, name = [p.strip() for p in rest.split(",", 1)]
-            return flush_then(ConstViewId(reg, name, line=src))
-        if opcode == "const-menu":
-            reg, name = [p.strip() for p in rest.split(",", 1)]
-            return flush_then(ConstMenuId(reg, name, line=src))
-        if opcode == "const-string":
-            reg, literal = [p.strip() for p in rest.split(",", 1)]
-            if not (literal.startswith('"') and literal.endswith('"')):
-                raise DexSyntaxError("malformed string literal")
-            value = literal[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            return flush_then(ConstString(reg, value, line=src))
-        if opcode.startswith("const/"):
-            reg, value = [p.strip() for p in rest.split(",", 1)]
-            number = int(value, 0)
-            if opcode == "const/4" and number == 0:
-                return flush_then(ConstNull(reg, line=src))
-            return flush_then(ConstInt(reg, number, line=src))
-        if opcode == "return-void":
-            return flush_then(Return(line=src))
-        if opcode.startswith("return"):
-            return flush_then(Return(rest, line=src))
-        if opcode == "goto":
-            return flush_then(Goto(rest.lstrip(":"), line=src))
-        if opcode == "if-nez":
-            reg, target = [p.strip() for p in rest.split(",", 1)]
-            return flush_then(If(reg, target.lstrip(":"), line=src))
-        if opcode == "binop":
-            match = re.match(r'^"([^"]+)"\s+(\S+),\s*(\S+),\s*(\S+)$', rest)
-            if not match:
-                raise DexSyntaxError(f"malformed binop {line!r}")
-            return flush_then(
-                BinOp(match.group(2), match.group(1), match.group(3), match.group(4), line=src)
-            )
-        if opcode == "unop":
-            match = re.match(r'^"([^"]+)"\s+(\S+),\s*(\S+)$', rest)
-            if not match:
-                raise DexSyntaxError(f"malformed unop {line!r}")
-            return flush_then(
-                UnaryOp(match.group(2), match.group(1), match.group(3), line=src)
-            )
-        raise DexSyntaxError(f"unknown opcode {opcode!r}")
+                raise DexSyntaxError(str(exc), number) from exc
+        raise DexSyntaxError("missing .end method", header_no)
 
 
 def parse_dex_text(text: str) -> Program:

@@ -105,6 +105,25 @@ class TestDumpLoad:
         )
         assert {str(v) for v in views} == {"TerminalView_21"}
 
+    def test_string_constants_survive_smali(self, tmp_path):
+        """Strings holding '#' and line breaks reload from classes.smali."""
+        from repro.frontend import load_app_from_dir, load_app_from_sources
+        from repro.ir.statements import ConstString
+
+        def strings(app):
+            method = app.program.clazz("p.Main").method("onCreate", 0)
+            return [s.value for s in method.body if isinstance(s, ConstString)]
+
+        app = load_app_from_sources(
+            "t",
+            ['package p; class Main extends Activity { void onCreate() {'
+             ' String a = "tag#1"; String b = "#"; String c = "a\\nb"; } }'],
+        )
+        assert strings(app) == ["tag#1", "#", "a\nb"]
+        dump_app(app, str(tmp_path))
+        reloaded = load_app_from_dir(str(tmp_path), name="rt")
+        assert strings(reloaded) == strings(app)
+
     def test_corpus_cli(self, tmp_path, capsys):
         from repro.corpus.__main__ import main
 

@@ -20,7 +20,18 @@ from repro.dex import (
     type_to_descriptor,
 )
 from repro.dex.descriptors import join_method_descriptor, split_method_descriptor
-from repro.ir.statements import Cast, ConstNull, Invoke, InvokeKind
+from repro.ir.statements import (
+    Cast,
+    ConstInt,
+    ConstNull,
+    Invoke,
+    InvokeKind,
+    Load,
+    Return,
+    StaticLoad,
+    StaticStore,
+    Store,
+)
 
 
 class TestDescriptors:
@@ -54,6 +65,27 @@ class TestDescriptors:
 
     def test_empty_params(self):
         assert split_method_descriptor("()V") == ([], "void")
+
+
+# (Dalvik text, error message pattern, line the error names)
+_ERROR_CASES = [
+    ("garbage", "unexpected top-level", 1),
+    (".class Lp/A;\n.method m()V\n", "missing .end method", 2),
+    (".class Lp/A;\n.method m()V\n    warp x\n.end method\n.end class",
+     "unknown opcode", 3),
+    (".class Lp/A;\n.method m()V\n    move-result-object r\n"
+     ".end method\n.end class", "move-result without invoke", 3),
+    (".class Lp/A;\n.method m()V\n"
+     "    invoke-virtual {this, a}, Lp/A;->m()V\n"
+     ".end method\n.end class", "argument count", 3),
+    (".class Lp/A;\n.method m()V\n    .local s, Ljava/lang/String;\n"
+     '    const-string s, "\n'
+     "    return-void\n.end method\n.end class",
+     "malformed string literal", 4),
+    (".class Lp/A;\n.method m()V\n    .local x, Ljava/lang/Object;\n"
+     "    const/4 x, 0\n\n    # a comment\n    warp x\n"
+     "    return-void\n.end method\n.end class", "unknown opcode 'warp'", 7),
+]
 
 
 class TestParser:
@@ -159,22 +191,42 @@ class TestParser:
         assert body[0].line == 42
 
     @pytest.mark.parametrize(
-        "text,message",
+        "text,message,line",
+        _ERROR_CASES,
+        # Each case keeps the id "<text>-<message>".
+        ids=[f"{text}-{message}" for text, message, _line in _ERROR_CASES],
+    )
+    def test_errors(self, text, message, line):
+        with pytest.raises(DexSyntaxError, match=message) as info:
+            parse_dex_text(text)
+        assert info.value.line == line
+
+    # Spellings the loader accepts beyond the assembler's own, with the
+    # statement each must load as.
+    @pytest.mark.parametrize(
+        "instruction,expected",
         [
-            ("garbage", "unexpected top-level"),
-            (".class Lp/A;\n.method m()V\n", "missing .end method"),
-            (".class Lp/A;\n.method m()V\n    warp x\n.end method\n.end class",
-             "unknown opcode"),
-            (".class Lp/A;\n.method m()V\n    move-result-object r\n"
-             ".end method\n.end class", "move-result without invoke"),
-            (".class Lp/A;\n.method m()V\n"
-             "    invoke-virtual {this, a}, Lp/A;->m()V\n"
-             ".end method\n.end class", "argument count"),
+            ("iget x, this, Lp/A;->f:Ljava/lang/Object;", Load("x", "this", "f")),
+            ("iget-wide x, this, Lp/A;->f:J", Load("x", "this", "f")),
+            ("iput-boolean x, this, Lp/A;->f:Z", Store("this", "f", "x")),
+            ("sget x, Lp/A;->g:I", StaticLoad("x", "p.A", "g")),
+            ("sput-object x, Lp/A;->g:Ljava/lang/Object;", StaticStore("p.A", "g", "x")),
+            ("return x", Return("x")),
+            ("return-wide x", Return("x")),
+            ("const/16 x, 7", ConstInt("x", 7)),
+            ("const/high16 x, 0x10000", ConstInt("x", 0x10000)),
+            ("move-result x", Invoke("x", InvokeKind.VIRTUAL, "this", "p.A", "m", ())),
+            ("move-result-wide x",
+             Invoke("x", InvokeKind.VIRTUAL, "this", "p.A", "m", ())),
         ],
     )
-    def test_errors(self, text, message):
-        with pytest.raises(DexSyntaxError, match=message):
-            parse_dex_text(text)
+    def test_dialect_spellings(self, instruction, expected):
+        program = parse_dex_text(
+            ".class Lp/A;\n.method m()V\n    .local x, Ljava/lang/Object;\n"
+            "    invoke-virtual {this}, Lp/A;->m()V\n"
+            f"    {instruction}\n.end method\n.end class"
+        )
+        assert program.clazz("p.A").method("m", 0).body[-1] == expected
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,8 @@ from repro.dex.descriptors import (
     type_to_descriptor,
 )
 from repro.ir.builder import ProgramBuilder
+from repro.ir.program import Clazz, Method, Program
+from repro.ir.statements import ConstString, Return
 from repro.platform.api import OpKind
 from repro.resources.layout import LayoutNode, LayoutTree
 from repro.resources.manifest import Manifest
@@ -274,6 +276,26 @@ class TestDexRoundTripProperty:
         assert ops1 == ops2
         # And re-assembly is a fixpoint.
         assert assemble_program(reloaded.program) == text
+
+
+class TestDexStringProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.text(), line=st.one_of(st.none(), st.integers(0, 10**9)))
+    def test_string_constant_roundtrips_through_dalvik_text(self, value, line):
+        from repro.corpus.export import parse_dex_text
+        from repro.dex import assemble_program
+
+        method = Method("m", "p.A")
+        method.add_local("s", "java.lang.String")
+        method.append(ConstString("s", value, line=line))
+        method.append(Return())
+        clazz = Clazz("p.A")
+        clazz.add_method(method)
+        program = Program()
+        program.add_class(clazz)
+        reloaded = parse_dex_text(assemble_program(program))
+        stmt = reloaded.clazz("p.A").method("m", 0).body[0]
+        assert (type(stmt), stmt.value, stmt.line) == (ConstString, value, line)
 
 
 class TestPlanProperties:
