@@ -14,7 +14,21 @@ artifacts a client can never observe:
 
 Everything else must match exactly, and :func:`diff_solutions` reports
 the first few discrepancies with enough context to debug a scheduler
-bug.
+bug. It reports a ``schema`` or ``app`` mismatch before any content.
+
+**Reading ids.** The fingerprint reads the solver's id tables
+(``result.pts.by_id``, ``graph.flow``) and renders each interned node
+once, as ``label[id]``; a points-to entry or flow edge indexes that
+list instead of rendering its nodes again. Relationship edges, XML
+handlers and menu items are few and stay on nodes.
+
+**Label collisions.** Entries are keyed by ``str(node)``, which drops a
+method's package and arity, so two nodes can share a label: for
+example ``Helper.keep$v`` in both ``keep/1`` and ``keep/2``. In ``pts``
+the entry of the later id then overwrites the earlier one, and a
+difference in the earlier entry is invisible to :func:`diff_solutions`.
+An equivalence check is exact only where an app's node labels are
+unique, as they are in the corpus and the example projects.
 """
 
 from __future__ import annotations
@@ -31,19 +45,26 @@ SCHEMA = "repro.diff/1"
 
 def solution_fingerprint(result: AnalysisResult) -> Dict[str, object]:
     """A canonical, order-independent digest of the full solution."""
+    graph = result.graph
+    # One rendering per interned node; everything below indexes it by id.
+    label = [str(node) for node in graph.node_list]
     pts = {
-        str(node): tuple(sorted(str(v) for v in values))
-        for node, values in result.pts.items()
+        label[i]: tuple(sorted(map(label.__getitem__, values)))
+        for i, values in result.pts.by_id.items()
         if values
     }
     rels: Dict[str, Tuple[str, ...]] = {}
     for kind in RelKind:
         edges = sorted(
-            f"{src} -> {dst}" for src, dst in result.graph.rel_edges(kind)
+            f"{src} -> {dst}" for src, dst in graph.rel_edges(kind)
         )
         rels[kind.name] = tuple(edges)
     flows = tuple(
-        sorted(f"{src} -> {dst}" for src, dst in result.graph.flow_edges())
+        sorted(
+            f"{label[src]} -> {label[dst]}"
+            for src, out in graph.flow.items()
+            for dst in out
+        )
     )
     xml = tuple(
         sorted(
@@ -88,7 +109,11 @@ def diff_solutions(
         if len(problems) < limit:
             problems.append(message)
 
-    for key in ("converged", "flows", "xml_handlers", "precision"):
+    if a["schema"] != b["schema"]:
+        # Other schemas have other shapes: there is no content to compare.
+        note(f"schema: {a['schema']!r} != {b['schema']!r}")
+        return problems
+    for key in ("app", "converged", "flows", "xml_handlers", "precision"):
         if a[key] != b[key]:
             note(f"{key}: {a[key]!r} != {b[key]!r}")
 

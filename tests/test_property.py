@@ -31,6 +31,8 @@ from repro.resources.manifest import Manifest
 from repro.resources.rtable import ResourceTable
 from repro.semantics import check_soundness, run_app
 
+from conftest import node_fingerprint
+
 VIEW = "android.view.View"
 ACTIVITY = "app.MainActivity"
 
@@ -170,6 +172,12 @@ class TestSolverOracleProperty:
         naive = analyze(app, AnalysisOptions(solver="naive"))
         semi = analyze(app)
         assert solution_fingerprint(naive) == solution_fingerprint(semi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=layout_trees(), actions=_actions)
+    def test_fingerprint_matches_node_by_node_reading(self, tree, actions):
+        result = analyze(_build_random_app(tree, actions))
+        assert solution_fingerprint(result) == node_fingerprint(result)
 
     @settings(max_examples=40, deadline=None)
     @given(tree=layout_trees(), actions=_actions)

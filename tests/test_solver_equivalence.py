@@ -56,6 +56,12 @@ def _example_app(name):
 def _assert_modes_agree(app):
     naive = analyze(app, AnalysisOptions(solver="naive"))
     semi = analyze(app, AnalysisOptions(solver="seminaive"))
+    # Fingerprints key entries by node label, which hides the earlier of
+    # two colliding entries: the comparison is exact only when labels
+    # are unique.
+    for result in (naive, semi):
+        labels = [str(node) for node in result.graph.node_list]
+        assert len(set(labels)) == len(labels), "node labels collide"
     problems = diff_solutions(
         solution_fingerprint(naive), solution_fingerprint(semi)
     )
