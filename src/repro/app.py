@@ -9,7 +9,7 @@ stubs), the resource table (layouts and ids), and the manifest
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ReproError
 from repro.ir.program import Program
@@ -17,6 +17,9 @@ from repro.ir.validate import validate_program
 from repro.platform.classes import install_platform
 from repro.resources.manifest import Manifest
 from repro.resources.rtable import ResourceTable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hierarchy.cha import ClassHierarchy
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,20 @@ class AndroidApp:
         :func:`validate_program`."""
         return validate_program(self.program, strict=strict, resources=self.resources)
 
-    def activity_classes(self) -> List[str]:
+    def activity_classes(
+        self, hierarchy: Optional["ClassHierarchy"] = None
+    ) -> List[str]:
         """Application classes that are (transitive) Activity subclasses.
 
         The manifest may omit activities; like the paper, any activity
-        subclass is treated as platform-instantiable.
+        subclass is treated as platform-instantiable. A caller that
+        already holds the program's ``hierarchy`` passes it in, so that
+        none is built.
         """
-        from repro.hierarchy.cha import ClassHierarchy
+        if hierarchy is None:
+            from repro.hierarchy.cha import ClassHierarchy
 
-        hierarchy = ClassHierarchy(self.program)
+            hierarchy = ClassHierarchy(self.program)
         return [
             c.name
             for c in self.program.application_classes()

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.core.results import AnalysisResult, GuiTuple
+from repro.gcpause import gc_paused
 from repro.hierarchy.callgraph import build_call_graph
 from repro.ir.program import MethodSig
 from repro.ir.statements import New
@@ -65,10 +66,11 @@ class ActivityTransitionGraph:
         return "\n".join(lines)
 
 
+@gc_paused()
 def build_transition_graph(result: AnalysisResult) -> ActivityTransitionGraph:
     """Build the transition graph from a solved analysis."""
     program = result.app.program
-    activity_classes = set(result.app.activity_classes())
+    activity_classes = set(result.app.activity_classes(result.hierarchy))
     graph = ActivityTransitionGraph(activities=sorted(activity_classes))
     graph.tuples = sorted(result.gui_tuples(), key=str)
     call_graph = build_call_graph(program, result.hierarchy)

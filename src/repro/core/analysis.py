@@ -77,6 +77,7 @@ from repro.core.nodes import (
 )
 from repro.core.provenance import FactOrder
 from repro.core.results import AnalysisResult, PointsTo, XmlHandlerBinding
+from repro.gcpause import gc_paused
 from repro.hierarchy.cha import ClassHierarchy
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
@@ -140,6 +141,7 @@ class GuiReferenceAnalysis:
     access.
     """
 
+    @gc_paused()
     def __init__(
         self,
         app: AndroidApp,
@@ -387,6 +389,7 @@ class GuiReferenceAnalysis:
 
     # -- solving -------------------------------------------------------------------
 
+    @gc_paused()
     def solve(self) -> AnalysisResult:
         tracer = self.tracer
         if tracer is None:

@@ -253,7 +253,7 @@ class _GraphBuilder:
         method ``m`` declared by ``a`` or an application ancestor.
         """
         g = self.graph
-        for class_name in self.app.activity_classes():
+        for class_name in self.app.activity_classes(self.hierarchy):
             act = g.activity_id(class_name)
             for cname in self.hierarchy.superclass_chain(class_name):
                 c = self.program.clazz(cname)

@@ -38,11 +38,13 @@ from typing import Dict, List, Tuple
 from repro.core.graph import RelKind
 from repro.core.metrics import compute_precision
 from repro.core.results import AnalysisResult
+from repro.gcpause import gc_paused
 
 # Bump when the fingerprint shape changes.
 SCHEMA = "repro.diff/1"
 
 
+@gc_paused()
 def solution_fingerprint(result: AnalysisResult) -> Dict[str, object]:
     """A canonical, order-independent digest of the full solution."""
     graph = result.graph

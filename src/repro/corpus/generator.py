@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.app import AndroidApp
 from repro.corpus.spec import AppSpec
+from repro.gcpause import gc_paused
 from repro.ir.builder import ClassBuilder, MethodBuilder, ProgramBuilder
 from repro.platform.classes import container_classes, widget_leaf_classes
 from repro.platform.events import EventKind, LISTENER_SPECS, ListenerSpec
@@ -821,6 +822,7 @@ class _Generator:
         assert self.method_count == spec.methods
 
 
+@gc_paused()
 def generate_app(spec: AppSpec) -> AndroidApp:
     """Generate the synthetic app realising ``spec`` (deterministic)."""
     return _Generator(spec).generate()

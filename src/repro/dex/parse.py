@@ -8,7 +8,9 @@ line is an instruction, dispatched on its opcode word through
 ``_OPCODES``. A key ending in ``*`` names a family (``iget*`` covers
 ``iget``, ``iget-object``, ``iget-wide``, ...). An ``invoke-*`` is
 appended when it is read; a ``move-result*`` right after it sets its
-result, so the two form one IR call.
+result, so the two form one IR call. A parse resolves each distinct
+opcode word, type descriptor and method descriptor once
+(:class:`_Memo`), so every use of one type name shares one string.
 
 A string literal is ``"..."`` with the escapes ``\\\\``, ``\\"``,
 ``\\n`` and ``\\uXXXX`` (the ones :mod:`repro.dex.assemble` writes),
@@ -26,6 +28,7 @@ from repro.dex.descriptors import (
     split_method_descriptor,
 )
 from repro.errors import ReproError
+from repro.gcpause import gc_paused
 from repro.ir.program import Clazz, Field, Method, Program
 from repro.ir.statements import (
     Assign,
@@ -111,11 +114,11 @@ def _split_static(body: str) -> Tuple[bool, str]:
     return False, body
 
 
-def _field_ref(text: str) -> Tuple[str, str]:
+def _field_ref(text: str, types: "_Memo") -> Tuple[str, str]:
     """(owner class, field name) of ``Lp/A;->f:T``; ``T`` is checked."""
     match = _match(_FIELD_REF_RE, text, "field reference")
-    owner = descriptor_to_type(match.group(1))
-    descriptor_to_type(match.group(3))
+    owner = types[match.group(1)]
+    types[match.group(3)]
     return owner, match.group(2)
 
 
@@ -130,16 +133,17 @@ def _unescape(match: "re.Match[str]") -> str:
 
 # -- instructions --------------------------------------------------------------
 #
-# A handler takes (opcode, operand text, "# line N" value, method body)
-# and returns the statement to append, or None.
+# A handler takes (opcode, operand text, "# line N" value, method body,
+# parser) and returns the statement to append, or None. It resolves
+# descriptors through the parser's memos.
 
 
-def _move(op, args, src, body):
+def _move(op, args, src, body, parser):
     lhs, rhs = _operands(args)
     return Assign(lhs, rhs, line=src)
 
 
-def _move_result(op, args, src, body):
+def _move_result(op, args, src, body, parser):
     call = body[-1] if body else None
     if not isinstance(call, Invoke) or call.lhs is not None:
         raise DexSyntaxError("move-result without invoke")
@@ -147,9 +151,9 @@ def _move_result(op, args, src, body):
     return None
 
 
-def _check_cast(op, args, src, body):
+def _check_cast(op, args, src, body, parser):
     reg, descriptor = _operands(args)
-    type_name = descriptor_to_type(descriptor)
+    type_name = parser.types[descriptor]
     # Peephole: `move x, y; check-cast x, T` is the assembly of
     # `x := (T) y`; merge it back so cast type-filtering (and the
     # original statement structure) survives the round trip.
@@ -158,42 +162,42 @@ def _check_cast(op, args, src, body):
     return Cast(reg, type_name, reg, line=src)
 
 
-def _new_instance(op, args, src, body):
+def _new_instance(op, args, src, body, parser):
     reg, descriptor = _operands(args)
-    return New(reg, descriptor_to_type(descriptor), line=src)
+    return New(reg, parser.types[descriptor], line=src)
 
 
-def _iget(op, args, src, body):
+def _iget(op, args, src, body, parser):
     lhs, base, ref = _operands(args, 2)
-    return Load(lhs, base, _field_ref(ref)[1], line=src)
+    return Load(lhs, base, _field_ref(ref, parser.types)[1], line=src)
 
 
-def _iput(op, args, src, body):
+def _iput(op, args, src, body, parser):
     rhs, base, ref = _operands(args, 2)
-    return Store(base, _field_ref(ref)[1], rhs, line=src)
+    return Store(base, _field_ref(ref, parser.types)[1], rhs, line=src)
 
 
-def _sget(op, args, src, body):
+def _sget(op, args, src, body, parser):
     lhs, ref = _operands(args, 1)
-    return StaticLoad(lhs, *_field_ref(ref), line=src)
+    return StaticLoad(lhs, *_field_ref(ref, parser.types), line=src)
 
 
-def _sput(op, args, src, body):
+def _sput(op, args, src, body, parser):
     rhs, ref = _operands(args, 1)
-    return StaticStore(*_field_ref(ref), rhs, line=src)
+    return StaticStore(*_field_ref(ref, parser.types), rhs, line=src)
 
 
 def _const_named(statement):
     """Handler for ``const-layout``/``const-view-id``/``const-menu``."""
 
-    def handler(op, args, src, body):
+    def handler(op, args, src, body, parser):
         reg, name = _operands(args, 1)
         return statement(reg, name, line=src)
 
     return handler
 
 
-def _const_string(op, args, src, body):
+def _const_string(op, args, src, body, parser):
     reg, literal = _operands(args, 1)
     match = _STRING_RE.fullmatch(literal)
     if match is None:
@@ -201,7 +205,7 @@ def _const_string(op, args, src, body):
     return ConstString(reg, _ESCAPE_RE.sub(_unescape, match.group(1)), line=src)
 
 
-def _const(op, args, src, body):
+def _const(op, args, src, body, parser):
     reg, value = _operands(args, 1)
     number = int(value, 0)
     if op == "const/4" and number == 0:
@@ -209,37 +213,37 @@ def _const(op, args, src, body):
     return ConstInt(reg, number, line=src)
 
 
-def _return(op, args, src, body):
+def _return(op, args, src, body, parser):
     return Return(None if op == "return-void" else args, line=src)
 
 
-def _goto(op, args, src, body):
+def _goto(op, args, src, body, parser):
     return Goto(args.lstrip(":"), line=src)
 
 
-def _if_nez(op, args, src, body):
+def _if_nez(op, args, src, body, parser):
     reg, target = _operands(args, 1)
     return If(reg, target.lstrip(":"), line=src)
 
 
-def _binop(op, args, src, body):
+def _binop(op, args, src, body, parser):
     match = _match(_BINOP_RE, args, "binop")
     return BinOp(match.group(2), match.group(1), match.group(3), match.group(4), line=src)
 
 
-def _unop(op, args, src, body):
+def _unop(op, args, src, body, parser):
     match = _match(_UNOP_RE, args, "unop")
     return UnaryOp(match.group(2), match.group(1), match.group(3), line=src)
 
 
-def _invoke(op, args, src, body):
+def _invoke(op, args, src, body, parser):
     kind = _INVOKE_KINDS.get(op)
     if kind is None:
         raise DexSyntaxError(f"unknown invoke {op!r}")
     match = _match(_INVOKE_RE, args, "invoke")
     registers = [r.strip() for r in match.group(1).split(",") if r.strip()]
     ref = _match(_METHOD_REF_RE, match.group(2), "method reference")
-    params, _ret = split_method_descriptor(ref.group(3))
+    params, _ret = parser.signatures[ref.group(3)]
     if kind is InvokeKind.STATIC:
         base, call_args = None, registers
     else:
@@ -251,7 +255,7 @@ def _invoke(op, args, src, body):
             f"argument count {len(call_args)} does not match descriptor "
             f"({len(params)} params)"
         )
-    owner = descriptor_to_type(ref.group(1))
+    owner = parser.types[ref.group(1)]
     return Invoke(None, kind, base, owner, ref.group(2), tuple(call_args), line=src)
 
 
@@ -291,11 +295,35 @@ def _handler(opcode: str):
     return handler
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``resolve(key)``, computed on the key's first use.
+
+    Only results are stored: a key whose ``resolve`` raises raises again
+    at each use, so the error is located at every line that has it.
+    """
+
+    __slots__ = ("resolve",)
+
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self.resolve = resolve
+
+    def __missing__(self, key: str):
+        value = self[key] = self.resolve(key)
+        return value
+
+
 class _DexParser:
     def __init__(self, text: str) -> None:
         self.lines = _scan(text)
         self.program = Program()
         install_platform(self.program)
+        # Per parse: opcode word -> handler, type descriptor -> type
+        # name, method descriptor -> (parameter types, return type).
+        # Every use of a key gets the same value; none is mutated.
+        self.handlers = _Memo(_handler)
+        self.types = _Memo(descriptor_to_type)
+        self.signatures = _Memo(split_method_descriptor)
 
     def parse(self) -> Program:
         for number, code, _src in self.lines:
@@ -311,7 +339,7 @@ class _DexParser:
         if len(parts) != 2:
             raise DexSyntaxError("expected '.class <descriptor>'", header_no)
         try:
-            name = descriptor_to_type(parts[1])
+            name = self.types[parts[1]]
         except ValueError as exc:
             raise DexSyntaxError(str(exc), header_no) from exc
         clazz = Clazz(name, superclass=None, is_interface=header.startswith(".interface"))
@@ -325,16 +353,16 @@ class _DexParser:
                 continue
             try:
                 if code.startswith(".super "):
-                    superclass = descriptor_to_type(code.split()[1])
+                    superclass = self.types[code.split()[1]]
                 elif code.startswith(".implements "):
-                    interfaces.append(descriptor_to_type(code.split()[1]))
+                    interfaces.append(self.types[code.split()[1]])
                 elif code.startswith(".field "):
                     is_static, body = _split_static(code[len(".field "):])
                     fname, _colon, descriptor = body.partition(":")
                     if not descriptor:
                         raise DexSyntaxError(f"malformed field {code!r}")
                     clazz.add_field(Field(
-                        fname.strip(), descriptor_to_type(descriptor.strip()),
+                        fname.strip(), self.types[descriptor.strip()],
                         is_static=is_static,
                     ))
                 else:
@@ -358,7 +386,7 @@ class _DexParser:
         is_static, signature = _split_static(header[len(".method "):])
         try:
             match = _match(_METHOD_HEADER_RE, signature, "method header")
-            param_types, return_type = split_method_descriptor(match.group(2))
+            param_types, return_type = self.signatures[match.group(2)]
         except ValueError as exc:
             raise DexSyntaxError(str(exc), header_no) from exc
         method = Method(
@@ -366,6 +394,7 @@ class _DexParser:
             is_static=is_static,
         )
         body = method.body
+        handlers, types = self.handlers, self.types
         for number, code, src in self.lines:
             if code == ".end method":
                 try:
@@ -379,19 +408,19 @@ class _DexParser:
                     if len(method.param_names) >= len(param_types):
                         raise DexSyntaxError("too many .param directives")
                     declared = (
-                        descriptor_to_type(descriptor.strip())
+                        types[descriptor.strip()]
                         if descriptor.strip()
                         else param_types[len(method.param_names)]
                     )
                     method.add_param(reg.strip(), declared)
                 elif code.startswith(".local "):
                     reg, _comma, descriptor = code[len(".local "):].partition(",")
-                    method.add_local(reg.strip(), descriptor_to_type(descriptor.strip()))
+                    method.add_local(reg.strip(), types[descriptor.strip()])
                 elif code[0] == ":":
                     body.append(Label(code[1:], line=src))
                 else:
                     opcode, _space, args = code.partition(" ")
-                    stmt = _handler(opcode)(opcode, args.strip(), src, body)
+                    stmt = handlers[opcode](opcode, args.strip(), src, body, self)
                     if stmt is not None:
                         body.append(stmt)
             except ValueError as exc:
@@ -402,6 +431,7 @@ class _DexParser:
         raise DexSyntaxError("missing .end method", header_no)
 
 
+@gc_paused()
 def parse_dex_text(text: str) -> Program:
     """Load a Dalvik-text program into ALite IR (platform installed)."""
     return _DexParser(text).parse()

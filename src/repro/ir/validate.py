@@ -91,31 +91,35 @@ def _missing_resource(stmt: Statement, resources: "ResourceTable") -> Optional[s
     return None
 
 
+def _at(method: Method, idx: int) -> str:
+    """``Class.method/N[idx]``, the start of a statement's error message;
+    formatted only when there is an error to report."""
+    return f"{method.sig}[{idx}]"
+
+
 def _validate_method(
     program: Program, method: Method, errors: List[str], resources: Optional["ResourceTable"]
 ) -> None:
-    where = str(method.sig)
     labels = {s.name for s in method.body if isinstance(s, Label)}
     for idx, stmt in enumerate(method.body):
-        ctx = f"{where}[{idx}]"
         missing = _missing_resource(stmt, resources) if resources is not None else None
         if missing is not None:
             line = f" line {stmt.line}" if stmt.line is not None else ""
-            errors.append(f"{ctx}{line}: {missing}")
+            errors.append(f"{_at(method, idx)}{line}: {missing}")
         for var in stmt.defs() + stmt.uses():
             if var not in method.locals:
-                errors.append(f"{ctx}: undeclared local {var!r}")
+                errors.append(f"{_at(method, idx)}: undeclared local {var!r}")
         if isinstance(stmt, Goto) and stmt.target not in labels:
-            errors.append(f"{ctx}: goto to unknown label {stmt.target!r}")
+            errors.append(f"{_at(method, idx)}: goto to unknown label {stmt.target!r}")
         if isinstance(stmt, If) and stmt.target not in labels:
-            errors.append(f"{ctx}: branch to unknown label {stmt.target!r}")
+            errors.append(f"{_at(method, idx)}: branch to unknown label {stmt.target!r}")
         if isinstance(stmt, (Load, Store)):
             base_local = method.locals.get(stmt.base)
             if base_local is not None and not _field_visible(
                 program, base_local.type_name, stmt.field_name
             ):
                 errors.append(
-                    f"{ctx}: field {stmt.field_name!r} not found on "
+                    f"{_at(method, idx)}: field {stmt.field_name!r} not found on "
                     f"{base_local.type_name} or its ancestors"
                 )
         if isinstance(stmt, Invoke):
@@ -127,7 +131,7 @@ def _validate_method(
                 # and virtual dispatch may resolve upward in the hierarchy).
                 if not _method_visible(program, stmt.class_name, stmt.method_name, len(stmt.args)):
                     errors.append(
-                        f"{ctx}: call target {stmt.class_name}.{stmt.method_name}"
+                        f"{_at(method, idx)}: call target {stmt.class_name}.{stmt.method_name}"
                         f"/{len(stmt.args)} not found"
                     )
 

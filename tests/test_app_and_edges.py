@@ -4,6 +4,8 @@ import pytest
 
 from repro import AnalysisOptions, analyze
 from repro.app import AndroidApp
+from repro.clients.transitions import build_transition_graph
+from repro.hierarchy.cha import ClassHierarchy
 from repro.ir.builder import ProgramBuilder
 from repro.ir.program import Program
 from repro.platform.classes import install_platform
@@ -35,6 +37,22 @@ class TestAndroidApp:
         pb.clazz("app.C", extends="app.A")  # transitive activity
         app = AndroidApp("t", pb.build(), ResourceTable(), Manifest())
         assert set(app.activity_classes()) == {"app.A", "app.C"}
+        hierarchy = ClassHierarchy(app.program)
+        assert app.activity_classes(hierarchy) == app.activity_classes()
+
+    def test_analysis_and_transitions_reuse_the_builder_hierarchy(self, monkeypatch):
+        app = make_single_activity_app()
+        built = []
+        original = ClassHierarchy.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClassHierarchy, "__init__", counting_init)
+        result = analyze(app)
+        build_transition_graph(result)
+        assert built == [result.hierarchy]
 
     def test_repr(self):
         app = make_single_activity_app()

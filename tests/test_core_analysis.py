@@ -398,21 +398,3 @@ class TestInterprocedural:
         app = AndroidApp("t", pb.build(), ResourceTable(), manifest)
         result = analyze(app)
         assert result.rounds < 10
-
-
-def test_solved_analysis_is_freed_without_the_cycle_collector():
-    """Dropping a solved analysis frees it by reference counting; a
-    reference cycle would keep the whole analysis, graph and app alive
-    until the cycle collector runs."""
-    import gc
-
-    app = make_single_activity_app()
-    gc.collect()
-    gc.disable()
-    try:
-        result = analyze(app)
-        assert result.roots_of_activity(ACTIVITY)
-        del result
-        assert gc.collect() == 0
-    finally:
-        gc.enable()

@@ -20,6 +20,7 @@ from repro.dex import (
     type_to_descriptor,
 )
 from repro.dex.descriptors import join_method_descriptor, split_method_descriptor
+from repro.dex.parse import _Memo
 from repro.ir.statements import (
     Cast,
     ConstInt,
@@ -263,6 +264,68 @@ class TestMalformedDescriptorsLocated:
             parse_dex_text("\n".join(lines))
         assert info.value.line == index + 1
         assert str(info.value).startswith(f"line {index + 1}: ")
+
+    @pytest.mark.parametrize(
+        "pattern,old,new,message",
+        [
+            # a local type the parse has resolved many times before
+            (r"^\s*\.local \S+, Landroid/view/View;$", "View;", "View",
+             "malformed type descriptor"),
+            # an opcode word the parse has resolved many times before
+            (r"^\s*invoke-virtual ", "invoke-virtual", "invokx-virtual",
+             "unknown opcode"),
+        ],
+        ids=["descriptor", "opcode"],
+    )
+    def test_last_use_is_located_after_memoised_uses(
+        self, apv_smali, pattern, old, new, message
+    ):
+        """The per-parse memos store only results: a bad spelling of a
+        word resolved earlier still fails, at its own line."""
+        lines = list(apv_smali)
+        index = max(i for i, line in enumerate(lines) if re.search(pattern, line))
+        lines[index] = lines[index].replace(old, new, 1)
+        with pytest.raises(DexSyntaxError, match=message) as info:
+            parse_dex_text("\n".join(lines))
+        assert info.value.line == index + 1
+
+
+class TestMemo:
+    def test_resolves_each_key_once(self):
+        calls = []
+        memo = _Memo(lambda key: calls.append(key) or key.upper())
+        assert memo["a"] == "A" and memo["a"] == "A" and memo["b"] == "B"
+        assert calls == ["a", "b"]
+
+    def test_failures_are_not_stored(self):
+        memo = _Memo(descriptor_to_type)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed type descriptor"):
+                memo["Lp/A"]
+        assert "Lp/A" not in memo
+
+    def test_type_names_are_shared(self):
+        program = parse_dex_text(
+            ".class Lp/A;\n"
+            ".field f:Lp/B;\n"
+            ".method m()V\n"
+            "    .local x, Lp/B;\n"
+            "    .local y, Lp/B;\n"
+            "    new-instance x, Lp/B;\n"
+            "    return-void\n"
+            ".end method\n"
+            ".end class"
+        )
+        clazz = program.clazz("p.A")
+        method = clazz.method("m", 0)
+        names = [
+            clazz.fields["f"].type_name,
+            method.locals["x"].type_name,
+            method.locals["y"].type_name,
+            method.body[0].class_name,
+        ]
+        assert names == ["p.B"] * 4
+        assert all(name is names[0] for name in names)
 
 
 class TestRoundTrip:
