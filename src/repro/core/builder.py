@@ -18,7 +18,7 @@ application method (all are considered executable) and adds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.app import AndroidApp
 from repro.core.graph import RECV, ConstraintGraph
@@ -28,26 +28,18 @@ from repro.hierarchy.callgraph import resolve_invoke
 from repro.ir.program import Method, MethodSig, Program
 from repro.ir.statements import (
     Assign,
-    BinOp,
     Cast,
     ConstInt,
     ConstLayoutId,
     ConstMenuId,
-    ConstNull,
-    ConstString,
     ConstViewId,
-    Goto,
-    If,
     Invoke,
-    InvokeKind,
-    Label,
     Load,
     New,
     Return,
     StaticLoad,
     StaticStore,
     Store,
-    UnaryOp,
 )
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer, active as active_tracer
@@ -64,6 +56,11 @@ class BuildResult:
     app: AndroidApp
 
 
+# What a call edge needs of its target: its sig, the graph's locals table
+# of it, and its return variables.
+_Callee = Tuple[MethodSig, Dict[str, int], List[str]]
+
+
 class _GraphBuilder:
     def __init__(self, app: AndroidApp) -> None:
         self.app = app
@@ -71,8 +68,8 @@ class _GraphBuilder:
         self.hierarchy = ClassHierarchy(self.program)
         self.graph = ConstraintGraph()
         self.result = BuildResult(self.graph, self.hierarchy, app)
-        # Return variables per method, for call-return edges.
-        self._returns: Dict[MethodSig, List[str]] = {}
+        # One record per call target.
+        self._callees: Dict[Method, _Callee] = {}
         # (static class, field name) -> declaring class.
         self._field_owners: Dict[Tuple[str, str], str] = {}
 
@@ -97,18 +94,17 @@ class _GraphBuilder:
             self._field_owners[key] = owner
         return owner
 
-    def _returns_of(self, sig: MethodSig) -> List[str]:
-        cached = self._returns.get(sig)
-        if cached is not None:
-            return cached
-        method = self.program.method(sig.class_name, sig.name, sig.arity)
-        names: List[str] = []
-        if method is not None:
-            for stmt in method.body:
-                if isinstance(stmt, Return) and stmt.var is not None:
-                    names.append(stmt.var)
-        self._returns[sig] = names
-        return names
+    def _callee(self, target: Method) -> _Callee:
+        record = self._callees.get(target)
+        if record is None:
+            sig = target.sig
+            returns = [
+                stmt.var
+                for stmt in target.body
+                if type(stmt) is Return and stmt.var is not None
+            ]
+            record = self._callees[target] = (sig, self.graph.locals_of(sig), returns)
+        return record
 
     def _is_view_class(self, name: str) -> bool:
         return self.hierarchy.is_subtype(name, VIEW)
@@ -119,13 +115,16 @@ class _GraphBuilder:
         methods = 0
         statements = 0
         graph = self.graph
+        translators = self._translators()
         for method in self.program.application_methods():
             methods += 1
             sig = method.sig
             locals_ = graph.locals_of(sig)
+            statements += len(method.body)
             for index, stmt in enumerate(method.body):
-                statements += 1
-                self._translate(method, sig, locals_, index, stmt)
+                translate = translators.get(type(stmt))
+                if translate is not None:
+                    translate(method, sig, locals_, index, stmt)
         self._model_activities()
         if tracer is not None:
             tracer.counter(obs_names.COUNTER_BUILD_METHODS, methods)
@@ -136,23 +135,30 @@ class _GraphBuilder:
             tracer.counter(obs_names.COUNTER_BUILD_OPS, len(self.graph.ops()))
         return self.result
 
-    def _translate(
-        self, method: Method, sig: MethodSig, locals_: Dict[str, int], index: int, stmt
-    ) -> None:
-        """Add the edges of one statement; ``locals_`` is the graph's
-        name -> id table of ``sig``'s locals."""
+    def _translators(self) -> Dict[type, Callable[..., None]]:
+        """Statement class -> the function adding its edges, called as
+        ``translate(method, sig, locals_, index, stmt)`` with ``locals_``
+        the graph's name -> id table of ``sig``'s locals.
+
+        Constants without an id, control flow, arithmetic and ``Return``
+        (handled at call sites) carry no reference flow and have none.
+        """
         g = self.graph
         flow = g.add_flow_ids
         local = g.local_id
-        if isinstance(stmt, Assign):
+        resources = self.app.resources
+
+        def assign(method, sig, locals_, index, stmt):
             flow(local(locals_, sig, stmt.rhs), local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, Cast):
+
+        def cast(method, sig, locals_, index, stmt):
             flow(
                 local(locals_, sig, stmt.rhs),
                 local(locals_, sig, stmt.lhs),
                 type_filter=stmt.type_name,
             )
-        elif isinstance(stmt, New):
+
+        def new(method, sig, locals_, index, stmt):
             site = Site(sig, index, stmt.line)
             alloc = g.alloc_id(
                 site,
@@ -161,50 +167,67 @@ class _GraphBuilder:
                 is_listener=self.hierarchy.is_listener_class(stmt.class_name),
             )
             flow(alloc, local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, Load):
+
+        def load(method, sig, locals_, index, stmt):
             base_type = method.locals[stmt.base].type_name
             owner = self._field_owner(base_type, stmt.field_name)
             flow(g.field_id(owner, stmt.field_name), local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, Store):
+
+        def store(method, sig, locals_, index, stmt):
             base_type = method.locals[stmt.base].type_name
             owner = self._field_owner(base_type, stmt.field_name)
             flow(local(locals_, sig, stmt.rhs), g.field_id(owner, stmt.field_name))
-        elif isinstance(stmt, StaticLoad):
+
+        def static_load(method, sig, locals_, index, stmt):
             flow(
                 g.static_field_id(stmt.class_name, stmt.field_name),
                 local(locals_, sig, stmt.lhs),
             )
-        elif isinstance(stmt, StaticStore):
+
+        def static_store(method, sig, locals_, index, stmt):
             flow(
                 local(locals_, sig, stmt.rhs),
                 g.static_field_id(stmt.class_name, stmt.field_name),
             )
-        elif isinstance(stmt, ConstLayoutId):
-            value = self.app.resources.layout_id(stmt.layout_name)
+
+        def const_layout_id(method, sig, locals_, index, stmt):
+            value = resources.layout_id(stmt.layout_name)
             flow(g.layout_id_id(stmt.layout_name, value), local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, ConstViewId):
-            value = self.app.resources.view_id(stmt.id_name)
+
+        def const_view_id(method, sig, locals_, index, stmt):
+            value = resources.view_id(stmt.id_name)
             flow(g.view_id_id(stmt.id_name, value), local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, ConstMenuId):
-            value = self.app.resources.menu_id(stmt.menu_name)
+
+        def const_menu_id(method, sig, locals_, index, stmt):
+            value = resources.menu_id(stmt.menu_name)
             flow(g.menu_id_id(stmt.menu_name, value), local(locals_, sig, stmt.lhs))
-        elif isinstance(stmt, ConstInt):
+
+        def const_int(method, sig, locals_, index, stmt):
             # Raw integers that coincide with R constants behave as ids
             # (apps occasionally pass the literal value around).
-            layout_name = self.app.resources.layout_name_of(stmt.value)
+            layout_name = resources.layout_name_of(stmt.value)
             if layout_name is not None:
                 flow(
                     g.layout_id_id(layout_name, stmt.value), local(locals_, sig, stmt.lhs)
                 )
-            id_name = self.app.resources.view_id_name_of(stmt.value)
+            id_name = resources.view_id_name_of(stmt.value)
             if id_name is not None:
                 flow(g.view_id_id(id_name, stmt.value), local(locals_, sig, stmt.lhs))
-        elif isinstance(
-            stmt, (ConstString, ConstNull, Label, Goto, If, Return, BinOp, UnaryOp)
-        ):
-            pass  # no reference flow (returns handled at call sites)
-        elif isinstance(stmt, Invoke):
-            self._translate_invoke(method, sig, locals_, index, stmt)
+
+        return {
+            Assign: assign,
+            Cast: cast,
+            New: new,
+            Load: load,
+            Store: store,
+            StaticLoad: static_load,
+            StaticStore: static_store,
+            ConstLayoutId: const_layout_id,
+            ConstViewId: const_view_id,
+            ConstMenuId: const_menu_id,
+            ConstInt: const_int,
+            Invoke: self._translate_invoke,
+        }
 
     def _translate_invoke(
         self, method: Method, sig: MethodSig, locals_: Dict[str, int], index: int, stmt: Invoke
@@ -217,14 +240,13 @@ class _GraphBuilder:
             return
         # Ordinary interprocedural flow, resolved with CHA.
         for target in resolve_invoke(self.program, self.hierarchy, method, stmt):
-            tsig = target.sig
-            callee = g.locals_of(tsig)
+            tsig, callee, returns = self._callee(target)
             if target.is_instance and stmt.base is not None:
                 g.add_flow_ids(local(locals_, sig, stmt.base), local(callee, tsig, "this"))
             for arg, pname in zip(stmt.args, target.param_names):
                 g.add_flow_ids(local(locals_, sig, arg), local(callee, tsig, pname))
             if stmt.lhs is not None:
-                for rname in self._returns_of(tsig):
+                for rname in returns:
                     g.add_flow_ids(local(callee, tsig, rname), local(locals_, sig, stmt.lhs))
 
     def _add_op(

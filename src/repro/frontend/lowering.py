@@ -615,7 +615,11 @@ def compile_sources(
         compiler = _Compiler(units)
         return compiler.compile()
     except (FrontendError, RecursionError) as exc:
-        error = exc if isinstance(exc, FrontendError) else ParseError("nested too deeply")
+        # Raise through ``exc``, which is unbound on leaving the handler:
+        # an error held in another local would close the cycle
+        # frame -> error -> traceback -> frame.
+        if not isinstance(exc, FrontendError):
+            exc = ParseError("nested too deeply")
         # The file being parsed, or the unit being lowered.
-        error.path = compiler.unit.path if compiler and compiler.unit else path
-        raise error from None
+        exc.path = compiler.unit.path if compiler and compiler.unit else path
+        raise exc from None

@@ -20,7 +20,9 @@ the pause saves is the repeated scanning while they grow. If the
 collector is already off, because the caller turned it off or an outer
 phase paused it, it leaves it off. The collector's switch is
 process-wide, so other threads do not collect while a phase runs
-either.
+either. A batch worker (:mod:`repro.runner.runner`) holds one pause
+over its whole job, since it exits right after its one app, so there
+the survivors of each phase are never scanned at all.
 """
 
 from __future__ import annotations

@@ -40,25 +40,24 @@ def parse_menu_xml(name: str, text: str) -> MenuDef:
     if root.tag != "menu":
         raise LayoutXmlError("menu file must have a <menu> root")
     menu = MenuDef(name=name)
-
-    def walk(elem) -> None:
-        for child in elem:
-            if child.tag == "group":
-                walk(child)
-            elif child.tag == "item":
-                menu.items.append(
-                    MenuItemDef(
-                        id_name=_parse_id(_attr(child, "id")),
-                        title=_attr(child, "title"),
-                        on_click=_attr(child, "onClick"),
-                    )
+    # Depth-first, items in document order, with a stack of child
+    # iterators: a self-recursive closure would be a reference cycle.
+    stack = [iter(root)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child.tag == "item":
+            menu.items.append(
+                MenuItemDef(
+                    id_name=_parse_id(_attr(child, "id")),
+                    title=_attr(child, "title"),
+                    on_click=_attr(child, "onClick"),
                 )
-                # <item> may nest a sub-<menu>.
-                walk(child)
-            elif child.tag == "menu":
-                walk(child)
-            else:
-                raise LayoutXmlError(f"unexpected element <{child.tag}>")
-
-    walk(root)
+            )
+            stack.append(iter(child))  # <item> may nest a sub-<menu>.
+        elif child.tag in ("group", "menu"):
+            stack.append(iter(child))
+        else:
+            raise LayoutXmlError(f"unexpected element <{child.tag}>")
     return menu

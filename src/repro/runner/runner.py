@@ -22,7 +22,10 @@ Workers communicate over a one-way pipe; results are drained as soon
 as they are readable so payloads larger than the pipe buffer can never
 deadlock a child against its parent. The parent process never imports
 analysis results across the boundary — jobs return small picklable
-summaries (see :mod:`repro.runner.tasks`).
+summaries (see :mod:`repro.runner.tasks`). A worker keeps the cycle
+collector off for its whole job (:func:`repro.gcpause.gc_paused`): the
+analysis heap is acyclic and the process exits after its one send, so
+a collection there would only scan what reference counting frees anyway.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import AnalysisOptions
 from repro.errors import ReproError
+from repro.gcpause import gc_paused
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer
 from repro.runner.tasks import (
@@ -152,24 +156,25 @@ def _worker_main(
     from repro.obs import tracer as obs_tracer
 
     obs_tracer.disable()  # never inherit the parent's ambient tracer
-    try:
-        maybe_inject_fault(target.name)
-        app = load_target(target)
-        payload = job(app, analysis, *job_args)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # isolate *everything*; the pipe is the report
-        conn.send(
-            (
-                "input-error" if isinstance(exc, ReproError) else "error",
-                {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                },
+    with gc_paused():  # see the module docstring
+        try:
+            maybe_inject_fault(target.name)
+            app = load_target(target)
+            payload = job(app, analysis, *job_args)
+            conn.send(("ok", payload))
+        except BaseException as exc:  # isolate *everything*; the pipe is the report
+            conn.send(
+                (
+                    "input-error" if isinstance(exc, ReproError) else "error",
+                    {
+                        "type": type(exc).__name__,
+                        "message": str(exc),
+                        "traceback": traceback.format_exc(),
+                    },
+                )
             )
-        )
-    finally:
-        conn.close()
+        finally:
+            conn.close()
 
 
 def _mp_context():

@@ -6,17 +6,23 @@ a cycle would not be freed, and memory would grow silently.
 """
 
 import gc
+import os
 
 import pytest
 
 from repro import AnalysisOptions, analyze
+from repro.bench.lintbench import _lint_job
+from repro.bench.table1 import _table1_job
+from repro.bench.table2 import _table2_job
 from repro.clients.transitions import build_transition_graph
 from repro.core.analysis import GuiReferenceAnalysis
 from repro.core.diff import solution_fingerprint
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
 from repro.dex import DexSyntaxError, assemble_program, parse_dex_text
+from repro.errors import ReproError
 from repro.gcpause import gc_paused
+from repro.runner.tasks import BatchTarget, analyze_job, load_target
 
 
 @pytest.fixture
@@ -136,4 +142,56 @@ def test_entry_point_leaves_no_cyclic_garbage(collector_on, corpus_app, setup, c
     assert result is not None
     assert not gc.isenabled()
     del state, result
+    assert gc.collect() == 0
+
+
+# -- a batch worker's whole job leaves no cyclic garbage -----------------------
+#
+# A worker keeps the collector off from loading its target to sending
+# the job's payload, so everything on that path must be acyclic too:
+# loading a project directory (menus, layouts, the manifest) and every
+# job the runner is given.
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "projects")
+
+
+def _project(name):
+    return BatchTarget(name, "dir", os.path.join(EXAMPLES, name))
+
+
+WORKER_JOBS = {
+    "analyze_job-spec": (BatchTarget(SPEC, "spec"), analyze_job, ()),
+    "analyze_job-notepad": (_project("notepad"), analyze_job, ()),
+    "analyze_job-buggy": (_project("buggy"), analyze_job, ()),
+    "table1": (BatchTarget(SPEC, "spec"), _table1_job, ()),
+    "table2": (BatchTarget(SPEC, "spec"), _table2_job, ()),
+    "lint-provenance-witnesses": (BatchTarget(SPEC, "spec"), _lint_job, (1,)),
+}
+
+
+@pytest.mark.parametrize("target, job, args", WORKER_JOBS.values(), ids=WORKER_JOBS.keys())
+def test_worker_job_leaves_no_cyclic_garbage(collector_on, target, job, args):
+    """``load_target`` then the job, as a worker runs them: dropping the
+    payload leaves nothing for ``gc.collect()``."""
+    job(load_target(target), AnalysisOptions(), *args)  # warm-up
+    gc.collect()
+    gc.disable()
+    payload = job(load_target(target), AnalysisOptions(), *args)
+    assert payload is not None
+    assert not gc.isenabled()
+    del payload
+    assert gc.collect() == 0
+
+
+def test_input_error_leaves_no_cyclic_garbage(collector_on):
+    """A worker reports a malformed project and exits; the frontend
+    error and the parser frames in its traceback are freed without
+    the collector too."""
+    broken = _project("broken")
+    with pytest.raises(ReproError):  # warm-up
+        load_target(broken)
+    gc.collect()
+    gc.disable()
+    with pytest.raises(ReproError):
+        load_target(broken)
     assert gc.collect() == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -140,7 +141,25 @@ class TestResolveTargets:
 # -- the runner ---------------------------------------------------------------
 
 
+def _collector_state_job(app, options):
+    return gc.isenabled()
+
+
 class TestRunBatch:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_worker_runs_with_the_collector_off(self, tmp_path, enabled):
+        """A worker's job runs with the cycle collector off; the parent's
+        collector is left as it was."""
+        _write_project(tmp_path)
+        if not enabled:
+            gc.disable()
+        try:
+            result = run_batch([str(tmp_path)], BatchOptions(jobs=1), job=_collector_state_job)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert result.payloads() == {tmp_path.name: False}
+
     def test_parallel_matches_in_process_fingerprints(self):
         result = run_batch(SMALL_CORPUS, BatchOptions(jobs=2))
         assert result.ok()
