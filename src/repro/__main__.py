@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the full 20-app evaluation corpus)")
     p_batch.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="concurrent worker processes (default 1; "
-                         "every app still runs in its own process)")
+                         "a worker takes the next app after a success, "
+                         "and a failed app's worker is replaced)")
     p_batch.add_argument("--timeout", type=float, metavar="SECONDS",
                          help="per-app wall-clock budget; a worker over "
                          "budget is killed and recorded as 'timeout'")

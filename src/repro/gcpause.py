@@ -21,8 +21,9 @@ collector is already off, because the caller turned it off or an outer
 phase paused it, it leaves it off. The collector's switch is
 process-wide, so other threads do not collect while a phase runs
 either. A batch worker (:mod:`repro.runner.runner`) holds one pause
-over its whole job, since it exits right after its one app, so there
-the survivors of each phase are never scanned at all.
+over its whole life, across the apps it analyzes one after another, so
+there the survivors of each phase are never scanned at all; reference
+counting frees each app's acyclic heap before the next one starts.
 """
 
 from __future__ import annotations

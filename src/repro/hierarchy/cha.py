@@ -24,7 +24,10 @@ class ClassHierarchy:
     def __init__(self, program: Program) -> None:
         self.program = program
         self._supertypes: Dict[str, FrozenSet[str]] = {}
-        self._subtypes: Dict[str, Set[str]] = {}
+        # Class -> its subtypes in program class order (a dict used as
+        # an ordered set), so that dispatch order does not depend on
+        # the string hash seed.
+        self._subtypes: Dict[str, Dict[str, None]] = {}
         # Memos of the per-class queries below.
         self._subtypes_memo: Dict[str, FrozenSet[str]] = {}
         self._chains: Dict[str, Tuple[str, ...]] = {}
@@ -39,7 +42,7 @@ class ClassHierarchy:
             supers = self._compute_supertypes(name)
             self._supertypes[name] = supers
             for s in supers:
-                self._subtypes.setdefault(s, set()).add(name)
+                self._subtypes.setdefault(s, {})[name] = None
 
     def _compute_supertypes(self, name: str) -> FrozenSet[str]:
         result: Set[str] = set()
@@ -151,11 +154,11 @@ class ClassHierarchy:
     ) -> List[Method]:
         """All methods a virtual call could dispatch to under CHA.
 
-        Considers every concrete subtype of the declared receiver class
-        and deduplicates the resolved targets.
+        Considers every concrete subtype of the declared receiver class,
+        in program class order, and deduplicates the resolved targets.
         """
         targets: Dict[Tuple[str, str, int], Method] = {}
-        for sub in self.subtypes(declared_class):
+        for sub in self._subtypes.get(declared_class, ()):
             c = self.program.clazz(sub)
             if c is None or c.is_interface:
                 continue

@@ -1,8 +1,11 @@
 """Fault-isolated parallel execution of per-app analysis jobs.
 
-Every app runs in its own worker process (one ``multiprocessing``
-child per attempt), so a pathological app can only take down its own
-worker, never the run:
+Apps run in at most ``jobs`` long-lived ``multiprocessing`` workers per
+:func:`run_batch` call. A worker takes one app at a time over its pipe
+and sends back exactly one message for it; a worker whose app
+succeeded takes the next one, so a batch without failures forks at
+most ``jobs`` processes. A pathological app can still only take down
+its own worker, never the run:
 
 * an uncaught exception in the worker is shipped back as a structured
   error payload and quarantines that app (status ``failed``);
@@ -18,14 +21,19 @@ worker, never the run:
   first final failure (already-running workers finish, unscheduled
   apps are recorded as ``skipped``).
 
-Workers communicate over a one-way pipe; results are drained as soon
-as they are readable so payloads larger than the pipe buffer can never
-deadlock a child against its parent. The parent process never imports
-analysis results across the boundary — jobs return small picklable
-summaries (see :mod:`repro.runner.tasks`). A worker keeps the cycle
-collector off for its whole job (:func:`repro.gcpause.gc_paused`): the
-analysis heap is acyclic and the process exits after its one send, so
-a collection there would only scan what reference counting frees anyway.
+A worker exits after any failure, and a killed or crashed one is gone,
+so the next app, a retry included, starts in a fresh process. Results
+are drained as soon as they are readable so payloads larger than the
+pipe buffer can never deadlock a child against its parent. The parent
+process never imports analysis results across the boundary — jobs
+return small picklable summaries (see :mod:`repro.runner.tasks`).
+
+A worker keeps the cycle collector off for its whole life
+(:func:`repro.gcpause.gc_paused`). Reusing it is safe because each
+job's heap is acyclic: reference counting frees one app before the
+next one starts, so a collection there would only scan what is freed
+anyway. When :func:`run_batch` returns, on every path, no worker is
+left alive: idle ones are sent ``None`` and joined, busy ones killed.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ class BatchOptions:
     """Tunable switches of the batch runner.
 
     ``jobs`` is the number of concurrent worker processes (1 = one
-    isolated worker at a time). ``timeout`` is the per-app wall-clock
+    worker at a time; a worker takes the next app only after a success). ``timeout`` is the per-app wall-clock
     budget in seconds (None = unbounded). ``retries`` bounds re-runs
     after an exception or worker crash; attempt *n* waits ``backoff * n``
     seconds before relaunching. Timeouts and malformed input are not
@@ -95,7 +103,7 @@ class AppOutcome:
     name: str
     status: str
     attempts: int
-    seconds: float  # wall-clock of the final attempt
+    seconds: float  # final attempt, from dispatch to result
     payload: Optional[object] = None  # the job's return value (ok only)
     error: Optional[Dict[str, object]] = None
 
@@ -144,11 +152,12 @@ class BatchResult:
             raise RuntimeError(f"batch run failed for {len(bad)} app(s): {detail}")
 
 
-# One worker invocation: runs in the child process, writes exactly one
-# ("ok", payload), ("error", error) or ("input-error", error) to the pipe.
+# One worker process: takes targets from its pipe until it reads None
+# (or the pipe closes). For each target it sends exactly one ("ok",
+# payload), ("error", error) or ("input-error", error), and it exits
+# after anything but "ok", so that what failed never runs another app.
 def _worker_main(
     conn,
-    target: BatchTarget,
     analysis: AnalysisOptions,
     job: Callable,
     job_args: Tuple,
@@ -157,24 +166,40 @@ def _worker_main(
 
     obs_tracer.disable()  # never inherit the parent's ambient tracer
     with gc_paused():  # see the module docstring
-        try:
-            maybe_inject_fault(target.name)
-            app = load_target(target)
-            payload = job(app, analysis, *job_args)
-            conn.send(("ok", payload))
-        except BaseException as exc:  # isolate *everything*; the pipe is the report
-            conn.send(
-                (
-                    "input-error" if isinstance(exc, ReproError) else "error",
-                    {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+        while True:
+            try:
+                target = conn.recv()
+            except (EOFError, KeyboardInterrupt):
+                break  # Ctrl-C reaches the whole group; the parent reports it
+            if target is None or not _serve(conn, target, analysis, job, job_args):
+                break
+    conn.close()
+
+
+def _serve(
+    conn, target: BatchTarget, analysis: AnalysisOptions, job: Callable, job_args: Tuple
+) -> bool:
+    """Run the job on ``target``, send its message; True iff it succeeded.
+
+    The app is referenced only from the job's frame, so it is freed
+    when the job returns, before the worker waits for its next target.
+    """
+    try:
+        maybe_inject_fault(target.name)
+        conn.send(("ok", job(load_target(target), analysis, *job_args)))
+        return True
+    except BaseException as exc:  # isolate *everything*; the pipe is the report
+        conn.send(
+            (
+                "input-error" if isinstance(exc, ReproError) else "error",
+                {
+                    "type": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc(),
+                },
             )
-        finally:
-            conn.close()
+        )
+        return False
 
 
 def _mp_context():
@@ -192,22 +217,32 @@ class _Pending:
 
 
 @dataclass
-class _Running:
+class _Worker:
     proc: object
     conn: object
-    item: _Pending
-    started: float
-    deadline: Optional[float]
-    result: Optional[Tuple[str, object]] = None
-    conn_dead: bool = False
+    item: Optional[_Pending] = None  # the attempt it runs; None while idle
+    started: float = 0.0  # when ``item`` was dispatched
+    deadline: Optional[float] = None
 
 
-def _kill(proc) -> None:
-    proc.terminate()
-    proc.join(timeout=2.0)
-    if proc.is_alive():  # pragma: no cover - SIGTERM normally suffices
-        proc.kill()
-        proc.join()
+def _stop(proc, grace: float) -> None:
+    """Give ``proc`` ``grace`` seconds to exit, then terminate it
+    (SIGTERM, then SIGKILL); return once it is reaped."""
+    proc.join(timeout=grace)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=2.0)
+        if proc.is_alive():  # pragma: no cover - SIGTERM normally suffices
+            proc.kill()
+            proc.join()
+
+
+def _receive(conn) -> Optional[Tuple[str, object]]:
+    """The worker's message, or None when it died without one."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        return None
 
 
 def run_batch(
@@ -233,7 +268,7 @@ def run_batch(
     pending: Deque[_Pending] = deque(
         _Pending(target, attempt=1, not_before=0.0) for target in resolved
     )
-    running: List[_Running] = []
+    workers: List[_Worker] = []
     total_retries = 0
     aborted = False
     start = time.perf_counter()
@@ -256,69 +291,94 @@ def run_batch(
             elif outcome.status == STATUS_TIMEOUT:
                 tracer.counter(obs_names.COUNTER_BATCH_TIMEOUT)
 
-    def settle(run: _Running, now: float) -> None:
-        """A worker exited: classify, retry transient failures."""
+    def dispatch(item: _Pending, now: float) -> None:
+        """Send ``item`` to an idle worker, forking one if none is idle."""
+        worker = next((w for w in workers if w.item is None), None)
+        if worker is None:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, options.analysis, job, job_args),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            worker = _Worker(proc, parent_conn)
+            workers.append(worker)
+        try:
+            worker.conn.send(item.target)
+        except OSError:
+            pass  # the worker died idle; the wait below reads its EOF
+        worker.item = item
+        worker.started = now
+        worker.deadline = (
+            now + options.timeout if options.timeout is not None else None
+        )
+
+    def retire(worker: _Worker, grace: float) -> None:
+        workers.remove(worker)
+        _stop(worker.proc, grace)
+        worker.conn.close()
+
+    def settle(worker: _Worker, message, now: float) -> None:
+        """A worker answered or died: classify, retry transient failures."""
         nonlocal total_retries
-        run.proc.join()
-        if run.result is None and not run.conn_dead:
-            if run.conn.poll():
-                try:
-                    run.result = run.conn.recv()
-                except EOFError:
-                    run.conn_dead = True
-        run.conn.close()
-        seconds = now - run.started
-        name = run.item.target.name
-        if run.result is not None and run.result[0] == "ok":
+        item = worker.item
+        seconds = now - worker.started
+        if message is not None and message[0] == "ok":
+            worker.item = None  # idle again: it takes the next item
             finish(
                 AppOutcome(
-                    name,
+                    item.target.name,
                     STATUS_OK,
-                    attempts=run.item.attempt,
+                    attempts=item.attempt,
                     seconds=seconds,
-                    payload=run.result[1],
+                    payload=message[1],
                 )
             )
             return
-        if run.result is not None:
-            error = dict(run.result[1])
+        retire(worker, grace=2.0)  # it exits by itself after a failure
+        if message is not None:
+            error = dict(message[1])
         else:
             error = {
                 "type": "WorkerCrash",
                 "message": (
                     f"worker died without a result "
-                    f"(exit code {run.proc.exitcode})"
+                    f"(exit code {worker.proc.exitcode})"
                 ),
-                "exitcode": run.proc.exitcode,
+                "exitcode": worker.proc.exitcode,
             }
-        retryable = run.result is None or run.result[0] == "error"
-        if retryable and run.item.attempt <= options.retries and not aborted:
+        retryable = message is None or message[0] == "error"
+        if retryable and item.attempt <= options.retries and not aborted:
             total_retries += 1
             if tracer is not None:
                 tracer.counter(obs_names.COUNTER_BATCH_RETRIES)
             pending.append(
                 _Pending(
-                    run.item.target,
-                    attempt=run.item.attempt + 1,
-                    not_before=now + options.backoff * run.item.attempt,
+                    item.target,
+                    attempt=item.attempt + 1,
+                    not_before=now + options.backoff * item.attempt,
                 )
             )
             return
         finish(
             AppOutcome(
-                name,
+                item.target.name,
                 STATUS_FAILED,
-                attempts=run.item.attempt,
+                attempts=item.attempt,
                 seconds=seconds,
                 error=error,
             )
         )
 
+    def busy() -> List[_Worker]:
+        return [w for w in workers if w.item is not None]
+
     def drain() -> None:
-        nonlocal running
         now = time.monotonic()
-        # Launch while there is capacity; the deque head gates backoff.
-        while pending and len(running) < options.jobs:
+        # Dispatch while there is capacity; the deque head gates backoff.
+        while pending and len(busy()) < options.jobs:
             item = pending[0]
             if aborted:
                 pending.popleft()
@@ -331,66 +391,40 @@ def run_batch(
                     )
                 )
                 continue
-            if item.not_before > now and running:
+            if item.not_before > now and busy():
                 break  # wait for the backoff while other workers run
             if item.not_before > now:
                 time.sleep(item.not_before - now)
                 now = time.monotonic()
             pending.popleft()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, item.target, options.analysis, job, job_args),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            deadline = (
-                now + options.timeout if options.timeout is not None else None
-            )
-            running.append(_Running(proc, parent_conn, item, now, deadline))
+            dispatch(item, now)
+        running = busy()
         if not running:
             return
-        # Wait on result pipes (drained eagerly so big payloads cannot
-        # deadlock) and on the sentinels of workers already drained.
-        wait_for: List[object] = []
-        for run in running:
-            if run.result is None and not run.conn_dead:
-                wait_for.append(run.conn)
-            else:
-                wait_for.append(run.proc.sentinel)
+        # Wait on the result pipes (a crash reads as EOF); drained
+        # eagerly so big payloads cannot deadlock.
         wait_timeout = 0.2
-        deadlines = [r.deadline for r in running if r.deadline is not None]
+        deadlines = [w.deadline for w in running if w.deadline is not None]
         if deadlines:
             wait_timeout = min(
                 wait_timeout, max(0.0, min(deadlines) - time.monotonic())
             )
-        ready = set(mp_connection.wait(wait_for, timeout=wait_timeout))
+        ready = set(
+            mp_connection.wait([w.conn for w in running], timeout=wait_timeout)
+        )
         now = time.monotonic()
-        still_running: List[_Running] = []
-        for run in running:
-            if run.conn in ready:
-                try:
-                    run.result = run.conn.recv()
-                except EOFError:
-                    run.conn_dead = True
-                # The worker exits right after sending; settle when the
-                # sentinel fires on a later sweep (usually the next one).
-                if not run.proc.is_alive():
-                    settle(run, now)
-                    continue
-                still_running.append(run)
-            elif run.proc.sentinel in ready or not run.proc.is_alive():
-                settle(run, now)
-            elif run.deadline is not None and now >= run.deadline:
-                _kill(run.proc)
-                run.conn.close()
+        for worker in running:
+            if worker.conn in ready:
+                settle(worker, _receive(worker.conn), now)
+            elif worker.deadline is not None and now >= worker.deadline:
+                item = worker.item
+                retire(worker, grace=0.0)
                 finish(
                     AppOutcome(
-                        run.item.target.name,
+                        item.target.name,
                         STATUS_TIMEOUT,
-                        attempts=run.item.attempt,
-                        seconds=now - run.started,
+                        attempts=item.attempt,
+                        seconds=now - worker.started,
                         error={
                             "type": "Timeout",
                             "message": (
@@ -400,13 +434,24 @@ def run_batch(
                         },
                     )
                 )
-            else:
-                still_running.append(run)
-        running = still_running
 
     def execute() -> None:
-        while pending or running:
-            drain()
+        try:
+            while pending or busy():
+                drain()
+        finally:
+            # Closing the parent's end is no signal: every worker forked
+            # later holds a copy of it. Ask each idle worker to exit,
+            # then reap them all; a busy one is only busy here when the
+            # parent is leaving on an exception.
+            for worker in workers:
+                if worker.item is None:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+            for worker in list(workers):
+                retire(worker, grace=2.0 if worker.item is None else 0.0)
 
     if tracer is not None:
         tracer.counter(obs_names.COUNTER_BATCH_APPS, len(resolved))

@@ -1,5 +1,10 @@
 """Unit tests for class-hierarchy analysis and the CHA call graph."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.hierarchy.cha import ClassHierarchy
@@ -95,6 +100,11 @@ class TestDispatch:
         targets = {m.class_name for m in h.cha_targets("app.A", "m", 0)}
         assert targets == {"app.A", "app.B"}
 
+    def test_cha_targets_follow_program_class_order(self, diamond_program):
+        h = ClassHierarchy(diamond_program)
+        targets = [m.class_name for m in h.cha_targets("app.A", "m", 0)]
+        assert targets == ["app.A", "app.B"]
+
     def test_view_activity_listener_tests(self, diamond_program):
         h = ClassHierarchy(diamond_program)
         assert h.is_view_class("android.widget.Button")
@@ -177,3 +187,36 @@ class TestCallGraph:
                 m.ret()
         graph = build_call_graph(pb.program)
         assert graph.edge_count() == 1
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def test_node_order_is_independent_of_the_hash_seed():
+    """The builder interns nodes in CHA target order, so graph node ids
+    must not depend on the string hash seed of the process (a ``spawn``
+    batch worker gets its own)."""
+    code = (
+        "import json\n"
+        "from repro import analyze\n"
+        "from repro.bench.solverbench import scaled_spec\n"
+        "from repro.corpus.apps import spec_by_name\n"
+        "from repro.corpus.generator import generate_app\n"
+        "specs = [spec_by_name('APV'), scaled_spec(8)]\n"
+        "print(json.dumps([[str(n) for n in analyze(generate_app(s)).graph.node_list]"
+        " for s in specs]))\n"
+    )
+
+    def node_lists(seed):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    for left, right in zip(node_lists("0"), node_lists("5")):
+        assert len(left) == len(right)
+        first = next((i for i, (a, b) in enumerate(zip(left, right)) if a != b), None)
+        assert first is None, (first, left[first], right[first])

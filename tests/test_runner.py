@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro import analyze
+from repro.core.analysis import AnalysisOptions
 from repro.corpus.apps import APP_SPECS
 from repro.corpus.generator import generate_app
 from repro.frontend.loader import load_app_from_dir, load_app_from_sources
@@ -23,9 +26,10 @@ from repro.runner import (
     to_report,
     write_report,
 )
-from repro.runner.tasks import FAULT_ENV
+from repro.runner.tasks import FAULT_ENV, analyze_job, load_target
 
 SMALL_CORPUS = ["APV", "SuperGenPass", "BarcodeScanner"]
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "projects")
 
 
 # -- loader determinism -------------------------------------------------------
@@ -272,6 +276,114 @@ class TestRunBatch:
             BatchOptions(retries=-1)
         with pytest.raises(ValueError):
             BatchOptions(timeout=0)
+
+
+# -- worker lifecycle ---------------------------------------------------------
+
+
+def _pid_job(app, options, faults=None, marks=None):
+    """Return the worker's pid. The first attempt on an app named in
+    ``faults`` writes its pid to ``marks/<app>`` and then fails as named:
+    ``raise`` (transient exception), ``crash`` or ``hang``."""
+    mode = (faults or {}).get(app.name)
+    mark = os.path.join(marks, app.name) if mode else None
+    if mark and not os.path.exists(mark):
+        with open(mark, "w", encoding="utf-8") as f:
+            f.write(str(os.getpid()))
+        if mode == "raise":
+            raise RuntimeError(f"injected transient failure for {app.name}")
+        if mode == "crash":
+            os._exit(86)
+        time.sleep(60)  # hang until the per-app timeout kills the worker
+    return os.getpid()
+
+
+class TestWorkerLifecycle:
+    def test_clean_batch_uses_at_most_jobs_workers(self):
+        names = SMALL_CORPUS + ["TippyTipper", "NotePad"]
+        result = run_batch(names, BatchOptions(jobs=2), job=_pid_job)
+        assert result.ok()
+        pids = set(result.payloads().values())
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["raise", "crash"])
+    def test_retry_and_next_app_get_a_fresh_worker(self, tmp_path, mode):
+        result = run_batch(
+            ["APV", "SuperGenPass"],
+            BatchOptions(jobs=1, retries=1, backoff=0.05),
+            job=_pid_job,
+            job_args=({"APV": mode}, str(tmp_path)),
+        )
+        assert multiprocessing.active_children() == []
+        assert result.ok()
+        assert result.outcome("APV").attempts == 2
+        failed_in = int((tmp_path / "APV").read_text())
+        assert result.outcome("APV").payload != failed_in
+        assert result.outcome("SuperGenPass").payload != failed_in
+
+    def test_timeout_kills_the_worker(self, tmp_path):
+        result = run_batch(
+            ["APV", "SuperGenPass"],
+            BatchOptions(jobs=1, timeout=1.5, continue_on_error=True),
+            job=_pid_job,
+            job_args=({"APV": "hang"}, str(tmp_path)),
+        )
+        assert multiprocessing.active_children() == []
+        assert result.outcome("APV").status == "timeout"
+        hung_in = int((tmp_path / "APV").read_text())
+        assert result.outcome("SuperGenPass").status == "ok"
+        assert result.outcome("SuperGenPass").payload != hung_in
+
+    def test_fail_fast_leaves_no_worker(self, tmp_path):
+        result = run_batch(
+            SMALL_CORPUS,
+            BatchOptions(jobs=1, retries=0),
+            job=_pid_job,
+            job_args=({"SuperGenPass": "raise"}, str(tmp_path)),
+        )
+        assert multiprocessing.active_children() == []
+        assert result.outcome("SuperGenPass").status == "failed"
+        assert result.outcome("BarcodeScanner").status == "skipped"
+
+    def test_parent_exception_leaves_no_worker(self):
+        from repro.obs.tracer import Tracer
+
+        class FailingTracer(Tracer):
+            def event(self, *args, **kwargs):
+                raise RuntimeError("tracer failed")
+
+        with pytest.raises(RuntimeError, match="tracer failed"):
+            run_batch(
+                SMALL_CORPUS, BatchOptions(jobs=2), job=_pid_job, tracer=FailingTracer()
+            )
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerHistory:
+    def test_results_do_not_depend_on_earlier_apps(self):
+        """A reused worker gives every app the record a fresh in-process
+        analysis gives it, whatever the worker analyzed before."""
+        targets = resolve_targets(
+            SMALL_CORPUS
+            + [os.path.join(EXAMPLES, "notepad"), os.path.join(EXAMPLES, "buggy")]
+        )
+        expected = {}
+        for target in targets:
+            app = load_target(target)
+            expected[target.name] = analyze_job(app, AnalysisOptions())
+            assert expected[target.name]["fingerprint"] == fingerprint_hash(analyze(app))
+
+        def comparable(record):
+            solver = dict(record["solver"], solve_seconds=None)
+            return dict(record, solver=solver)
+
+        for order in (targets, targets[::-1]):
+            result = run_batch(order, BatchOptions(jobs=1))
+            assert result.ok()
+            for name, payload in result.payloads().items():
+                assert comparable(payload) == comparable(expected[name]), name
 
 
 # -- the repro.batch/1 report -------------------------------------------------
