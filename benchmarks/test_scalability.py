@@ -8,18 +8,14 @@ classes/methods/layouts/operations and measures the full analysis.
 
 import pytest
 
-from repro import analyze
-from repro.bench.solverbench import (
-    compare_solvers,
-    scaled_spec as _scaled_spec,
-    update_bench,
-)
+from repro import AnalysisOptions, analyze
+from repro.bench.solverbench import scaled_spec as _scaled_spec
 from repro.corpus.generator import generate_app
 
 SCALES = [1, 2, 4, 8]
 
 # The largest app of the synthetic family; the naive-vs-semi-naive
-# effort is asserted (and recorded in BENCH_solver.json) here.
+# effort is asserted here.
 LARGEST_SCALE = 16
 
 
@@ -50,34 +46,31 @@ def test_growth_is_subquadratic(benchmark):
 
 def test_seminaive_effort_on_largest_app(benchmark):
     """The delta-driven scheduler must evaluate fewer rule instances
-    than the schedule-everything oracle on the largest synthetic app;
-    the measured records land in BENCH_solver.json (schema
-    repro.bench.solver/1)."""
+    than the schedule-everything oracle on the largest synthetic app."""
     app = generate_app(_scaled_spec(LARGEST_SCALE))
 
-    comparison = benchmark.pedantic(
-        lambda: compare_solvers(app, repeats=3), rounds=1, iterations=1
+    naive, semi = benchmark.pedantic(
+        lambda: [
+            analyze(app, AnalysisOptions(solver=mode))
+            for mode in ("naive", "seminaive")
+        ],
+        rounds=1,
+        iterations=1,
     )
-    update_bench(scalability={f"scale{LARGEST_SCALE}": comparison})
 
-    semi = comparison["seminaive"]
-    assert semi["ops_skipped"] > 0
-    assert semi["ops_scheduled"] < comparison["naive"]["ops_scheduled"]
+    assert semi.ops_skipped > 0
+    assert semi.ops_scheduled < naive.ops_scheduled
 
 
-def test_scalability_records_written(benchmark):
-    """Every sweep scale gets its solver record into BENCH_solver.json."""
+def test_seminaive_skips_on_every_scale(benchmark):
+    """The scheduler skips evaluations on every sweep scale."""
 
     def sweep():
-        records = {}
-        for scale in SCALES:
-            app = generate_app(_scaled_spec(scale))
-            records[f"scale{scale}"] = compare_solvers(app)
-        return records
+        return {
+            scale: analyze(generate_app(_scaled_spec(scale))).ops_skipped
+            for scale in SCALES
+        }
 
-    records = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    data = update_bench(scalability=records)
-    assert data["schema"] == "repro.bench.solver/1"
+    skipped = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for scale in SCALES:
-        entry = data["scalability"][f"scale{scale}"]
-        assert entry["seminaive"]["ops_skipped"] > 0
+        assert skipped[scale] > 0

@@ -440,6 +440,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Malformed input: a located message and the bad-input exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -3,17 +3,7 @@
 ``python -m repro.bench lint`` analyzes every corpus app twice — once
 plain, once with the fact order table (``AnalysisOptions.provenance``)
 — runs the lint pass, witnesses included, over the second solution,
-and merge-writes the numbers into ``BENCH_lint.json`` at the repo root
-so future PRs can track the cost of explaining findings::
-
-    {"schema": "repro.bench.lint/1",
-     "apps": {"APV": {"solve_seconds_plain": ...,
-                      "solve_seconds_provenance": ...,
-                      "provenance_overhead": ...,   # prov / plain
-                      "provenance_facts": ...,
-                      "lint_seconds": ...,
-                      "findings": ...,
-                      "findings_by_rule": {"GUI005": 5}}}}
+and prints one row per app.
 
 ``provenance_overhead`` is a wall-clock ratio (solve time with the
 order table over plain solve time, best of ``repeats``);
@@ -24,42 +14,13 @@ and anchors the memory story.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, Optional, Sequence
 
 from repro.core.analysis import AnalysisOptions, analyze
 from repro.corpus.apps import APP_SPECS, spec_by_name
-from repro.corpus.generator import generate_app
 from repro.lint import run_lint
-
-SCHEMA = "repro.bench.lint/1"
-
-DEFAULT_PATH = os.path.normpath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", "BENCH_lint.json")
-)
-
-
-def load_bench(path: str = DEFAULT_PATH) -> Dict[str, object]:
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if data.get("schema") == SCHEMA:
-            return data
-    return {"schema": SCHEMA, "apps": {}}
-
-
-def update_bench(
-    apps: Dict[str, Dict[str, object]], path: str = DEFAULT_PATH
-) -> Dict[str, object]:
-    """Merge new per-app records into ``BENCH_lint.json``."""
-    data = load_bench(path)
-    data.setdefault("apps", {}).update(apps)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return data
+from repro.runner import BatchOptions, run_batch
 
 
 def lint_record(app, repeats: int = 1) -> Dict[str, object]:
@@ -77,9 +38,6 @@ def lint_record(app, repeats: int = 1) -> Dict[str, object]:
     start = time.perf_counter()
     report = run_lint(prov_result)
     lint_seconds = time.perf_counter() - start
-    by_rule: Dict[str, int] = {}
-    for finding in report.findings:
-        by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
     return {
         "solve_seconds_plain": round(plain_best, 6),
         "solve_seconds_provenance": round(prov_best, 6),
@@ -87,7 +45,6 @@ def lint_record(app, repeats: int = 1) -> Dict[str, object]:
         "provenance_facts": prov_result.provenance.record_count(),
         "lint_seconds": round(lint_seconds, 6),
         "findings": len(report.findings),
-        "findings_by_rule": by_rule,
     }
 
 
@@ -100,41 +57,32 @@ def _lint_job(app, options, repeats: int) -> Dict[str, object]:
 def main(
     app_names: Optional[Sequence[str]] = None,
     repeats: int = 3,
-    json_path: Optional[str] = DEFAULT_PATH,
     jobs: int = 1,
 ) -> str:
-    """Run the lint benchmark over the corpus; render and record.
+    """Run the lint benchmark over the corpus and render it.
 
-    ``jobs > 1`` fans the per-app benchmarks out over the
-    fault-isolated batch runner; each worker still times its own app
-    in isolation, so the recorded wall-clock ratios stay meaningful
-    (workers compete for cores, so absolute times are noisier — keep
-    ``jobs`` at or below the physical core count).
+    The per-app benchmarks run on the fault-isolated batch runner with
+    ``jobs`` workers; each worker still times its own app in isolation,
+    so the wall-clock ratios stay meaningful (workers compete for
+    cores, so absolute times are noisier — keep ``jobs`` at or below
+    the physical core count).
     """
     specs = (
         [spec_by_name(n) for n in app_names] if app_names else list(APP_SPECS)
     )
-    records: Dict[str, Dict[str, object]] = {}
+    batch = run_batch(
+        [s.name for s in specs],
+        BatchOptions(jobs=jobs, continue_on_error=True),
+        job=_lint_job,
+        job_args=(repeats,),
+    )
+    batch.require_ok()
+    records = batch.payloads()
     lines = [
         "Lint benchmark (overhead = solve with fact order / plain solve)",
         f"{'app':<14} {'plain(s)':>9} {'prov(s)':>9} {'overhead':>9} "
         f"{'facts':>8} {'lint(s)':>8} {'findings':>9}",
     ]
-    if jobs > 1:
-        from repro.runner import BatchOptions, run_batch
-
-        batch = run_batch(
-            [s.name for s in specs],
-            BatchOptions(jobs=jobs, continue_on_error=True),
-            job=_lint_job,
-            job_args=(repeats,),
-        )
-        batch.require_ok()
-        records = batch.payloads()
-    else:
-        for spec in specs:
-            app = generate_app(spec)
-            records[spec.name] = lint_record(app, repeats=repeats)
     for spec in specs:
         record = records[spec.name]
         lines.append(
@@ -145,7 +93,4 @@ def main(
             f"{record['lint_seconds']:>8.4f} "
             f"{record['findings']:>9}"
         )
-    if json_path:
-        update_bench(records, path=json_path)
-        lines.append(f"records merged into {json_path}")
     return "\n".join(lines)

@@ -1,45 +1,27 @@
-"""Solver benchmarking: naive-vs-semi-naive comparison and BENCH_solver.json.
+"""Solver benchmarking: the synthetic scaling family and the CI guard.
 
-Three consumers share this module:
-
-* ``python -m repro.bench table2 --json`` — records per-app solver
-  stats for the whole corpus into ``BENCH_solver.json``;
-* ``benchmarks/test_scalability.py`` — records the mode-vs-mode
-  speedup on the synthetic scaling family into the same file;
+* :func:`scaled_spec` — the synthetic scaling family shared by
+  ``benchmarks/``, perfbench and the tests;
+* :func:`solver_record` — the per-run solver numbers a batch
+  ``analyze_job`` payload and perfbench report;
 * ``python -m repro.bench perfsmoke`` — the CI regression guard: on a
   quick subset, the semi-naive scheduler must never evaluate more rule
   instances than the naive sweep would (wall-clock is deliberately not
   checked — CI machines are noisy; scheduled-op counts are exact).
-
-``BENCH_solver.json`` is a merge-updated document so the perf
-trajectory accumulates across runs and PRs::
-
-    {"schema": "repro.bench.solver/1",
-     "apps": {"APV": {"solver": "seminaive", "solve_seconds": ..., ...}},
-     "scalability": {"scale8": {"naive": {...}, "seminaive": {...},
-                                "speedup": ...}}}
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.analysis import AnalysisOptions, analyze
 from repro.core.results import AnalysisResult
 from repro.corpus.generator import generate_app
 from repro.corpus.spec import AppSpec
 
-SCHEMA = "repro.bench.solver/1"
-
-DEFAULT_PATH = os.path.normpath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", "BENCH_solver.json")
-)
-
 
 def scaled_spec(scale: int) -> AppSpec:
-    """The synthetic scaling family (shared with benchmarks/)."""
+    """The synthetic scaling family."""
     return AppSpec(
         name=f"scale{scale}",
         classes=60 * scale,
@@ -63,7 +45,7 @@ def scaled_spec(scale: int) -> AppSpec:
 
 
 def solver_record(result: AnalysisResult) -> Dict[str, object]:
-    """The per-run numbers BENCH_solver.json tracks."""
+    """The solver effort and convergence numbers of one run."""
     return {
         "solver": result.solver,
         "solve_seconds": round(result.solve_seconds, 6),
@@ -73,55 +55,6 @@ def solver_record(result: AnalysisResult) -> Dict[str, object]:
         "ops_skipped": result.ops_skipped,
         "values_added": result.values_added,
         "work_items": result.work_items,
-    }
-
-
-def load_bench(path: str = DEFAULT_PATH) -> Dict[str, object]:
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if data.get("schema") == SCHEMA:
-            return data
-    return {"schema": SCHEMA, "apps": {}, "scalability": {}}
-
-
-def update_bench(
-    path: str = DEFAULT_PATH,
-    apps: Optional[Dict[str, Dict[str, object]]] = None,
-    scalability: Optional[Dict[str, Dict[str, object]]] = None,
-) -> Dict[str, object]:
-    """Merge new records into ``BENCH_solver.json`` and rewrite it."""
-    data = load_bench(path)
-    if apps:
-        data.setdefault("apps", {}).update(apps)
-    if scalability:
-        data.setdefault("scalability", {}).update(scalability)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return data
-
-
-def compare_solvers(app, repeats: int = 1) -> Dict[str, object]:
-    """Run both solver modes on ``app``; report records and speedup.
-
-    ``repeats`` > 1 keeps the fastest time per mode (minimum damps
-    scheduler-independent noise; the op counts are deterministic).
-    """
-    best: Dict[str, AnalysisResult] = {}
-    for mode in ("naive", "seminaive"):
-        for _ in range(max(1, repeats)):
-            result = analyze(app, AnalysisOptions(solver=mode))
-            prior = best.get(mode)
-            if prior is None or result.solve_seconds < prior.solve_seconds:
-                best[mode] = result
-    naive, semi = best["naive"], best["seminaive"]
-    return {
-        "naive": solver_record(naive),
-        "seminaive": solver_record(semi),
-        "speedup": round(
-            naive.solve_seconds / max(semi.solve_seconds, 1e-9), 3
-        ),
     }
 
 

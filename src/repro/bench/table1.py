@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import analyze
 from repro.core.metrics import GraphStats, compute_graph_stats
 from repro.corpus.apps import APP_SPECS
-from repro.corpus.generator import generate_app
 from repro.corpus.spec import AppSpec
 from repro.bench.reporting import render_table
+from repro.runner import BatchOptions, run_batch
 
 HEADERS = [
     "App",
@@ -60,30 +60,20 @@ def run_table1(
 ) -> List[Table1Row]:
     """Generate + analyze the corpus and compute the Table 1 rows.
 
-    With ``jobs > 1`` the apps fan out over the fault-isolated batch
-    runner (identical per-app results — the workers run the same
-    ``generate_app`` + ``analyze`` pipeline); row order always follows
-    the spec list.
+    The apps run on the fault-isolated batch runner with ``jobs``
+    workers; row order always follows the spec list.
     """
     specs = [
         s for s in APP_SPECS if app_names is None or s.name in set(app_names)
     ]
-    if jobs > 1:
-        from repro.runner import BatchOptions, run_batch
-
-        batch = run_batch(
-            [s.name for s in specs],
-            BatchOptions(jobs=jobs, continue_on_error=True),
-            job=_table1_job,
-        )
-        batch.require_ok()
-        stats = batch.payloads()
-        return [Table1Row(spec=s, stats=stats[s.name]) for s in specs]
-    rows: List[Table1Row] = []
-    for spec in specs:
-        result = analyze(generate_app(spec))
-        rows.append(Table1Row(spec=spec, stats=compute_graph_stats(result)))
-    return rows
+    batch = run_batch(
+        [s.name for s in specs],
+        BatchOptions(jobs=jobs, continue_on_error=True),
+        job=_table1_job,
+    )
+    batch.require_ok()
+    stats = batch.payloads()
+    return [Table1Row(spec=s, stats=stats[s.name]) for s in specs]
 
 
 def format_table1(rows: Sequence[Table1Row]) -> str:

@@ -7,8 +7,8 @@ are, the other three columns are not — see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro import analyze
 from repro.core.metrics import PrecisionMetrics, compute_precision
@@ -18,6 +18,7 @@ from repro.corpus.spec import AppSpec
 from repro.bench.reporting import render_table, render_telemetry
 from repro.obs import names as obs_names
 from repro.obs.tracer import Tracer
+from repro.runner import BatchOptions, run_batch
 
 HEADERS = [
     "App",
@@ -35,8 +36,6 @@ HEADERS = [
 class Table2Row:
     spec: AppSpec
     metrics: PrecisionMetrics
-    # Per-run solver stats (repro.bench.solver/1 record) for --json.
-    solver_record: Dict[str, object] = field(default_factory=dict)
 
     def as_row(self) -> List[str]:
         m, paper = self.metrics, self.spec.paper
@@ -61,15 +60,9 @@ class Table2Row:
         return abs(self.metrics.receivers - self.spec.paper.receivers)
 
 
-def _table2_job(app, options) -> Dict[str, object]:
-    """Worker-side job: precision metrics + solver record for one app."""
-    from repro.bench.solverbench import solver_record
-
-    result = analyze(app, options)
-    return {
-        "metrics": compute_precision(result),
-        "solver": solver_record(result),
-    }
+def _table2_job(app, options) -> PrecisionMetrics:
+    """Worker-side job: the precision metrics of one app."""
+    return compute_precision(analyze(app, options))
 
 
 def run_table2(
@@ -79,53 +72,35 @@ def run_table2(
 ) -> List[Table2Row]:
     """Analyze the requested corpus apps and collect Table 2 rows.
 
-    With a ``tracer`` every app is analyzed inside an ``app`` span
-    (attr ``app``), so one tracer accumulates telemetry for the whole
-    run — build/solve timings nest per app, counters aggregate. A
-    tracer forces serial in-process execution (telemetry cannot cross
-    worker processes); otherwise ``jobs > 1`` fans the apps out over
-    the fault-isolated batch runner. Measured times are per-app solver
-    times, so parallelism does not distort the Time(s) column.
+    The apps run on the fault-isolated batch runner with ``jobs``
+    workers; row order always follows the spec list. Measured times
+    are per-app solver times, so parallelism does not distort the
+    Time(s) column. With a ``tracer`` every app is analyzed inside an
+    ``app`` span (attr ``app``), so one tracer accumulates telemetry
+    for the whole run — build/solve timings nest per app, counters
+    aggregate.
     """
     specs = [
         s for s in APP_SPECS if app_names is None or s.name in set(app_names)
     ]
-    if jobs > 1 and tracer is None:
-        from repro.runner import BatchOptions, run_batch
-
+    if tracer is not None:
+        # Spans and counters cannot cross the worker pipe, so a
+        # profiled run analyzes every app in this process.
+        metrics = {}
+        for spec in specs:
+            app = generate_app(spec)
+            with tracer.span(obs_names.SPAN_APP, app=spec.name):
+                result = analyze(app, tracer=tracer)
+            metrics[spec.name] = compute_precision(result)
+    else:
         batch = run_batch(
             [s.name for s in specs],
             BatchOptions(jobs=jobs, continue_on_error=True),
             job=_table2_job,
         )
         batch.require_ok()
-        payloads = batch.payloads()
-        return [
-            Table2Row(
-                spec=s,
-                metrics=payloads[s.name]["metrics"],
-                solver_record=payloads[s.name]["solver"],
-            )
-            for s in specs
-        ]
-    from repro.bench.solverbench import solver_record
-
-    rows: List[Table2Row] = []
-    for spec in specs:
-        app = generate_app(spec)
-        if tracer is None:
-            result = analyze(app)
-        else:
-            with tracer.span(obs_names.SPAN_APP, app=spec.name):
-                result = analyze(app, tracer=tracer)
-        rows.append(
-            Table2Row(
-                spec=spec,
-                metrics=compute_precision(result),
-                solver_record=solver_record(result),
-            )
-        )
-    return rows
+        metrics = batch.payloads()
+    return [Table2Row(spec=s, metrics=metrics[s.name]) for s in specs]
 
 
 def format_table2(rows: Sequence[Table2Row]) -> str:
@@ -140,7 +115,6 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
 def main(
     app_names: Optional[Sequence[str]] = None,
     profile: bool = False,
-    json_path: Optional[str] = None,
     jobs: int = 1,
 ) -> str:
     tracer = Tracer() if profile else None
@@ -158,11 +132,4 @@ def main(
     text += f"\napps with receivers average below 2: {precise}/{len(rows)} (paper: 16/20)"
     if tracer is not None:
         text += "\n\n" + render_telemetry(tracer)
-    if json_path is not None:
-        from repro.bench.solverbench import update_bench
-
-        update_bench(
-            json_path, apps={row.spec.name: row.solver_record for row in rows}
-        )
-        text += f"\n\nsolver stats written to {json_path}"
     return text

@@ -201,10 +201,6 @@ class Program:
         for c in self.application_classes():
             yield from c.methods.values()
 
-    def all_methods(self) -> Iterator[Method]:
-        for c in self.classes.values():
-            yield from c.methods.values()
-
     def statement_count(self) -> int:
         return sum(len(m.body) for m in self.application_methods())
 

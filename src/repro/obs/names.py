@@ -112,11 +112,3 @@ RULE_FIRED: Dict[OpKind, str] = {
 RULE_EVALUATED: Dict[OpKind, str] = {
     kind: _RULE_EVALUATED_PREFIX + kind.value for kind in OpKind
 }
-
-
-def rule_fired(kind: OpKind) -> str:
-    return RULE_FIRED[kind]
-
-
-def rule_evaluated(kind: OpKind) -> str:
-    return RULE_EVALUATED[kind]

@@ -9,7 +9,7 @@ special ``no_id`` value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 NO_ID: Optional[str] = None  # symbolic name for "this node has no view id"
 
@@ -88,7 +88,3 @@ class LayoutTree:
             for node, parent in self.root.walk()
             if parent is not None
         ]
-
-    def map_nodes(self, fn: Callable[[LayoutNode], None]) -> None:
-        for node, _parent in self.root.walk():
-            fn(node)

@@ -56,9 +56,6 @@ class Trace:
     def record(self, event: OpEvent) -> None:
         self.events.append(event)
 
-    def events_at(self, site: Site) -> List[OpEvent]:
-        return [e for e in self.events if e.site == site]
-
 
 def tag_to_value(result: AnalysisResult, tag: CreationTag) -> Optional[ValueNode]:
     """Map a runtime creation tag to its static abstraction node."""

@@ -146,6 +146,3 @@ class Heap:
 
     def static_set(self, class_name: str, field_name: str, value: object) -> None:
         self.statics[(class_name, field_name)] = value
-
-    def objects_of_class(self, class_name: str) -> List[Obj]:
-        return [o for o in self.objects if o.class_name == class_name]

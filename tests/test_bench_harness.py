@@ -53,6 +53,24 @@ class TestTableHarness:
 
         assert main(["nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["table1", "NoSuchApp"], "unknown app 'NoSuchApp': not a corpus app name"),
+            (["table1", "--bogus", "APV"], "unknown option '--bogus'"),
+            (["lint", "NoSuchApp"], "unknown app 'NoSuchApp': not a corpus app name"),
+            (["table2", "--json", "APV"], "unknown option '--json'"),
+        ],
+        ids=["unknown-app", "unknown-flag", "lint-unknown-app", "retired-json-flag"],
+    )
+    def test_cli_bad_input_exit_2(self, argv, error, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
 
 class TestFigureHarness:
     def test_figure3_text(self):

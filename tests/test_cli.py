@@ -85,6 +85,20 @@ class TestRunAndDisasm:
         assert program.clazz("com.example.notepad.NotesListActivity") is not None
 
 
+class TestInterrupt:
+    def test_ctrl_c_exits_130(self, monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_analyze", interrupted)
+        assert main(["analyze", PROJECT]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["interrupted"]
+
+
 BROKEN = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "examples", "projects", "broken")
 )
