@@ -12,6 +12,7 @@ see ``examples/projects/notepad``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -443,6 +444,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader of stdout went away (``... | head``). Point stdout
+        # at devnull, so that the flush at shutdown cannot raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # stdout has no file descriptor
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

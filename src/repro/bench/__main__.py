@@ -31,8 +31,8 @@ with ``--jobs N`` workers (default 1); per-app results do not depend
 on N. ``table2 --profile`` collects cross-app telemetry and therefore
 analyzes in this process.
 
-The harness writes no file. An unknown option or app name is reported
-as one ``error:`` line on stderr with exit code 2.
+The harness writes no file. An unknown target, option or app name is
+reported as one ``error:`` line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
+
+TARGETS = (
+    "all", "table1", "table2", "figure3", "figure4", "casestudy", "ablation",
+    "lint", "perfsmoke",
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -58,6 +63,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         del args[at:at + 2]
     target = args[0] if args else "all"
     apps = args[1:] or None
+    if target not in TARGETS:
+        print(f"error: unknown target {target!r}", file=sys.stderr)
+        return 2
 
     from repro.bench import ablation, casestudy, figures, table1, table2
     from repro.corpus.apps import APP_SPECS
@@ -105,9 +113,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             outputs.append(ablation.main(tuple(apps) if apps else ablation.DEFAULT_APPS))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not outputs:
-        print(__doc__)
         return 2
     print("\n\n".join(outputs))
     return 0

@@ -18,7 +18,7 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.core.analysis import AnalysisOptions, analyze
-from repro.corpus.apps import APP_SPECS, spec_by_name
+from repro.corpus.apps import specs_named
 from repro.lint import run_lint
 from repro.runner import BatchOptions, run_batch
 
@@ -65,11 +65,10 @@ def main(
     ``jobs`` workers; each worker still times its own app in isolation,
     so the wall-clock ratios stay meaningful (workers compete for
     cores, so absolute times are noisier — keep ``jobs`` at or below
-    the physical core count).
+    the physical core count). Rows follow the spec list; an unknown app
+    name raises :class:`~repro.errors.ReproError`.
     """
-    specs = (
-        [spec_by_name(n) for n in app_names] if app_names else list(APP_SPECS)
-    )
+    specs = specs_named(app_names or None)
     batch = run_batch(
         [s.name for s in specs],
         BatchOptions(jobs=jobs, continue_on_error=True),

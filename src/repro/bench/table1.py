@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 from repro import analyze
 from repro.core.metrics import GraphStats, compute_graph_stats
-from repro.corpus.apps import APP_SPECS
+from repro.corpus.apps import specs_named
 from repro.corpus.spec import AppSpec
 from repro.bench.reporting import render_table
 from repro.runner import BatchOptions, run_batch
@@ -61,11 +61,10 @@ def run_table1(
     """Generate + analyze the corpus and compute the Table 1 rows.
 
     The apps run on the fault-isolated batch runner with ``jobs``
-    workers; row order always follows the spec list.
+    workers; row order always follows the spec list. An unknown app
+    name raises :class:`~repro.errors.ReproError`.
     """
-    specs = [
-        s for s in APP_SPECS if app_names is None or s.name in set(app_names)
-    ]
+    specs = specs_named(app_names)
     batch = run_batch(
         [s.name for s in specs],
         BatchOptions(jobs=jobs, continue_on_error=True),

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro import analyze
 from repro.core.metrics import PrecisionMetrics, compute_precision
-from repro.corpus.apps import APP_SPECS
+from repro.corpus.apps import specs_named
 from repro.corpus.generator import generate_app
 from repro.corpus.spec import AppSpec
 from repro.bench.reporting import render_table, render_telemetry
@@ -73,16 +73,15 @@ def run_table2(
     """Analyze the requested corpus apps and collect Table 2 rows.
 
     The apps run on the fault-isolated batch runner with ``jobs``
-    workers; row order always follows the spec list. Measured times
+    workers; row order always follows the spec list. An unknown app
+    name raises :class:`~repro.errors.ReproError`. Measured times
     are per-app solver times, so parallelism does not distort the
     Time(s) column. With a ``tracer`` every app is analyzed inside an
     ``app`` span (attr ``app``), so one tracer accumulates telemetry
     for the whole run — build/solve timings nest per app, counters
     aggregate.
     """
-    specs = [
-        s for s in APP_SPECS if app_names is None or s.name in set(app_names)
-    ]
+    specs = specs_named(app_names)
     if tracer is not None:
         # Spans and counters cannot cross the worker pipe, so a
         # profiled run analyzes every app in this process.

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.nodes import Site, ValueNode, value_is_a
 from repro.core.results import AnalysisResult
-from repro.ir.statements import Invoke
 
 DEFAULT_SOURCE_CLASSES: FrozenSet[str] = frozenset({"android.widget.EditText"})
 DEFAULT_SINKS: FrozenSet[str] = frozenset(
@@ -56,19 +55,15 @@ def run_taint_analysis(
         return any(value_is_a(hierarchy, value, source) for source in source_classes)
 
     findings: List[TaintFinding] = []
-    for method in result.app.program.application_methods():
-        sig = method.sig
-        for index, stmt in enumerate(method.body):
-            if not isinstance(stmt, Invoke) or stmt.method_name not in sinks:
+    for sig, index, stmt, _targets in result.invoke_sites:
+        if stmt.method_name not in sinks:
+            continue
+        site = Site(sig, index, stmt.line)
+        for var in stmt.args + ((stmt.base,) if stmt.base else ()):
+            node = result.graph.lookup_var(sig, var)
+            if node is None:
                 continue
-            site = Site(sig, index, stmt.line)
-            for var in stmt.args + ((stmt.base,) if stmt.base else ()):
-                node = result.graph.lookup_var(sig, var)
-                if node is None:
-                    continue
-                for value in result.values_at(node):
-                    if is_source(value):
-                        findings.append(
-                            TaintFinding(value, site, stmt.method_name, var)
-                        )
+            for value in result.values_at(node):
+                if is_source(value):
+                    findings.append(TaintFinding(value, site, stmt.method_name, var))
     return findings

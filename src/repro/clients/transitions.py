@@ -5,11 +5,15 @@ need tuples (activity ``a``, GUI object ``v``, event ``e``, handler
 ``h``) plus the activities those handlers start. Full intent tracking
 is out of scope for ALite; the client approximates "handler ``h``
 starts activity ``A2``" by: some activity class ``A2`` is instantiated
-(``new A2``) in code reachable from ``h`` in the CHA call graph. The
-client builds that call graph once per app and walks it once per
-distinct handler. This matches the paper's observation that the
-handlers — often outside the activity class — are where transitions
-originate.
+(``new A2``) in code reachable from ``h`` in the CHA call graph. This
+matches the paper's observation that the handlers — often outside the
+activity class — are where transitions originate.
+
+The client resolves no call and walks no method body. It groups the
+builder's invoke sites and their application targets
+(``AnalysisResult.invoke_sites``) by caller once per app, takes the
+``new A2`` sites from the graph's allocation nodes, and walks from each
+distinct handler only the callers it reaches.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.core.results import AnalysisResult, GuiTuple
 from repro.gcpause import gc_paused
-from repro.hierarchy.callgraph import build_call_graph
 from repro.ir.program import MethodSig
-from repro.ir.statements import New
 
 
 @dataclass(frozen=True)
@@ -66,26 +68,57 @@ class ActivityTransitionGraph:
         return "\n".join(lines)
 
 
+# Caller -> the application methods its invoke sites may call.
+Callees = Dict[MethodSig, List[MethodSig]]
+
+
+def build_call_graph(result: AnalysisResult) -> Callees:
+    """The app's CHA call graph, grouped from the builder's invoke sites.
+
+    Resolves nothing: the builder resolved each site once.
+    """
+    callees: Callees = {}
+    for caller, _index, _stmt, targets in result.invoke_sites:
+        if targets:
+            known = callees.get(caller)
+            if known is None:
+                known = callees[caller] = []
+            known.extend(targets)
+    return callees
+
+
+def _reachable(callees: Callees, root: MethodSig) -> Set[MethodSig]:
+    """``root`` and the methods transitively callable from it."""
+    seen: Set[MethodSig] = set()
+    work = [root]
+    while work:
+        m = work.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        work.extend(callees.get(m, ()))
+    return seen
+
+
 @gc_paused()
 def build_transition_graph(result: AnalysisResult) -> ActivityTransitionGraph:
     """Build the transition graph from a solved analysis."""
-    program = result.app.program
     activity_classes = set(result.app.activity_classes(result.hierarchy))
     graph = ActivityTransitionGraph(activities=sorted(activity_classes))
     graph.tuples = sorted(result.gui_tuples(), key=str)
-    call_graph = build_call_graph(program, result.hierarchy)
+    call_graph = build_call_graph(result)
+    # Method -> the activity classes it instantiates.
+    launches: Dict[MethodSig, Set[str]] = {}
+    for alloc in result.graph.allocs():
+        if alloc.class_name in activity_classes:
+            launches.setdefault(alloc.site.method, set()).add(alloc.class_name)
     started: Dict[MethodSig, List[str]] = {}
     for gui_tuple in graph.tuples:
         handler = gui_tuple.handler
         if handler not in started:
             targets: Set[str] = set()
-            for sig in call_graph.reachable_from([handler]):
-                method = program.method(sig.class_name, sig.name, sig.arity)
-                if method is None:
-                    continue
-                for stmt in method.body:
-                    if isinstance(stmt, New) and stmt.class_name in activity_classes:
-                        targets.add(stmt.class_name)
+            for sig in _reachable(call_graph, handler):
+                targets.update(launches.get(sig, ()))
             started[handler] = sorted(targets)
         for target in started[handler]:
             graph.transitions.append(

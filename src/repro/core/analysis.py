@@ -154,6 +154,7 @@ class GuiReferenceAnalysis:
         build = build_constraint_graph(app, tracer=self.tracer)
         self.graph: ConstraintGraph = build.graph
         self.hierarchy: ClassHierarchy = build.hierarchy
+        self._build = build
         # id -> node; the graph appends to this list as it interns.
         self._nodes: List[Node] = self.graph.node_list
         self.pts: Dict[int, Set[int]] = {}
@@ -467,6 +468,8 @@ class GuiReferenceAnalysis:
             ops_scheduled=self.ops_scheduled,
             ops_skipped=self.ops_skipped,
             provenance=self._order,
+            invoke_sites=self._build.invoke_sites,
+            cast_sites=self._build.cast_sites,
         )
 
     def _rel_edge_total(self) -> int:

@@ -13,6 +13,12 @@ application method (all are considered executable) and adds:
   for call sites classified by the API catalog;
 * activity nodes with edges to the ``this`` variables of framework
   callbacks, modelling the platform's implicit ``t := new a; t.m()``.
+
+The same walk records two site tables that clients read instead of
+walking method bodies again: every invoke site with its caller and its
+CHA-resolved application targets (the app's call graph), and every cast
+site. This walk is the only caller of ``resolve_invoke`` on the
+analysis path.
 """
 
 from __future__ import annotations
@@ -47,13 +53,28 @@ from repro.platform.api import OpKind, OpSpec, classify_invoke, is_framework_cal
 from repro.platform.classes import VIEW
 
 
+# One invoke site: caller, statement index, the statement, and the sigs
+# of its application targets (empty when it has none).
+InvokeSite = Tuple[MethodSig, int, Invoke, Tuple[MethodSig, ...]]
+# One cast site: caller, statement index, the statement.
+CastSite = Tuple[MethodSig, int, Cast]
+
+
 @dataclass
 class BuildResult:
-    """The constructed graph plus side tables the solver needs."""
+    """The constructed graph plus side tables the solver and clients need.
+
+    ``invoke_sites`` and ``cast_sites`` list their sites in program
+    method order, and in statement order within a method. They are flat
+    lists of tuples because they live as long as the result: a
+    per-caller container would cost more than the sites it holds.
+    """
 
     graph: ConstraintGraph
     hierarchy: ClassHierarchy
     app: AndroidApp
+    invoke_sites: List[InvokeSite]
+    cast_sites: List[CastSite]
 
 
 # What a call edge needs of its target: its sig, the graph's locals table
@@ -67,7 +88,7 @@ class _GraphBuilder:
         self.program: Program = app.program
         self.hierarchy = ClassHierarchy(self.program)
         self.graph = ConstraintGraph()
-        self.result = BuildResult(self.graph, self.hierarchy, app)
+        self.result = BuildResult(self.graph, self.hierarchy, app, [], [])
         # One record per call target.
         self._callees: Dict[Method, _Callee] = {}
         # (static class, field name) -> declaring class.
@@ -151,7 +172,10 @@ class _GraphBuilder:
         def assign(method, sig, locals_, index, stmt):
             flow(local(locals_, sig, stmt.rhs), local(locals_, sig, stmt.lhs))
 
+        cast_sites = self.result.cast_sites
+
         def cast(method, sig, locals_, index, stmt):
+            cast_sites.append((sig, index, stmt))
             flow(
                 local(locals_, sig, stmt.rhs),
                 local(locals_, sig, stmt.lhs),
@@ -234,13 +258,20 @@ class _GraphBuilder:
     ) -> None:
         g = self.graph
         local = g.local_id
+        targets = resolve_invoke(self.program, self.hierarchy, method, stmt)
+        sites = self.result.invoke_sites
         spec = classify_invoke(self.hierarchy, method, stmt)
         if spec is not None:
+            # An op site keeps its application targets too: the call
+            # graph walks them although no flow edge is added for them.
+            sites.append((sig, index, stmt, tuple([t.sig for t in targets])))
             self._add_op(sig, locals_, index, stmt, spec)
             return
         # Ordinary interprocedural flow, resolved with CHA.
-        for target in resolve_invoke(self.program, self.hierarchy, method, stmt):
+        tsigs = []
+        for target in targets:
             tsig, callee, returns = self._callee(target)
+            tsigs.append(tsig)
             if target.is_instance and stmt.base is not None:
                 g.add_flow_ids(local(locals_, sig, stmt.base), local(callee, tsig, "this"))
             for arg, pname in zip(stmt.args, target.param_names):
@@ -248,6 +279,7 @@ class _GraphBuilder:
             if stmt.lhs is not None:
                 for rname in returns:
                     g.add_flow_ids(local(callee, tsig, rname), local(locals_, sig, stmt.lhs))
+        sites.append((sig, index, stmt, tuple(tsigs)))
 
     def _add_op(
         self, sig: MethodSig, locals_: Dict[str, int], index: int, stmt: Invoke, spec: OpSpec

@@ -32,6 +32,7 @@ from repro.platform.events import EventKind, ListenerSpec, spec_for_interface
 if TYPE_CHECKING:  # pragma: no cover
     from repro.app import AndroidApp
     from repro.core.analysis import AnalysisOptions
+    from repro.core.builder import CastSite, InvokeSite
     from repro.core.provenance import FactOrder
 
 
@@ -143,6 +144,12 @@ class AnalysisResult:
     # enabled for the run; None otherwise. The witness-path
     # reconstructor (repro.lint.witness) ranks premises by it.
     provenance: Optional["FactOrder"] = None
+    # The builder's site tables (see repro.core.builder.BuildResult), in
+    # program order: every (caller, index, Invoke, target sigs) and every
+    # (caller, index, Cast). Clients read these instead of walking method
+    # bodies; the invoke table is the app's CHA call graph.
+    invoke_sites: List["InvokeSite"] = field(default_factory=list)
+    cast_sites: List["CastSite"] = field(default_factory=list)
 
     # -- flowsTo queries ----------------------------------------------------
 

@@ -21,9 +21,10 @@ EXPERIMENTS.md carries the per-cell provenance (paper vs reconstructed).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from repro.corpus.spec import AppSpec, PaperRow
+from repro.errors import ReproError
 
 APP_SPECS: List[AppSpec] = [
     AppSpec(
@@ -211,3 +212,17 @@ def spec_by_name(name: str) -> AppSpec:
     if name not in _BY_NAME:
         raise KeyError(f"unknown app {name!r}; known: {sorted(_BY_NAME)}")
     return _BY_NAME[name]
+
+
+def specs_named(app_names: Optional[Sequence[str]] = None) -> List[AppSpec]:
+    """The specs of ``app_names`` (all when None), in spec-list order.
+
+    An unknown name raises :class:`~repro.errors.ReproError` naming it.
+    """
+    if app_names is None:
+        return list(APP_SPECS)
+    for name in app_names:
+        if name not in _BY_NAME:
+            raise ReproError(f"unknown app {name!r}: not a corpus app name")
+    wanted = set(app_names)
+    return [s for s in APP_SPECS if s.name in wanted]

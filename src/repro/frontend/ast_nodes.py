@@ -137,14 +137,6 @@ class FieldAccess(Expr):
 
 
 @dataclass
-class QualifiedName(Expr):
-    """A dotted name whose meaning is resolved during lowering:
-    ``R.id.x``, ``pkg.Class.staticField``, or a chained field access."""
-
-    parts: List[str]
-
-
-@dataclass
 class Call(Expr):
     """``base.method(args)``; base None means an unqualified call
     (implicitly ``this.method`` or a static method of the same class)."""

@@ -2,13 +2,16 @@
 
 The analysis of Section 4.3 treats *all* application methods as
 executable and resolves polymorphic calls with class-hierarchy
-information; this module materialises that call graph so clients (and
-the constraint-graph builder) can iterate call edges.
+information. :func:`resolve_invoke` resolves one call site; the
+constraint-graph builder calls it once per site, and its table of sites
+and targets is the call graph the clients read.
+:func:`build_call_graph` materialises a standalone graph for call-site
+cloning (:mod:`repro.core.context`), which runs before the analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.ir.program import Method, MethodSig, Program
@@ -33,14 +36,12 @@ class CallGraph:
     def __init__(self) -> None:
         self._edges: Dict[CallSite, List[MethodSig]] = {}
         self._callers: Dict[MethodSig, Set[CallSite]] = {}
-        self._callees: Dict[MethodSig, Set[MethodSig]] = {}
 
     def add_edge(self, site: CallSite, target: MethodSig) -> None:
         targets = self._edges.setdefault(site, [])
         if target not in targets:
             targets.append(target)
             self._callers.setdefault(target, set()).add(site)
-            self._callees.setdefault(site.caller, set()).add(target)
 
     def targets(self, site: CallSite) -> List[MethodSig]:
         return list(self._edges.get(site, ()))
@@ -50,18 +51,6 @@ class CallGraph:
 
     def edge_count(self) -> int:
         return sum(len(ts) for ts in self._edges.values())
-
-    def reachable_from(self, roots: List[MethodSig]) -> Set[MethodSig]:
-        """``roots`` and the methods transitively callable from them."""
-        seen: Set[MethodSig] = set()
-        work = list(roots)
-        while work:
-            m = work.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            work.extend(self._callees.get(m, ()))
-        return seen
 
 
 def resolve_invoke(

@@ -152,15 +152,19 @@ class ClassHierarchy:
     def cha_targets(
         self, declared_class: str, name: str, arity: int
     ) -> List[Method]:
-        """All methods a virtual call could dispatch to under CHA.
+        """The methods a virtual call could dispatch to under CHA from a
+        receiver of an application class.
 
-        Considers every concrete subtype of the declared receiver class,
-        in program class order, and deduplicates the resolved targets.
+        Considers every concrete application subtype of the declared
+        receiver class, in program class order, and deduplicates the
+        resolved targets. A receiver of a platform class dispatches only
+        to platform code, which the analysis models as operations, so
+        platform subtypes are skipped.
         """
         targets: Dict[Tuple[str, str, int], Method] = {}
         for sub in self._subtypes.get(declared_class, ()):
             c = self.program.clazz(sub)
-            if c is None or c.is_interface:
+            if c is None or c.is_interface or c.is_platform:
                 continue
             m = self.lookup(sub, name, arity)
             if m is not None:

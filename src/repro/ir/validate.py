@@ -6,7 +6,8 @@ builder/frontend/loader bugs early with precise error messages:
 * every local used or defined by a statement is declared;
 * call-site arities match their use of locals;
 * jump targets resolve to labels within the same method;
-* superclass/interface references resolve to known classes;
+* superclass/interface references resolve to known classes, and no
+  application class is its own ancestor;
 * field accesses name fields that exist somewhere on the receiver's
   declared type chain (application classes only — platform types are
   allowed to have unmodelled fields);
@@ -16,7 +17,7 @@ builder/frontend/loader bugs early with precise error messages:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import ReproError
 from repro.ir.program import Clazz, Method, Program
@@ -152,6 +153,32 @@ def _validate_class(
         _validate_method(program, method, errors, resources)
 
 
+def _inheritance_cycles(program: Program) -> List[List[str]]:
+    """Each superclass cycle among application classes, once, as its
+    classes from the first one met in program order.
+
+    Every class joins one walk at most: a walk stops at a class an
+    earlier walk finished, so the check is linear in the classes.
+    """
+    finished: Set[str] = set()
+    cycles: List[List[str]] = []
+    for clazz in program.classes.values():
+        # Class -> its position on this walk's path.
+        path: Dict[str, int] = {}
+        current: Optional[str] = clazz.name
+        while current is not None and current not in finished:
+            if current in path:
+                cycles.append(list(path)[path[current]:])
+                break
+            c = program.clazz(current)
+            if c is None or c.is_platform:
+                break
+            path[current] = len(path)
+            current = c.superclass
+        finished.update(path)
+    return cycles
+
+
 def validate_program(
     program: Program,
     strict: bool = True,
@@ -168,6 +195,10 @@ def validate_program(
         if clazz.is_platform:
             continue
         _validate_class(program, clazz, errors, resources)
+    for cycle in _inheritance_cycles(program):
+        errors.append(
+            f"{cycle[0]}: cyclic inheritance: {' extends '.join(cycle + cycle[:1])}"
+        )
     if errors and strict:
         raise IRValidationError(errors)
     return errors

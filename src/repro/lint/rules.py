@@ -33,7 +33,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.core.nodes import OpArg, OpRecv, Site, ViewIdNode, value_is_a
 from repro.core.provenance import Fact, flow_fact
 from repro.core.results import AnalysisResult
-from repro.ir.statements import Cast
 from repro.platform.api import OpKind
 
 
@@ -172,21 +171,15 @@ def _check_ambiguous_lookup(result: AnalysisResult) -> Iterator[Finding]:
 def _cast_sites(result: AnalysisResult):
     """Casts over view values: (site, stmt, node, incoming, passing)."""
     hierarchy = result.hierarchy
-    for method in result.app.program.application_methods():
-        sig = method.sig
-        for index, stmt in enumerate(method.body):
-            if not isinstance(stmt, Cast):
-                continue
-            node = result.graph.lookup_var(sig, stmt.rhs)
-            if node is None:
-                continue
-            incoming = [
-                v for v in result.values_at(node) if result.is_view_value(v)
-            ]
-            if not incoming:
-                continue
-            passing = [v for v in incoming if value_is_a(hierarchy, v, stmt.type_name)]
-            yield Site(sig, index, stmt.line), stmt, node, incoming, passing
+    for sig, index, stmt in result.cast_sites:
+        node = result.graph.lookup_var(sig, stmt.rhs)
+        if node is None:
+            continue
+        incoming = [v for v in result.values_at(node) if result.is_view_value(v)]
+        if not incoming:
+            continue
+        passing = [v for v in incoming if value_is_a(hierarchy, v, stmt.type_name)]
+        yield Site(sig, index, stmt.line), stmt, node, incoming, passing
 
 
 def _check_bad_cast(result: AnalysisResult) -> Iterator[Finding]:

@@ -52,6 +52,27 @@ class TestTableHarness:
         from repro.bench.__main__ import main
 
         assert main(["nonsense"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unknown target 'nonsense'"]
+
+    @pytest.mark.parametrize(
+        "run, names",
+        [
+            ("table1", ["NoSuchApp"]),
+            ("table2", ["APV", "NoSuchApp"]),
+            ("lint", ["NoSuchApp", "APV"]),
+        ],
+    )
+    def test_library_rejects_unknown_app(self, run, names):
+        from repro.bench import lintbench
+        from repro.bench.table1 import run_table1
+        from repro.bench.table2 import run_table2
+        from repro.errors import ReproError
+
+        function = {"table1": run_table1, "table2": run_table2, "lint": lintbench.main}
+        with pytest.raises(ReproError, match="unknown app 'NoSuchApp'"):
+            function[run](names)
 
     @pytest.mark.parametrize(
         "argv, error",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -97,6 +98,38 @@ class TestInterrupt:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["interrupted"]
+
+
+class TestClosedPipe:
+    def test_broken_pipe_exits_141(self, monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        def closed(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_cmd_analyze", closed)
+        assert main(["analyze", PROJECT]) == 141
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ""
+
+    def test_stdout_is_pointed_at_devnull(self, monkeypatch, tmp_path):
+        """What is still buffered, and anything printed afterwards, goes
+        to devnull, so the flush at shutdown cannot raise again."""
+        import repro.__main__ as cli
+
+        def closed(args):
+            print("buffered, never written")
+            raise BrokenPipeError
+
+        path = tmp_path / "stdout"
+        with open(path, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(cli, "_cmd_analyze", closed)
+            assert main(["analyze", PROJECT]) == 141
+            print("after the pipe closed")
+            out.flush()
+        assert path.read_text() == ""
 
 
 BROKEN = os.path.abspath(

@@ -1,5 +1,9 @@
 """Tests for the Section 6 client analyses."""
 
+import os
+import runpy
+import sys
+
 import pytest
 
 from repro import analyze
@@ -9,8 +13,16 @@ from repro.clients import (
     run_error_checks,
     run_taint_analysis,
 )
-from repro.frontend import load_app_from_sources
+from repro.core.nodes import Site
+from repro.frontend import load_app_from_dir, load_app_from_sources
+from repro.ir.program import MethodSig
+from repro.ir.statements import Cast, Invoke
+from repro.lint import run_lint
+from repro.lint.rules import rule_by_id
+from repro.platform.api import OpKind
 from repro.platform.events import EventKind
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +80,7 @@ class TestTransitionGraph:
         assert "click" in dot
 
 
-@pytest.fixture(scope="module")
-def nav_result():
+def _nav_app():
     """Three handlers: one reaches ``new Detail`` only through CHA
     dispatch to a subclass override two calls deep, one is in a
     mutual-recursion cycle that instantiates ``Settings``, and one
@@ -132,7 +143,12 @@ def nav_result():
         '<Button android:id="@+id/loop"/><Button android:id="@+id/stay"/>'
         "</LinearLayout>"
     )
-    return analyze(load_app_from_sources("nav", [source], {"home": layout}))
+    return load_app_from_sources("nav", [source], {"home": layout})
+
+
+@pytest.fixture(scope="module")
+def nav_result():
+    return analyze(_nav_app())
 
 
 class TestTransitionWalk:
@@ -171,6 +187,51 @@ class TestTransitionWalk:
         assert any(t.handler.class_name == "nav.StayHandler" for t in graph.tuples)
         assert self._targets(graph, "nav.StayHandler") == set()
         assert graph.successors("nav.Home") == {"nav.Detail", "nav.Settings"}
+
+    def test_edge_through_op_site_with_application_target(self):
+        """A static ``inflate`` declared on an application View subclass
+        is an Inflate1 op site and also has an application target. The
+        builder adds no call edge there, but the call graph keeps it."""
+        source = """
+        package opsite;
+        import android.app.Activity;
+        import android.view.View;
+        import android.widget.Button;
+
+        class Home extends Activity {
+            void onCreate() {
+                this.setContentView(R.layout.home);
+                Button go = (Button) this.findViewById(R.id.go);
+                go.setOnClickListener(new GoHandler());
+            }
+        }
+        class Detail extends Activity {
+            void onCreate() { this.setContentView(R.layout.home); }
+        }
+        class Fancy extends View {
+            static View inflate(View parent, int layout, View root) {
+                Detail d = new Detail();
+                return parent;
+            }
+        }
+        class GoHandler implements View.OnClickListener {
+            void onClick(View v) {
+                View made = Fancy.inflate(v, R.layout.home, v);
+            }
+        }
+        """
+        layout = '<LinearLayout><Button android:id="@+id/go"/></LinearLayout>'
+        result = analyze(load_app_from_sources("opsite", [source], {"home": layout}))
+        handler = MethodSig("opsite.GoHandler", "onClick", 1)
+        (_caller, index, stmt, targets), = [
+            site for site in result.invoke_sites if site[0] == handler
+        ]
+        assert stmt.method_name == "inflate"
+        op = result.graph.op_at(Site(handler, index, stmt.line))
+        assert op.kind is OpKind.INFLATE1
+        assert targets == (MethodSig("opsite.Fancy", "inflate", 3),)
+        graph = build_transition_graph(result)
+        assert graph.successors("opsite.Home") == {"opsite.Detail"}
 
 
 class TestGuiModel:
@@ -321,3 +382,187 @@ class TestErrorChecks:
         report = run_error_checks(result)
         dead = report.by_check("dead-listener")
         assert len(dead) == 1
+
+
+def _notepad_app():
+    return load_app_from_dir(os.path.join(EXAMPLES, "projects", "notepad"))
+
+
+def _example_script_app(script, name, layout_var, layout_name):
+    """The app an ``examples/`` script analyzes, rebuilt from its globals."""
+    ns = runpy.run_path(os.path.join(EXAMPLES, script))
+    return load_app_from_sources(name, [ns["SOURCE"]], {layout_name: ns[layout_var]})
+
+
+def _order_app():
+    """Taint sinks and casts whose program order is not their sorted
+    order: methods and classes appear in reverse name order."""
+    source = """
+    package order;
+    import android.app.Activity;
+    import android.view.View;
+    import android.widget.Button;
+    import android.widget.EditText;
+
+    class Zeta extends Activity {
+        void onCreate() {
+            this.setContentView(R.layout.f);
+            View p = this.findViewById(R.id.pw);
+            Net n = new Net();
+            n.upload(p);
+            Button b = (Button) p;
+            View q = this.findViewById(R.id.any);
+            EditText e = (EditText) q;
+            n.post(q);
+            this.later(p);
+        }
+        void later(View v) {
+            Net n = new Net();
+            n.upload(v);
+            Button b = (Button) v;
+        }
+    }
+    class Alpha extends Activity {
+        void onCreate() {
+            this.setContentView(R.layout.f);
+            View p = this.findViewById(R.id.pw);
+            Net n = new Net();
+            n.log(p);
+            Button b = (Button) p;
+        }
+    }
+    class Net {
+        void upload(View v) { }
+        void post(View v) { }
+        void log(View v) { }
+    }
+    """
+    layout = (
+        '<LinearLayout><EditText android:id="@+id/pw"/>'
+        '<EditText android:id="@+id/any"/><Button android:id="@+id/any"/>'
+        "</LinearLayout>"
+    )
+    return load_app_from_sources("order", [source], {"f": layout})
+
+
+FIXTURE_APPS = {
+    "notepad": _notepad_app,
+    "buggy": lambda: load_app_from_dir(os.path.join(EXAMPLES, "projects", "buggy")),
+    "security_audit": lambda: _example_script_app(
+        "security_audit.py", "login", "LOGIN_LAYOUT", "login"
+    ),
+    "error_checking": lambda: _example_script_app(
+        "error_checking.py", "buggy", "LAYOUT", "screen"
+    ),
+    "nav": _nav_app,
+    "order": _order_app,
+}
+
+
+def _application_invokes(program):
+    return sum(
+        isinstance(stmt, Invoke)
+        for method in program.application_methods()
+        for stmt in method.body
+    )
+
+
+class TestOneResolutionPerSite:
+    """The builder resolves each invoke site once; no client resolves."""
+
+    @pytest.mark.parametrize("name", ["notepad", "nav"])
+    def test_resolve_invoke_once_per_invoke(self, name, monkeypatch):
+        from repro.hierarchy import callgraph
+
+        real = callgraph.resolve_invoke
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        bound = [
+            module for module in list(sys.modules.values())
+            if getattr(module, "resolve_invoke", None) is real
+        ]
+        assert {m.__name__ for m in bound} >= {
+            "repro.core.builder", "repro.hierarchy.callgraph"
+        }
+        for module in bound:
+            monkeypatch.setattr(module, "resolve_invoke", counting)
+        app = FIXTURE_APPS[name]()
+        result = analyze(app)
+        build_transition_graph(result)
+        run_error_checks(result)
+        run_taint_analysis(result)
+        run_lint(result)
+        invokes = _application_invokes(app.program)
+        assert invokes > 0
+        assert len(calls) == invokes
+        assert len({id(stmt) for stmt in calls}) == invokes
+
+
+def _body_order(program):
+    """(caller, index) -> position in a walk of every application body."""
+    position = {}
+    for method in program.application_methods():
+        for index in range(len(method.body)):
+            position[(method.sig, index)] = len(position)
+    return position
+
+
+class TestSiteOrder:
+    """Site tables, taint findings and cast findings follow program order."""
+
+    @pytest.fixture(scope="class", params=sorted(FIXTURE_APPS))
+    def fixture_result(self, request):
+        return analyze(FIXTURE_APPS[request.param]())
+
+    def test_tables_match_a_body_walk(self, fixture_result):
+        methods = list(fixture_result.app.program.application_methods())
+
+        def walk(kind):
+            return [
+                (m.sig, i, s) for m in methods for i, s in enumerate(m.body)
+                if isinstance(s, kind)
+            ]
+
+        assert [site[:3] for site in fixture_result.invoke_sites] == walk(Invoke)
+        assert fixture_result.cast_sites == walk(Cast)
+
+    def test_taint_findings_in_program_order(self, fixture_result):
+        position = _body_order(fixture_result.app.program)
+        findings = run_taint_analysis(fixture_result)
+
+        def key(f):
+            return position[(f.sink_site.method, f.sink_site.index)]
+
+        assert findings == sorted(findings, key=key)
+
+    @pytest.mark.parametrize("rule_id", ["GUI003", "GUI004"])
+    def test_cast_findings_in_program_order(self, fixture_result, rule_id):
+        position = _body_order(fixture_result.app.program)
+        findings = list(rule_by_id(rule_id).check(fixture_result))
+
+        def key(f):
+            return position[(f.site.method, f.site.index)]
+
+        assert findings == sorted(findings, key=key)
+
+    def test_order_fixture_has_findings_out_of_name_order(self):
+        result = analyze(_order_app())
+        taint = [
+            (str(f.sink_site.method), f.sink_method) for f in run_taint_analysis(result)
+        ]
+        assert taint == [
+            ("order.Zeta.onCreate/0", "upload"),
+            ("order.Zeta.onCreate/0", "post"),
+            ("order.Zeta.later/1", "upload"),
+            ("order.Alpha.onCreate/0", "log"),
+        ]
+        bad = [str(f.site.method) for f in rule_by_id("GUI003").check(result)]
+        suspicious = [str(f.site.method) for f in rule_by_id("GUI004").check(result)]
+        assert bad == [
+            "order.Zeta.onCreate/0", "order.Zeta.later/1", "order.Alpha.onCreate/0"
+        ]
+        assert suspicious == ["order.Zeta.onCreate/0"]

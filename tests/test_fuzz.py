@@ -157,3 +157,45 @@ def test_ids_xml(apv, edits):
 @given(edits=_MUTATIONS)
 def test_notepad(notepad, relpath, edits):
     _check(notepad, relpath, edits)
+
+
+# Adversarial inputs that no random edit is likely to produce: each must
+# end in a ReproError, not in a hang or a crash.
+CYCLES = {
+    "two-classes": "class CycA extends CycB { }\nclass CycB extends CycA { }\n",
+    "self": "class CycA extends CycA { }\n",
+    "behind-a-subclass": (
+        "class Leaf extends CycA { }\n"
+        "class CycA extends CycB { }\nclass CycB extends CycA { }\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(CYCLES.values()), ids=list(CYCLES))
+def test_cyclic_inheritance_is_rejected(notepad, source):
+    path = os.path.join(notepad, "src", "Cycle.alite")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("package cyc;\n\n" + source)
+    try:
+        with pytest.raises(ReproError, match="cyclic inheritance: cyc.CycA extends"):
+            load_app_from_dir(notepad).validate()
+    finally:
+        os.remove(path)
+
+
+def test_cyclic_inheritance_in_smali_is_rejected(apv):
+    path = os.path.join(apv, "classes.smali")
+    with open(path, "rb") as f:
+        original = f.read()
+    cycle = (
+        "\n.class Lgen/apv/CycA;\n.super Lgen/apv/CycB;\n.end class\n"
+        "\n.class Lgen/apv/CycB;\n.super Lgen/apv/CycA;\n.end class\n"
+    )
+    try:
+        with open(path, "wb") as f:
+            f.write(original + cycle.encode("utf-8"))
+        with pytest.raises(ReproError, match="gen.apv.CycA extends gen.apv.CycB"):
+            load_app_from_dir(apv).validate()
+    finally:
+        with open(path, "wb") as f:
+            f.write(original)

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from repro.hierarchy.cha import ClassHierarchy
-from repro.hierarchy.callgraph import CallGraph, CallSite, build_call_graph
+from repro.hierarchy.callgraph import CallSite, build_call_graph
 from repro.ir.builder import ProgramBuilder
-from repro.ir.program import MethodSig, Program
+from repro.ir.program import Method, MethodSig, Program
 from repro.ir.statements import InvokeKind
 from repro.platform.classes import ACTIVITY, VIEW, install_platform
 
@@ -105,6 +105,27 @@ class TestDispatch:
         targets = [m.class_name for m in h.cha_targets("app.A", "m", 0)]
         assert targets == ["app.A", "app.B"]
 
+    def test_cha_targets_skip_platform_receivers(self):
+        """A platform receiver runs platform code, which the analysis
+        models as operations: only application subtypes dispatch."""
+        pb = ProgramBuilder()
+        install_platform(pb.program)
+        text_view = pb.program.clazz("android.widget.TextView")
+        text_view.add_method(
+            Method("setText", text_view.name, params=[("t", "java.lang.String")])
+        )
+        with pb.clazz("app.Fancy", extends=VIEW) as c:
+            with c.method("setText", params=[("t", "java.lang.String")]) as m:
+                m.ret()
+        h = ClassHierarchy(pb.program)
+        targets = [str(m.sig) for m in h.cha_targets(VIEW, "setText", 1)]
+        assert targets == ["app.Fancy.setText/1"]
+        with pb.clazz("app.Caption", extends=text_view.name) as c:
+            pass
+        h = ClassHierarchy(pb.program)
+        targets = [str(m.sig) for m in h.cha_targets(VIEW, "setText", 1)]
+        assert targets == ["app.Fancy.setText/1", "android.widget.TextView.setText/1"]
+
     def test_view_activity_listener_tests(self, diamond_program):
         h = ClassHierarchy(diamond_program)
         assert h.is_view_class("android.widget.Button")
@@ -146,21 +167,6 @@ class TestCallGraph:
         graph = build_call_graph(program)
         callers = graph.callers_of(MethodSig("app.Base", "greet", 0))
         assert {c.caller.name for c in callers} == {"run"}
-
-    def test_reachable_from(self):
-        program = self._program()
-        graph = build_call_graph(program)
-        reach = graph.reachable_from([MethodSig("app.Main", "run", 0)])
-        assert MethodSig("app.Derived", "greet", 0) in reach
-
-    def test_reachable_from_sees_edges_added_after_a_query(self):
-        graph = CallGraph()
-        a, b, c = (MethodSig("app.M", name, 0) for name in "abc")
-        graph.add_edge(CallSite(a, 0), b)
-        assert graph.reachable_from([a]) == {a, b}
-        graph.add_edge(CallSite(b, 0), c)
-        assert graph.reachable_from([a]) == {a, b, c}
-        assert graph.reachable_from([c]) == {c}
 
     def test_platform_calls_produce_no_edges(self):
         pb = ProgramBuilder()

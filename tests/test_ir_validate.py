@@ -110,6 +110,55 @@ class TestClassReferences:
             validate_program(p)
 
 
+class TestInheritanceCycles:
+    @staticmethod
+    def _program(*pairs):
+        p = Program()
+        install_platform(p)
+        for name, superclass in pairs:
+            p.add_class(Clazz(name, superclass=superclass))
+        return p
+
+    def test_two_class_cycle_names_both(self):
+        p = self._program(("app.CycA", "app.CycB"), ("app.CycB", "app.CycA"))
+        with pytest.raises(IRValidationError) as info:
+            validate_program(p)
+        assert info.value.errors == [
+            "app.CycA: cyclic inheritance: app.CycA extends app.CycB extends app.CycA"
+        ]
+
+    def test_self_extension(self):
+        p = self._program(("app.Me", "app.Me"))
+        assert validate_program(p, strict=False) == [
+            "app.Me: cyclic inheritance: app.Me extends app.Me"
+        ]
+
+    def test_cycle_reported_once_without_its_descendants(self):
+        p = self._program(
+            ("app.Leaf", "app.A"),
+            ("app.A", "app.B"),
+            ("app.B", "app.C"),
+            ("app.C", "app.A"),
+            ("app.Other", "app.Leaf"),
+        )
+        assert validate_program(p, strict=False) == [
+            "app.A: cyclic inheritance: app.A extends app.B extends app.C extends app.A"
+        ]
+
+    def test_deep_acyclic_chain_passes(self):
+        depth = 5000
+        p = self._program(
+            *((f"app.K{i}", f"app.K{i - 1}" if i else None) for i in range(depth))
+        )
+        assert validate_program(p, strict=False) == []
+
+    def test_chain_through_platform_class_passes(self):
+        p = self._program(
+            ("app.Main", "android.app.Activity"), ("app.Sub", "app.Main")
+        )
+        assert validate_program(p, strict=False) == []
+
+
 class TestFieldAccess:
     def test_unknown_field_load(self):
         m = _method(
