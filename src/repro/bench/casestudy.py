@@ -9,8 +9,9 @@ Here the concrete interpreter plays the role of the manual inspection:
 it executes each app and records the *actual* objects at every
 operation, giving a dynamic lower bound on the solution. An app is
 "perfectly precise" when the static per-operation sets match the
-dynamic ones. For XBMC we additionally run the 1-call-site cloning
-refinement and report the receivers average before/after.
+dynamic ones. For XBMC we additionally analyze with 1-call-site
+contexts (``AnalysisOptions.call_site_context``) and report the
+receivers average before/after.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import analyze
-from repro.core.context import clone_for_context_sensitivity
+from repro import AnalysisOptions, analyze
 from repro.core.metrics import compute_precision
 from repro.core.nodes import OpArg, OpRecv
 from repro.core.results import AnalysisResult
@@ -113,12 +113,13 @@ def compare_with_oracle(app_name: str, seed: int = 0) -> PrecisionComparison:
 
 @dataclass
 class OutlierStudy:
-    """XBMC under context insensitivity vs 1-call-site cloning."""
+    """XBMC under context insensitivity vs 1-call-site contexts."""
 
     receivers_insensitive: float
     receivers_context_sensitive: float
     results_insensitive: float
     results_context_sensitive: float
+    # Call-site contexts created: one per (helper, calling site).
     cloned_methods: int
     paper_insensitive: float = 8.81
     paper_perfect: float = 3.59
@@ -127,14 +128,14 @@ class OutlierStudy:
 def run_outlier_study() -> OutlierStudy:
     app = generate_app(spec_by_name(OUTLIER_APP))
     base = compute_precision(analyze(app))
-    info = clone_for_context_sensitivity(app)
-    refined = compute_precision(analyze(info.app))
+    result = analyze(app, AnalysisOptions(call_site_context=True))
+    refined = compute_precision(result)
     return OutlierStudy(
         receivers_insensitive=base.receivers or 0.0,
         receivers_context_sensitive=refined.receivers or 0.0,
         results_insensitive=base.results or 0.0,
         results_context_sensitive=refined.results or 0.0,
-        cloned_methods=len(info.cloned_methods),
+        cloned_methods=sum(len(sigs) for sigs in result.contexts.values()),
     )
 
 
@@ -171,10 +172,10 @@ def run_case_study() -> str:
         f"{OUTLIER_APP} outlier:",
         f"  receivers context-insensitive : {outlier.receivers_insensitive:.2f} "
         f"(paper: {outlier.paper_insensitive:.2f})",
-        f"  receivers 1-call-site cloning : {outlier.receivers_context_sensitive:.2f} "
+        f"  receivers 1-call-site contexts: {outlier.receivers_context_sensitive:.2f} "
         f"(paper perfectly-precise: {outlier.paper_perfect:.2f})",
-        f"  results unchanged by cloning  : "
+        f"  results unchanged by contexts : "
         f"{outlier.results_insensitive:.2f} -> {outlier.results_context_sensitive:.2f}",
-        f"  helper methods cloned         : {outlier.cloned_methods}",
+        f"  call-site contexts            : {outlier.cloned_methods}",
     ]
     return "\n".join(lines)

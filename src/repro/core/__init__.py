@@ -8,14 +8,14 @@ Layout of the package:
 * :mod:`repro.core.graph` — the constraint graph: interned nodes, flow
   edges (``→``) and relationship edges (``⇒``);
 * :mod:`repro.core.builder` — graph construction from an
-  :class:`~repro.app.AndroidApp` (phase 1 of Section 4.3);
+  :class:`~repro.app.AndroidApp` (phase 1 of Section 4.3), optionally
+  with 1-call-site contexts (``AnalysisOptions.call_site_context``, the
+  paper's suggested fix for the XBMC outlier);
 * :mod:`repro.core.analysis` — the fixed-point solver computing
   ``flowsTo`` and ``ancestorOf`` and applying the operation inference
   rules (Sections 4.2–4.3);
 * :mod:`repro.core.results` — the solution query API;
-* :mod:`repro.core.metrics` — the Table 1 / Table 2 measurements;
-* :mod:`repro.core.context` — optional 1-call-site context-sensitive
-  refinement (the paper's suggested fix for the XBMC outlier).
+* :mod:`repro.core.metrics` — the Table 1 / Table 2 measurements.
 """
 
 from repro.core.nodes import (

@@ -112,6 +112,12 @@ class AnalysisOptions:
     solver modes and never changes the computed solution; the lint
     engine (:mod:`repro.lint`) rebuilds witness paths from the solution
     after solving and uses the numbers to keep them well-founded.
+
+    ``call_site_context`` (off by default) analyzes each application
+    method that holds an op site and has two or more calling sites once
+    per calling site (1-call-site sensitivity, see
+    :func:`repro.core.builder.build_constraint_graph`);
+    ``AnalysisResult.contexts`` lists the contexts.
     """
 
     findview3_children_only_refinement: bool = True
@@ -120,6 +126,7 @@ class AnalysisOptions:
     max_rounds: int = 1000
     solver: str = "seminaive"
     provenance: bool = False
+    call_site_context: bool = False
 
     def __post_init__(self) -> None:
         if self.solver not in ("naive", "seminaive"):
@@ -151,7 +158,9 @@ class GuiReferenceAnalysis:
         self.app = app
         self.options = options or AnalysisOptions()
         self.tracer = tracer if tracer is not None else active_tracer()
-        build = build_constraint_graph(app, tracer=self.tracer)
+        build = build_constraint_graph(
+            app, tracer=self.tracer, call_site_context=self.options.call_site_context
+        )
         self.graph: ConstraintGraph = build.graph
         self.hierarchy: ClassHierarchy = build.hierarchy
         self._build = build
@@ -470,6 +479,7 @@ class GuiReferenceAnalysis:
             provenance=self._order,
             invoke_sites=self._build.invoke_sites,
             cast_sites=self._build.cast_sites,
+            contexts=self._build.contexts,
         )
 
     def _rel_edge_total(self) -> int:

@@ -19,12 +19,16 @@ walking method bodies again: every invoke site with its caller and its
 CHA-resolved application targets (the app's call graph), and every cast
 site. This walk is the only caller of ``resolve_invoke`` on the
 analysis path.
+
+With call-site contexts on, the builder runs twice: the first build's
+site tables pick the methods that the second analyzes once per calling
+site (see :func:`build_constraint_graph`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.app import AndroidApp
 from repro.core.graph import RECV, ConstraintGraph
@@ -58,6 +62,8 @@ from repro.platform.classes import VIEW
 InvokeSite = Tuple[MethodSig, int, Invoke, Tuple[MethodSig, ...]]
 # One cast site: caller, statement index, the statement.
 CastSite = Tuple[MethodSig, int, Cast]
+# A calling site of a method: caller and statement index.
+CallingSite = Tuple[MethodSig, int]
 
 
 @dataclass
@@ -68,6 +74,9 @@ class BuildResult:
     method order, and in statement order within a method. They are flat
     lists of tuples because they live as long as the result: a
     per-caller container would cost more than the sites it holds.
+
+    ``contexts`` maps each method analyzed per calling site to its
+    context sigs, one per site; it is empty when contexts are off.
     """
 
     graph: ConstraintGraph
@@ -75,6 +84,7 @@ class BuildResult:
     app: AndroidApp
     invoke_sites: List[InvokeSite]
     cast_sites: List[CastSite]
+    contexts: Dict[MethodSig, List[MethodSig]] = field(default_factory=dict)
 
 
 # What a call edge needs of its target: its sig, the graph's locals table
@@ -83,16 +93,29 @@ _Callee = Tuple[MethodSig, Dict[str, int], List[str]]
 
 
 class _GraphBuilder:
-    def __init__(self, app: AndroidApp) -> None:
+    def __init__(
+        self,
+        app: AndroidApp,
+        hierarchy: Optional[ClassHierarchy] = None,
+        candidates: Optional[Dict[MethodSig, List[CallingSite]]] = None,
+    ) -> None:
         self.app = app
         self.program: Program = app.program
-        self.hierarchy = ClassHierarchy(self.program)
+        self.hierarchy = hierarchy or ClassHierarchy(self.program)
         self.graph = ConstraintGraph()
         self.result = BuildResult(self.graph, self.hierarchy, app, [], [])
         # One record per call target.
         self._callees: Dict[Method, _Callee] = {}
         # (static class, field name) -> declaring class.
         self._field_owners: Dict[Tuple[str, str], str] = {}
+        # Calling site -> {candidate it calls: that site's context}.
+        self._site_contexts: Dict[CallingSite, Dict[MethodSig, MethodSig]] = {}
+        for origin, calling_sites in (candidates or {}).items():
+            contexts = self.result.contexts[origin] = []
+            for i, site in enumerate(calling_sites):
+                context = MethodSig(origin.class_name, f"{origin.name}__ctx{i}", origin.arity)
+                contexts.append(context)
+                self._site_contexts.setdefault(site, {})[origin] = context
 
     # -- helpers ---------------------------------------------------------------
 
@@ -132,14 +155,27 @@ class _GraphBuilder:
 
     # -- statement translation ---------------------------------------------------
 
+    def _bodies(self) -> Iterator[Tuple[Method, MethodSig]]:
+        """Each application method under its own sig, then each
+        candidate's body under each of its context sigs.
+
+        A context's own invoke sites call their targets' originals, so
+        contexts are one level deep.
+        """
+        for method in self.program.application_methods():
+            yield method, method.sig
+        for origin, contexts in self.result.contexts.items():
+            method = self.program.method(origin.class_name, origin.name, origin.arity)
+            for sig in contexts:
+                yield method, sig
+
     def build(self, tracer: Optional[Tracer] = None) -> BuildResult:
         methods = 0
         statements = 0
         graph = self.graph
         translators = self._translators()
-        for method in self.program.application_methods():
+        for method, sig in self._bodies():
             methods += 1
-            sig = method.sig
             locals_ = graph.locals_of(sig)
             statements += len(method.body)
             for index, stmt in enumerate(method.body):
@@ -259,18 +295,26 @@ class _GraphBuilder:
         g = self.graph
         local = g.local_id
         targets = resolve_invoke(self.program, self.hierarchy, method, stmt)
+        # The targets this site calls in a context of their own.
+        contexts = self._site_contexts.get((sig, index)) if self._site_contexts else None
         sites = self.result.invoke_sites
         spec = classify_invoke(self.hierarchy, method, stmt)
         if spec is not None:
             # An op site keeps its application targets too: the call
             # graph walks them although no flow edge is added for them.
-            sites.append((sig, index, stmt, tuple([t.sig for t in targets])))
+            tsigs = [t.sig for t in targets]
+            if contexts:
+                tsigs = [contexts.get(tsig, tsig) for tsig in tsigs]
+            sites.append((sig, index, stmt, tuple(tsigs)))
             self._add_op(sig, locals_, index, stmt, spec)
             return
         # Ordinary interprocedural flow, resolved with CHA.
         tsigs = []
         for target in targets:
             tsig, callee, returns = self._callee(target)
+            if contexts and tsig in contexts:
+                tsig = contexts[tsig]
+                callee = g.locals_of(tsig)
             tsigs.append(tsig)
             if target.is_instance and stmt.base is not None:
                 g.add_flow_ids(local(locals_, sig, stmt.base), local(callee, tsig, "this"))
@@ -319,10 +363,47 @@ class _GraphBuilder:
                     g.add_flow_ids(act, g.var_id(m.sig, "this"))
 
 
+def _context_candidates(plain: BuildResult) -> Dict[MethodSig, List[CallingSite]]:
+    """Each method that holds an op site and is a target of two or more
+    invoke sites, with those sites in ``(str(caller), index)`` order.
+
+    Op sites with application targets count as calling sites too.
+    """
+    holders = dict.fromkeys(op.site.method for op in plain.graph.ops())
+    calling: Dict[MethodSig, List[CallingSite]] = {}
+    for caller, index, _stmt, targets in plain.invoke_sites:
+        for target in targets:
+            if target in holders:
+                calling.setdefault(target, []).append((caller, index))
+    candidates = {}
+    for method in holders:
+        sites = calling.get(method, ())
+        if len(sites) >= 2:
+            candidates[method] = sorted(sites, key=lambda s: (str(s[0]), s[1]))
+    return candidates
+
+
+def _build(
+    app: AndroidApp, call_site_context: bool, tracer: Optional[Tracer] = None
+) -> BuildResult:
+    builder = _GraphBuilder(app)
+    if call_site_context:
+        plain = builder.build()
+        builder = _GraphBuilder(app, builder.hierarchy, _context_candidates(plain))
+    return builder.build(tracer)
+
+
 def build_constraint_graph(
-    app: AndroidApp, tracer: Optional[Tracer] = None
+    app: AndroidApp, tracer: Optional[Tracer] = None, call_site_context: bool = False
 ) -> BuildResult:
     """Construct the initial constraint graph for ``app``.
+
+    With ``call_site_context`` a plain build picks the candidates, and
+    a second build analyzes each candidate once per calling site: site
+    *i* of candidate ``C.m/n`` calls context ``C.m__ctxi/n``, which has
+    its own locals, allocations and op sites, while the site's other
+    targets are wired as before. The original keeps its own
+    translation.
 
     With a tracer (explicit or ambient via :func:`repro.obs.enable`)
     the construction runs inside a ``build`` span annotated with the
@@ -330,10 +411,9 @@ def build_constraint_graph(
     """
     if tracer is None:
         tracer = active_tracer()
-    builder = _GraphBuilder(app)
     if tracer is None:
-        return builder.build()
+        return _build(app, call_site_context)
     with tracer.span(obs_names.PHASE_BUILD) as span:
-        result = builder.build(tracer)
+        result = _build(app, call_site_context, tracer)
         span.attrs.update(result.graph.summary())
     return result

@@ -301,23 +301,6 @@ class ConstraintGraph:
     def op(self, kind: OpKind, site: Site, spec: OpSpec) -> OpNode:
         return self.node_list[self.op_id(kind, site, spec)]
 
-    def op_recv(self, op: OpNode) -> OpRecv:
-        return self.node_list[self.port_id(self._require(op), RECV)]
-
-    def op_arg(self, op: OpNode, index: int = 0) -> OpArg:
-        return self.node_list[self.port_id(self._require(op), index)]
-
-    def infl_view(
-        self,
-        op_site: Site,
-        layout: str,
-        path: Tuple[int, ...],
-        view_class: str,
-        id_name: Optional[str],
-    ) -> InflViewNode:
-        i = self.infl_view_id(op_site, layout, path, view_class, id_name)
-        return self.node_list[i]
-
     # -- ids and nodes -------------------------------------------------------------
 
     def id_of(self, node: Node) -> Optional[int]:
@@ -409,10 +392,6 @@ class ConstraintGraph:
         i = self._tables[LayoutIdNode].get(name)
         return None if i is None else self.node_list[i]
 
-    def lookup_view_id(self, name: str) -> Optional[ViewIdNode]:
-        i = self._tables[ViewIdNode].get(name)
-        return None if i is None else self.node_list[i]
-
     def is_view_id(self, i: int) -> bool:
         """Is node ``i`` a view: an inflated view or a view allocation?"""
         return i in self._view_allocs or self.node_list[i].__class__ is InflViewNode
@@ -442,10 +421,6 @@ class ConstraintGraph:
         out[dst] = type_filter
         self._flow_count += 1
         return True
-
-    def add_flow(self, src: Node, dst: Node, type_filter: Optional[str] = None) -> bool:
-        """:meth:`add_flow_ids` between two interned nodes."""
-        return self.add_flow_ids(self._require(src), self._require(dst), type_filter)
 
     def flow_filter(self, src: Node, dst: Node) -> Optional[str]:
         """The type filter on edge ``src → dst``, if any."""
@@ -520,14 +495,8 @@ class ConstraintGraph:
     def children_of(self, view: Node) -> Set[Node]:
         return self.rel(RelKind.CHILD, view)
 
-    def parents_of(self, view: Node) -> Set[Node]:
-        return self.rel_back(RelKind.CHILD, view)
-
     def ids_of(self, view: Node) -> Set[Node]:
         return self.rel(RelKind.HAS_ID, view)
-
-    def roots_of(self, holder: Node) -> Set[Node]:
-        return self.rel(RelKind.ROOT, holder)
 
     def descendants_of(self, view: Node, include_self: bool = True) -> Set[Node]:
         """Reflexive-transitive closure over CHILD edges (``ancestorOf``
@@ -595,10 +564,6 @@ class ConstraintGraph:
             containing_index = self._desc_containing
             for member in new:
                 containing_index.setdefault(member, set()).add(root)
-
-    def ancestor_of(self, view1: Node, view2: Node) -> bool:
-        """The paper's ``ancestorOf`` relation (reflexive)."""
-        return view2 in self.descendants_cached(view1)
 
     # -- summary -----------------------------------------------------------------
 

@@ -190,32 +190,12 @@ def compute_graph_stats(result: AnalysisResult) -> GraphStats:
     )
 
 
-def listeners_per_view_pair(result: AnalysisResult) -> Optional[float]:
-    """The Table 2 "listeners" measurement read literally: "how many
-    listener objects, on average, are associated with *a view object*
-    at a set-listener operation" — averaged over (operation, receiver
-    view) pairs rather than over operations.
-
-    With singleton receiver sets the two readings coincide;
-    :func:`compute_precision` reports the per-operation variant.
-    """
-    sizes: List[int] = []
-    for op in result.ops_of_kind(OpKind.SETLISTENER):
-        listeners = len(result.op_listener_args(op))
-        if listeners == 0:
-            continue
-        for _view in result.op_view_receivers(op):
-            sizes.append(listeners)
-    return _average(sizes)
-
-
 def compute_precision(
     result: AnalysisResult, ops: Optional[Sequence[OpNode]] = None
 ) -> PrecisionMetrics:
     """Compute the Table 2 precision averages from a solved analysis.
 
-    ``ops`` restricts the measured population (used by the
-    context-sensitivity ablation to measure cloned operations).
+    ``ops`` restricts the measured population to the given op nodes.
     """
     population = list(ops) if ops is not None else result.graph.ops()
 

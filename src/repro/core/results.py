@@ -150,6 +150,9 @@ class AnalysisResult:
     # bodies; the invoke table is the app's CHA call graph.
     invoke_sites: List["InvokeSite"] = field(default_factory=list)
     cast_sites: List["CastSite"] = field(default_factory=list)
+    # With ``AnalysisOptions.call_site_context``: each method analyzed
+    # once per calling site -> its context sigs, in calling-site order.
+    contexts: Dict[MethodSig, List[MethodSig]] = field(default_factory=dict)
 
     # -- flowsTo queries ----------------------------------------------------
 

@@ -23,9 +23,10 @@ operations (receiver sets of size 1). Imprecision is injected with the
 classic shared-helper pattern the paper attributes XBMC's outlier to:
 ``c`` caller activities each pass a variable merging ``b`` of their own
 found views into static helper methods hosting the shared operations,
-whose receiver sets therefore have size ``m = c*b``. Under
-1-call-site cloning (``repro.core.context``) each clone sees only its
-caller's ``b`` views — ``recv_avg_ctx`` is the irreducible part.
+whose receiver sets therefore have size ``m = c*b``. Under 1-call-site
+contexts (``AnalysisOptions.call_site_context``) each helper context
+sees only its caller's ``b`` views — ``recv_avg_ctx`` is the
+irreducible part.
 
 **Results** (``result_avg``). Selected activities declare ``r`` layout
 nodes sharing one view id; a ``findViewById`` on that id returns all

@@ -1,11 +1,11 @@
-"""Class-hierarchy analysis and call-graph construction.
+"""Class-hierarchy analysis and call-site resolution.
 
 The paper resolves polymorphic calls "using class hierarchy
 information" (Section 4.3); this package provides the subtype queries,
-CHA dispatch resolution, and a whole-program call graph built on them.
+CHA dispatch resolution, and the resolution of one call site
+(:func:`repro.hierarchy.callgraph.resolve_invoke`) built on them.
 """
 
 from repro.hierarchy.cha import ClassHierarchy
-from repro.hierarchy.callgraph import CallGraph, CallSite, build_call_graph
 
-__all__ = ["CallGraph", "CallSite", "ClassHierarchy", "build_call_graph"]
+__all__ = ["ClassHierarchy"]

@@ -173,9 +173,6 @@ class ClassHierarchy:
 
     # -- convenience class tests --------------------------------------------
 
-    def is_view_class(self, name: str) -> bool:
-        return self.is_subtype(name, "android.view.View")
-
     def is_activity_class(self, name: str) -> bool:
         return self.is_subtype(name, "android.app.Activity")
 

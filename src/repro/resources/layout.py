@@ -48,13 +48,6 @@ class LayoutNode:
         """Number of nodes in the subtree rooted here."""
         return sum(1 for _ in self.walk())
 
-    def find_by_id(self, id_name: str) -> Optional["LayoutNode"]:
-        """First node in preorder with the given view id, else None."""
-        for node, _parent in self.walk():
-            if node.id_name == id_name:
-                return node
-        return None
-
     def __repr__(self) -> str:
         suffix = f" id={self.id_name}" if self.id_name else ""
         return f"<LayoutNode {self.view_class}{suffix} kids={len(self.children)}>"

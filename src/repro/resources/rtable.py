@@ -93,9 +93,6 @@ class ResourceTable:
             self._view_names_by_id[vid] = name
         return self._view_ids[name]
 
-    def has_view_id(self, name: str) -> bool:
-        return name in self._view_ids
-
     def layout_name_of(self, value: int) -> Optional[str]:
         return self._layout_names_by_id.get(value)
 
@@ -144,9 +141,6 @@ class ResourceTable:
 
     def menu_names(self) -> List[str]:
         return list(self._menus)
-
-    def menu_count(self) -> int:
-        return len(self._menu_ids)
 
     # -- statistics (Table 1 "ids" column) -----------------------------------
 

@@ -36,6 +36,12 @@ class LayoutXmlError(ReproError):
 
 _ROOT_TAG_RE = re.compile(r"<([A-Za-z_][\w.$-]*)")
 
+# The most views one layout may expand to. Each <include> copies the
+# included layout, so k small files that each include the next twice
+# expand to 2^k views. The largest expansion in the corpus and the
+# example projects is 32 views.
+MAX_EXPANDED_VIEWS = 10_000
+
 
 def parse_android_xml(text: str) -> ET.Element:
     """Parse XML, tolerating a missing ``xmlns:android`` declaration.
@@ -159,8 +165,29 @@ def parse_layout_xml(
     return LayoutTree(name=name, root=root)
 
 
+class _ViewBudget:
+    """The views one :func:`expand_includes` call may still copy."""
+
+    __slots__ = ("layout", "left")
+
+    def __init__(self, layout: str) -> None:
+        self.layout = layout
+        self.left = MAX_EXPANDED_VIEWS
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise LayoutXmlError(
+                f"layout {self.layout!r} expands to more than "
+                f"{MAX_EXPANDED_VIEWS} views"
+            )
+
+
 def _expand_tree(
-    tree: LayoutTree, lookup: Callable[[str], LayoutTree], active: Set[str]
+    tree: LayoutTree,
+    lookup: Callable[[str], LayoutTree],
+    active: Set[str],
+    budget: _ViewBudget,
 ) -> List[LayoutNode]:
     """Expanded replacement list for a tree's root (merge roots splice)."""
     if tree.name in active:
@@ -171,9 +198,9 @@ def _expand_tree(
     if root.view_class == "<merge>":
         out: List[LayoutNode] = []
         for child in root.children:
-            out.extend(_expand_node(child, tree.name, lookup, active))
+            out.extend(_expand_node(child, tree.name, lookup, active, budget))
         return out
-    return _expand_node(root, tree.name, lookup, active)
+    return _expand_node(root, tree.name, lookup, active, budget)
 
 
 def _expand_node(
@@ -181,6 +208,7 @@ def _expand_node(
     layout_name: str,
     lookup: Callable[[str], LayoutTree],
     active: Set[str],
+    budget: _ViewBudget,
 ) -> List[LayoutNode]:
     if node.include is not None:
         try:
@@ -192,16 +220,17 @@ def _expand_node(
                 f"<include> in {layout_name!r} references unknown layout "
                 f"{node.include!r}"
             ) from None
-        roots = _expand_tree(included, lookup, active)
+        roots = _expand_tree(included, lookup, active, budget)
         if len(roots) == 1 and node.id_name is not None:
             # <include> may override the included root's id.
             roots[0].id_name = node.id_name
         return roots
+    budget.spend()
     copy = LayoutNode(
         view_class=node.view_class, id_name=node.id_name, on_click=node.on_click
     )
     for child in node.children:
-        copy.children.extend(_expand_node(child, layout_name, lookup, active))
+        copy.children.extend(_expand_node(child, layout_name, lookup, active, budget))
     return [copy]
 
 
@@ -217,8 +246,10 @@ def expand_includes(
     deep copy; input trees are never mutated. A root ``<merge>``
     inflated standalone behaves like a transparent FrameLayout wrapper
     (Android would attach its children to the inflation parent).
+    Expanding to more than :data:`MAX_EXPANDED_VIEWS` views raises
+    :class:`LayoutXmlError`.
     """
-    roots = _expand_tree(tree, lookup, set(_active or ()))
+    roots = _expand_tree(tree, lookup, set(_active or ()), _ViewBudget(tree.name))
     if len(roots) == 1 and tree.root.view_class != "<merge>":
         return LayoutTree(name=tree.name, root=roots[0])
     wrapper = LayoutNode(view_class="android.widget.FrameLayout")

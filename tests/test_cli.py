@@ -196,6 +196,32 @@ class TestMalformedInput:
         assert sum(line.startswith("error:") for line in captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err + captured.out
 
+    def test_exponential_include_expansion(self, tmp_path, capsys):
+        """Layouts f0..f30, each including the next twice, would expand
+        note_row to 2^31 views; the expansion bound stops at f0."""
+        import time
+
+        from repro.resources.xml_parser import MAX_EXPANDED_VIEWS
+
+        project = self._notepad(tmp_path)
+        layouts = project / "res" / "layout"
+        row = layouts / "note_row.xml"
+        row.write_text(row.read_text().replace(
+            "</RelativeLayout>", '  <include layout="@layout/f0"/>\n</RelativeLayout>'
+        ))
+        depth = 30
+        for i in range(depth):
+            include = f'<include layout="@layout/f{i + 1}"/>'
+            (layouts / f"f{i}.xml").write_text(f"<LinearLayout>{include * 2}</LinearLayout>\n")
+        (layouts / f"f{depth}.xml").write_text("<LinearLayout><TextView/></LinearLayout>\n")
+        started = time.perf_counter()
+        self._expect_error(
+            project,
+            f"res/layout/f0.xml: layout 'f0' expands to more than {MAX_EXPANDED_VIEWS} views",
+            capsys,
+        )
+        assert time.perf_counter() - started < 0.5
+
     def test_malformed_manifest(self, tmp_path, capsys):
         project = self._notepad(tmp_path)
         (project / "AndroidManifest.xml").write_text("<manifest")

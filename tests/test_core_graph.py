@@ -2,12 +2,27 @@
 
 import pytest
 
-from repro.core.graph import ConstraintGraph, RelKind
+from repro.core.graph import RECV, ConstraintGraph, RelKind
 from repro.core.nodes import AllocNode, OpArg, OpRecv, Site, VarNode
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind, OpSpec
 
 SIG = MethodSig("app.C", "m", 0)
+
+
+def infl_view(graph, op_site, layout, path, view_class, id_name):
+    """Intern an inflated view through the id API; returns its node."""
+    return graph.node_list[graph.infl_view_id(op_site, layout, path, view_class, id_name)]
+
+
+def add_flow(graph, src, dst, type_filter=None):
+    """:meth:`ConstraintGraph.add_flow_ids` between two interned nodes."""
+    return graph.add_flow_ids(graph.id_of(src), graph.id_of(dst), type_filter)
+
+
+def port(graph, op, slot):
+    """The interned receiver (``RECV``) or argument port of ``op``."""
+    return graph.node_list[graph.port_id(graph.id_of(op), slot)]
 
 
 @pytest.fixture()
@@ -45,9 +60,9 @@ class TestInterning:
 
     def test_ports_interned(self, graph):
         op = graph.op(OpKind.SETID, Site(SIG, 3, 12), OpSpec(OpKind.SETID, arg_index=0))
-        assert graph.op_recv(op) is graph.op_recv(op)
-        assert graph.op_arg(op, 0) is graph.op_arg(op, 0)
-        assert graph.op_arg(op, 1) is not graph.op_arg(op, 0)
+        assert port(graph, op, RECV) is port(graph, op, RECV)
+        assert port(graph, op, 0) is port(graph, op, 0)
+        assert port(graph, op, 1) is not port(graph, op, 0)
         assert OpRecv(op) in graph.nodes and OpArg(op, 1) in graph.nodes
         assert OpArg(op, 2) not in graph.nodes
         assert len(graph.nodes) == 4
@@ -65,36 +80,36 @@ class TestInterning:
 
     def test_infl_view_interned_by_site_layout_path(self, graph):
         site = Site(SIG, 1, 9)
-        a = graph.infl_view(site, "main", (), "android.view.View", None)
-        b = graph.infl_view(site, "main", (), "android.view.View", None)
-        c = graph.infl_view(site, "main", (0,), "android.view.View", None)
+        a = infl_view(graph, site, "main", (), "android.view.View", None)
+        b = infl_view(graph, site, "main", (), "android.view.View", None)
+        c = infl_view(graph, site, "main", (0,), "android.view.View", None)
         assert a is b and a is not c
 
 
 class TestFlowEdges:
     def test_add_flow_dedup(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
-        assert graph.add_flow(x, y)
-        assert not graph.add_flow(x, y)
+        assert add_flow(graph, x, y)
+        assert not add_flow(graph, x, y)
         assert graph.flow_edge_count() == 1
 
     def test_flow_filter_stored(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
-        graph.add_flow(x, y, type_filter="android.view.View")
+        add_flow(graph, x, y, type_filter="android.view.View")
         assert graph.flow_filter(x, y) == "android.view.View"
         assert graph.flow_filter(y, x) is None
 
     def test_succ_pred_consistency(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
-        graph.add_flow(x, y)
+        add_flow(graph, x, y)
         assert graph.has_flow(x, y)
         assert not graph.has_flow(y, x)
 
     def test_duplicate_keeps_first_filter(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
-        assert graph.add_flow(x, y, type_filter="android.view.View")
-        assert not graph.add_flow(x, y, type_filter="android.widget.Button")
-        assert not graph.add_flow(x, y)
+        assert add_flow(graph, x, y, type_filter="android.view.View")
+        assert not add_flow(graph, x, y, type_filter="android.widget.Button")
+        assert not add_flow(graph, x, y)
         assert graph.flow_filter(x, y) == "android.view.View"
         assert graph.flow_edge_count() == 1
         assert list(graph.flow_edges()) == [(x, y)]
@@ -147,35 +162,35 @@ class TestRelEdges:
 
     def test_forward_backward(self, graph):
         site = Site(SIG, 0, 1)
-        p = graph.infl_view(site, "m", (), "android.view.ViewGroup", None)
-        c = graph.infl_view(site, "m", (0,), "android.view.View", None)
+        p = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
+        c = infl_view(graph, site, "m", (0,), "android.view.View", None)
         graph.add_rel(RelKind.CHILD, p, c)
         assert graph.children_of(p) == {c}
-        assert graph.parents_of(c) == {p}
+        assert graph.rel_back(RelKind.CHILD, c) == {p}
 
     def test_descendants_reflexive_transitive(self, graph):
         site = Site(SIG, 0, 1)
-        a = graph.infl_view(site, "m", (), "android.view.ViewGroup", None)
-        b = graph.infl_view(site, "m", (0,), "android.view.ViewGroup", None)
-        c = graph.infl_view(site, "m", (0, 0), "android.view.View", None)
+        a = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
+        b = infl_view(graph, site, "m", (0,), "android.view.ViewGroup", None)
+        c = infl_view(graph, site, "m", (0, 0), "android.view.View", None)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, c)
         assert graph.descendants_of(a) == {a, b, c}
         assert graph.descendants_of(a, include_self=False) == {b, c}
-        assert graph.ancestor_of(a, c)
-        assert not graph.ancestor_of(c, a)
+        assert c in graph.descendants_cached(a)
+        assert a not in graph.descendants_cached(c)
 
     def test_descendants_tolerates_cycles(self, graph):
         site = Site(SIG, 0, 1)
-        a = graph.infl_view(site, "m", (), "android.view.ViewGroup", None)
-        b = graph.infl_view(site, "m", (0,), "android.view.ViewGroup", None)
+        a = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
+        b = infl_view(graph, site, "m", (0,), "android.view.ViewGroup", None)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, a)
         assert graph.descendants_of(a) == {a, b}
 
     def test_summary_counts(self, graph):
         x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
-        graph.add_flow(x, y)
+        add_flow(graph, x, y)
         summary = graph.summary()
         assert summary["flow_edges"] == 1
         assert summary["nodes"] >= 2
@@ -187,7 +202,7 @@ class TestHasIdInvertedIndex:
 
     def _view(self, graph, index):
         site = Site(SIG, 0, 1)
-        return graph.infl_view(site, "m", (index,), "android.view.View", None)
+        return infl_view(graph, site, "m", (index,), "android.view.View", None)
 
     def test_index_tracks_interleaved_add_rel(self, graph):
         ok = graph.view_id("ok", 1)
@@ -223,7 +238,7 @@ class TestDescendantCache:
     def _tree(self, graph, n):
         site = Site(SIG, 0, 1)
         return [
-            graph.infl_view(site, "m", (i,), "android.view.ViewGroup", None)
+            infl_view(graph, site, "m", (i,), "android.view.ViewGroup", None)
             for i in range(n)
         ]
 
@@ -269,11 +284,11 @@ class TestDescendantCache:
     def test_ancestor_of_uses_cache(self, graph):
         a, b, c = self._tree(graph, 3)
         graph.add_rel(RelKind.CHILD, a, b)
-        assert graph.ancestor_of(a, b)
+        assert b in graph.descendants_cached(a)
         # Edge added after the cached query must be visible.
         graph.add_rel(RelKind.CHILD, b, c)
-        assert graph.ancestor_of(a, c)
-        assert not graph.ancestor_of(c, b)
+        assert c in graph.descendants_cached(a)
+        assert b not in graph.descendants_cached(c)
 
     def test_cache_counters_move(self, graph):
         a, b = self._tree(graph, 2)
@@ -299,8 +314,8 @@ class TestRelListener:
         """The CHILD cache extension runs before the notification, so a
         listener reacting to the edge can already query the closure."""
         site = Site(SIG, 0, 1)
-        p = graph.infl_view(site, "m", (), "android.view.ViewGroup", None)
-        c = graph.infl_view(site, "m", (0,), "android.view.View", None)
+        p = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
+        c = infl_view(graph, site, "m", (0,), "android.view.View", None)
         graph.descendants_cached(p)
         observed = []
 

@@ -10,6 +10,7 @@ and ``findViewById``.
 import pytest
 
 from repro import analyze
+from repro.core.graph import RelKind
 from repro.frontend import load_app_from_sources
 from repro.platform.api import OpKind
 from repro.semantics import check_soundness, run_app
@@ -74,7 +75,7 @@ class TestDialogStatics:
             a for a in dialog_result.graph.allocs()
             if a.class_name == "android.app.Dialog"
         )
-        roots = dialog_result.graph.roots_of(dialog_alloc)
+        roots = dialog_result.graph.rel(RelKind.ROOT, dialog_alloc)
         assert len(roots) == 1
         root = next(iter(roots))
         assert root.layout == "prompt"

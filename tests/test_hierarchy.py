@@ -1,4 +1,4 @@
-"""Unit tests for class-hierarchy analysis and the CHA call graph."""
+"""Unit tests for class-hierarchy analysis and CHA call-site resolution."""
 
 import json
 import os
@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from repro.app import AndroidApp
+from repro.core.builder import build_constraint_graph
 from repro.hierarchy.cha import ClassHierarchy
-from repro.hierarchy.callgraph import CallSite, build_call_graph
+from repro.hierarchy.callgraph import resolve_invoke
 from repro.ir.builder import ProgramBuilder
 from repro.ir.program import Method, MethodSig, Program
 from repro.ir.statements import InvokeKind
@@ -128,8 +130,8 @@ class TestDispatch:
 
     def test_view_activity_listener_tests(self, diamond_program):
         h = ClassHierarchy(diamond_program)
-        assert h.is_view_class("android.widget.Button")
-        assert not h.is_view_class("app.A")
+        assert h.is_subtype("android.widget.Button", VIEW)
+        assert not h.is_subtype("app.A", VIEW)
         assert h.is_activity_class(ACTIVITY)
         assert not h.is_listener_class("app.A")
 
@@ -155,18 +157,29 @@ class TestCallGraph:
                 m.ret()
         return pb.program
 
+    @staticmethod
+    def _invoke_sites(program):
+        """The builder's invoke-site table: the app's CHA call graph."""
+        return build_constraint_graph(AndroidApp("t", program)).invoke_sites
+
+    def _edge_count(self, program):
+        return sum(len(targets) for *_site, targets in self._invoke_sites(program))
+
     def test_virtual_call_resolves_to_all_cha_targets(self):
         program = self._program()
-        graph = build_call_graph(program)
-        site = CallSite(MethodSig("app.Main", "run", 0), 2)
-        targets = set(map(str, graph.targets(site)))
+        run = program.method("app.Main", "run", 0)
+        resolved = resolve_invoke(program, ClassHierarchy(program), run, run.body[2])
+        targets = {str(m.sig) for m in resolved}
         assert targets == {"app.Base.greet/0", "app.Derived.greet/0"}
 
     def test_callers_of(self):
         program = self._program()
-        graph = build_call_graph(program)
-        callers = graph.callers_of(MethodSig("app.Base", "greet", 0))
-        assert {c.caller.name for c in callers} == {"run"}
+        callers = [
+            caller
+            for caller, _index, _stmt, targets in self._invoke_sites(program)
+            if MethodSig("app.Base", "greet", 0) in targets
+        ]
+        assert {c.name for c in callers} == {"run"}
 
     def test_platform_calls_produce_no_edges(self):
         pb = ProgramBuilder()
@@ -178,8 +191,7 @@ class TestCallGraph:
                 m.invoke(v, "findViewById", [m.const_int(1)],
                          lhs=m.local("r", VIEW))
                 m.ret()
-        graph = build_call_graph(pb.program)
-        assert graph.edge_count() == 0
+        assert self._edge_count(pb.program) == 0
 
     def test_static_call_resolution(self):
         pb = ProgramBuilder()
@@ -191,9 +203,7 @@ class TestCallGraph:
             with c.method("run") as m:
                 m.invoke_static("app.Util", "helper")
                 m.ret()
-        graph = build_call_graph(pb.program)
-        assert graph.edge_count() == 1
-
+        assert self._edge_count(pb.program) == 1
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 

@@ -89,11 +89,11 @@ class TestMenuParsing:
             parse_menu_xml("m", "<menu><button/></menu>")
 
     def test_menu_ids_in_rtable(self, menu_app):
-        assert menu_app.resources.menu_count() == 1
+        assert len(menu_app.resources.menu_names()) == 1
         mid = menu_app.resources.menu_id("actions")
         assert menu_app.resources.menu_name_of(mid) == "actions"
         # Item ids registered as R.id entries.
-        assert menu_app.resources.has_view_id("action_save")
+        assert "action_save" in menu_app.resources.view_id_names()
 
 
 class TestStaticMenus:

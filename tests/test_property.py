@@ -14,6 +14,7 @@ from repro import analyze
 from repro.app import AndroidApp
 from repro.core.analysis import AnalysisOptions
 from repro.core.diff import solution_fingerprint
+from repro.core.graph import RelKind
 from repro.core.nodes import InflViewNode, OpArg, OpRecv, ViewIdNode
 from repro.corpus.generator import plan_multiplicities
 from repro.dex.descriptors import (
@@ -197,7 +198,7 @@ class TestSolverOracleProperty:
                     if isinstance(v, InflViewNode) or v in graph.view_allocs
                 }
             elif op.kind is OpKind.FINDVIEW2:
-                starts = {r for h in receivers for r in graph.roots_of(h)}
+                starts = {r for h in receivers for r in graph.rel(RelKind.ROOT, h)}
             else:
                 continue
             ids = {

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import nodes as node_module
 from repro.core.analysis import GuiReferenceAnalysis
+from repro.core.graph import RECV
 from repro.core.nodes import Node, OpRecv, Site, VarNode
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
@@ -82,7 +83,8 @@ class TestPointsTo:
     def test_get_accepts_a_fresh_port(self, connectbot_result):
         op = next(o for o in connectbot_result.graph.ops() if o.kind is OpKind.SETID)
         values = connectbot_result.pts.get(OpRecv(op))
-        interned = connectbot_result.graph.op_recv(op)
+        graph = connectbot_result.graph
+        interned = graph.node_list[graph.port_id(graph.id_of(op), RECV)]
         assert values and values == connectbot_result.values_at(interned)
 
     def test_items_decode_every_entry(self, connectbot_result):

@@ -6,6 +6,7 @@ from repro.resources.layout import LayoutNode, LayoutTree
 from repro.resources.manifest import Manifest, parse_manifest_xml
 from repro.resources.rtable import LAYOUT_ID_BASE, VIEW_ID_BASE, ResourceTable
 from repro.resources.xml_parser import (
+    MAX_EXPANDED_VIEWS,
     LayoutXmlError,
     expand_includes,
     parse_layout_xml,
@@ -39,8 +40,9 @@ class TestLayoutTree:
 
     def test_find_by_id(self):
         tree = _simple_tree()
-        assert tree.root.find_by_id("ok").view_class == "android.widget.Button"
-        assert tree.root.find_by_id("missing") is None
+        by_id = {node.id_name: node for node in tree.nodes()}
+        assert by_id["ok"].view_class == "android.widget.Button"
+        assert by_id.get("missing") is None
 
 
 class TestXmlParser:
@@ -165,6 +167,24 @@ class TestIncludes:
         main = parse_layout_xml("main", '<LinearLayout><include layout="@layout/ghost"/></LinearLayout>')
         with pytest.raises(LayoutXmlError, match="unknown layout 'ghost'"):
             expand_includes(main, {}.__getitem__)
+
+    def test_expansion_bound(self):
+        """A layout may expand to MAX_EXPANDED_VIEWS views, not one more."""
+        rows = MAX_EXPANDED_VIEWS // 100
+        row = parse_layout_xml("row", "<LinearLayout>" + "<TextView/>" * 99 + "</LinearLayout>")
+        include = '<include layout="@layout/row"/>'
+        layouts = {"row": row}
+        at_bound = parse_layout_xml("rows", "<merge>" + include * rows + "</merge>")
+        tree = expand_includes(at_bound, layouts.__getitem__)
+        assert tree.size() == MAX_EXPANDED_VIEWS + 1  # plus the merge wrapper
+        over = parse_layout_xml(
+            "over", "<LinearLayout>" + include * rows + "</LinearLayout>"
+        )
+        with pytest.raises(
+            LayoutXmlError,
+            match=f"layout 'over' expands to more than {MAX_EXPANDED_VIEWS} views",
+        ):
+            expand_includes(over, layouts.__getitem__)
 
     def test_expansion_does_not_mutate_input(self):
         layouts = self._layouts()

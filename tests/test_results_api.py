@@ -102,17 +102,27 @@ class TestMetricsEdgeCases:
         assert row[3] == "2/4"  # ids L/V
         assert row[4] == "6/1"  # views I/A
 
-    def test_listeners_per_view_pair_variant(self, connectbot_result):
-        from repro.core.metrics import listeners_per_view_pair
+    @staticmethod
+    def _listeners_per_view_pair(result):
+        """The Table 2 "listeners" measurement read literally: listener
+        objects per (set-listener operation, receiver view) pair, rather
+        than per operation as ``compute_precision`` reports it."""
+        sizes = []
+        for op in result.ops_of_kind(OpKind.SETLISTENER):
+            listeners = len(result.op_listener_args(op))
+            if listeners:
+                sizes.extend(listeners for _view in result.op_view_receivers(op))
+        return sum(sizes) / len(sizes) if sizes else None
 
+    def test_listeners_per_view_pair_variant(self, connectbot_result):
         # Singleton receiver sets: both readings coincide at 1.0.
-        assert listeners_per_view_pair(connectbot_result) == pytest.approx(1.0)
+        assert self._listeners_per_view_pair(connectbot_result) == pytest.approx(1.0)
+        metrics = compute_precision(connectbot_result)
+        assert metrics.listeners == pytest.approx(1.0)
 
     def test_listeners_per_view_pair_empty(self):
-        from repro.core.metrics import listeners_per_view_pair
-
         app = make_single_activity_app()
-        assert listeners_per_view_pair(analyze(app)) is None
+        assert self._listeners_per_view_pair(analyze(app)) is None
 
     def test_restricted_population(self, connectbot_result):
         setid_ops = connectbot_result.ops_of_kind(OpKind.SETID)
