@@ -37,22 +37,28 @@ def _read_option_file(option: str, path: str) -> str:
 
 
 def _tracer(profile: bool):
-    """A fresh tracer when profiling, else None."""
-    from repro.obs import Tracer
+    """A fresh tracer when profiling, else the one that records nothing."""
+    from repro.obs import OFF, Tracer
 
-    return Tracer() if profile else None
+    return Tracer() if profile else OFF
+
+
+def _print_telemetry(tracer) -> None:
+    from repro.bench.reporting import render_telemetry
+
+    print()
+    print(render_telemetry(tracer))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    tracer = _tracer(args.profile or args.profile_json)
+    profile = bool(args.profile or args.profile_json)
+    tracer = _tracer(profile)
     exit_code = _run_analyze(args, tracer)
-    if tracer is not None:
-        from repro.bench.reporting import render_telemetry
+    if profile:
         from repro.obs import to_json
 
         if not args.json:  # keep `--json` stdout machine-parseable
-            print()
-            print(render_telemetry(tracer))
+            _print_telemetry(tracer)
         if args.profile_json:
             with open(args.profile_json, "w", encoding="utf-8") as f:
                 f.write(to_json(tracer, indent=2))
@@ -62,19 +68,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_analyze(args: argparse.Namespace, tracer) -> int:
-    import contextlib
-
     from repro import analyze
     from repro.core.analysis import AnalysisOptions
     from repro.core.export import graph_to_dot, result_to_json
     from repro.core.metrics import compute_graph_stats, compute_precision
 
-    def phase(name: str):
-        if tracer is None:
-            return contextlib.nullcontext()
-        return tracer.span(name)
-
-    with phase("load"):
+    with tracer.span("load"):
         app = _load(args.project)
     options = AnalysisOptions(solver=args.solver)
     if args.max_rounds is not None:
@@ -110,7 +109,7 @@ def _run_analyze(args: argparse.Namespace, tracer) -> int:
         if items:
             print("  options menu: " + ", ".join(str(i) for i in items))
 
-    with phase("clients"):
+    with tracer.span("clients"):
         if args.tuples:
             print("\nGUI tuples:")
             for t in sorted(result.gui_tuples(), key=str):
@@ -224,11 +223,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(output)
 
-    if tracer is not None:
-        from repro.bench.reporting import render_telemetry
-
-        print()
-        print(render_telemetry(tracer))
+    if args.profile:
+        _print_telemetry(tracer)
 
     if baseline is not None:
         new, fixed = diff_baseline(report, baseline)
@@ -268,11 +264,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.output:
         write_report(to_report(result), args.output)
         print(f"batch report written to {args.output}")
-    if tracer is not None:
-        from repro.bench.reporting import render_telemetry
-
-        print()
-        print(render_telemetry(tracer))
+    if args.profile:
+        _print_telemetry(tracer)
     return exit_code(result)
 
 

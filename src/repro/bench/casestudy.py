@@ -26,7 +26,7 @@ from repro.core.results import AnalysisResult
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
 from repro.semantics import check_soundness, run_app
-from repro.semantics.trace import Trace, tag_to_value
+from repro.semantics.trace import TagIndex, Trace
 from repro.bench.reporting import render_table
 
 PRECISE_APPS = ("APV", "BarcodeScanner", "SuperGenPass")
@@ -51,17 +51,17 @@ def _dynamic_sets(result: AnalysisResult, trace: Trace):
     """Per-operation dynamic receiver/result abstraction sets."""
     recv: Dict[object, Set[object]] = {}
     outs: Dict[object, Set[object]] = {}
+    index = TagIndex(result)
     for event in trace.events:
         op = result.graph.op_at(event.site)
         if op is None:
             continue
         if event.receiver is not None:
-            value = tag_to_value(result, event.receiver)
-            if value is not None and result.is_view_value(value):
-                recv.setdefault(op, set()).add(value)
+            for value in index.values(event.receiver):
+                if result.is_view_value(value):
+                    recv.setdefault(op, set()).add(value)
         if event.result is not None:
-            value = tag_to_value(result, event.result)
-            if value is not None:
+            for value in index.values(event.result):
                 outs.setdefault(op, set()).add(value)
     return recv, outs
 

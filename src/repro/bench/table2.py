@@ -17,7 +17,7 @@ from repro.corpus.generator import generate_app
 from repro.corpus.spec import AppSpec
 from repro.bench.reporting import render_table, render_telemetry
 from repro.obs import names as obs_names
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import OFF, Tracer
 from repro.runner import BatchOptions, run_batch
 
 HEADERS = [
@@ -67,7 +67,7 @@ def _table2_job(app, options) -> PrecisionMetrics:
 
 def run_table2(
     app_names: Optional[Sequence[str]] = None,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = OFF,
     jobs: int = 1,
 ) -> List[Table2Row]:
     """Analyze the requested corpus apps and collect Table 2 rows.
@@ -76,13 +76,13 @@ def run_table2(
     workers; row order always follows the spec list. An unknown app
     name raises :class:`~repro.errors.ReproError`. Measured times
     are per-app solver times, so parallelism does not distort the
-    Time(s) column. With a ``tracer`` every app is analyzed inside an
-    ``app`` span (attr ``app``), so one tracer accumulates telemetry
-    for the whole run — build/solve timings nest per app, counters
-    aggregate.
+    Time(s) column. With a ``tracer`` other than :data:`repro.obs.OFF`
+    every app is analyzed in this process inside an ``app`` span (attr
+    ``app``), so one tracer accumulates telemetry for the whole run —
+    build/solve timings nest per app, counters aggregate.
     """
     specs = specs_named(app_names)
-    if tracer is not None:
+    if tracer is not OFF:
         # Spans and counters cannot cross the worker pipe, so a
         # profiled run analyzes every app in this process.
         metrics = {}
@@ -116,7 +116,7 @@ def main(
     profile: bool = False,
     jobs: int = 1,
 ) -> str:
-    tracer = Tracer() if profile else None
+    tracer = Tracer() if profile else OFF
     rows = run_table2(app_names, tracer=tracer, jobs=jobs)
     text = format_table2(rows)
     drifts = [d for row in rows if (d := row.receivers_drift()) is not None]
@@ -129,6 +129,6 @@ def main(
         1 for row in rows if row.metrics.receivers is not None and row.metrics.receivers < 2.0
     )
     text += f"\napps with receivers average below 2: {precise}/{len(rows)} (paper: 16/20)"
-    if tracer is not None:
+    if profile:
         text += "\n\n" + render_telemetry(tracer)
     return text

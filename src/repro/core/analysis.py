@@ -80,7 +80,7 @@ from repro.core.results import AnalysisResult, PointsTo, XmlHandlerBinding
 from repro.gcpause import gc_paused
 from repro.hierarchy.cha import ClassHierarchy
 from repro.obs import names as obs_names
-from repro.obs.tracer import Tracer, active as active_tracer
+from repro.obs.tracer import OFF, Tracer
 from repro.ir.program import Method
 from repro.platform.api import OpKind
 from repro.resources.layout import LayoutNode
@@ -153,11 +153,11 @@ class GuiReferenceAnalysis:
         self,
         app: AndroidApp,
         options: Optional[AnalysisOptions] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = OFF,
     ) -> None:
         self.app = app
         self.options = options or AnalysisOptions()
-        self.tracer = tracer if tracer is not None else active_tracer()
+        self.tracer = tracer
         build = build_constraint_graph(
             app, tracer=self.tracer, call_site_context=self.options.call_site_context
         )
@@ -401,63 +401,45 @@ class GuiReferenceAnalysis:
 
     @gc_paused()
     def solve(self) -> AnalysisResult:
-        tracer = self.tracer
-        if tracer is None:
+        tracer, graph, hierarchy = self.tracer, self.graph, self.hierarchy
+        values0 = self.values_added
+        work0 = self.work_items
+        flow0 = graph.flow_edge_count()
+        rel0 = self._rel_edge_total()
+        desc_hits0 = graph.desc_cache_hits
+        desc_misses0 = graph.desc_cache_misses
+        sub_hits0 = hierarchy.subtype_cache_hits
+        sub_misses0 = hierarchy.subtype_cache_misses
+        with tracer.span(obs_names.PHASE_SOLVE) as span:
             self._solve()
-        else:
-            values0 = self.values_added
-            work0 = self.work_items
-            flow0 = self.graph.flow_edge_count()
-            rel0 = self._rel_edge_total()
-            desc_hits0 = self.graph.desc_cache_hits
-            desc_misses0 = self.graph.desc_cache_misses
-            sub_hits0 = self.hierarchy.subtype_cache_hits
-            sub_misses0 = self.hierarchy.subtype_cache_misses
-            with tracer.span(obs_names.PHASE_SOLVE) as span:
-                self._solve()
-                span.attrs["rounds"] = self.rounds
-                span.attrs["converged"] = self.converged
-                span.attrs["solver"] = self.options.solver
-            tracer.counter(obs_names.COUNTER_ROUNDS, self.rounds)
-            tracer.counter(
-                obs_names.COUNTER_VALUES_ADDED, self.values_added - values0
-            )
-            tracer.counter(obs_names.COUNTER_WORK_ITEMS, self.work_items - work0)
-            tracer.counter(
-                obs_names.COUNTER_FLOW_EDGES_ADDED,
-                self.graph.flow_edge_count() - flow0,
-            )
-            tracer.counter(
-                obs_names.COUNTER_REL_EDGES_ADDED, self._rel_edge_total() - rel0
-            )
-            tracer.counter(obs_names.COUNTER_OPS_SCHEDULED, self.ops_scheduled)
-            tracer.counter(obs_names.COUNTER_OPS_SKIPPED, self.ops_skipped)
-            tracer.counter(
-                obs_names.COUNTER_DESC_CACHE_HITS,
-                self.graph.desc_cache_hits - desc_hits0,
-            )
-            tracer.counter(
-                obs_names.COUNTER_DESC_CACHE_MISSES,
-                self.graph.desc_cache_misses - desc_misses0,
-            )
-            tracer.counter(
-                obs_names.COUNTER_SUBTYPE_CACHE_HITS,
-                self.hierarchy.subtype_cache_hits - sub_hits0,
-            )
-            tracer.counter(
-                obs_names.COUNTER_SUBTYPE_CACHE_MISSES,
-                self.hierarchy.subtype_cache_misses - sub_misses0,
-            )
-            tracer.counter(obs_names.COUNTER_CAST_CACHE_HITS, self.cast_cache_hits)
-            tracer.counter(
-                obs_names.COUNTER_CAST_CACHE_MISSES, self.cast_cache_misses
-            )
-            if self._order is not None:
-                tracer.counter(
-                    obs_names.COUNTER_PROV_FACTS, self._order.record_count()
-                )
-            if not self.converged:
-                tracer.counter(obs_names.COUNTER_MAX_ROUNDS_EXHAUSTED)
+            span.attrs["rounds"] = self.rounds
+            span.attrs["converged"] = self.converged
+            span.attrs["solver"] = self.options.solver
+        tracer.counter(obs_names.COUNTER_ROUNDS, self.rounds)
+        tracer.counter(obs_names.COUNTER_VALUES_ADDED, self.values_added - values0)
+        tracer.counter(obs_names.COUNTER_WORK_ITEMS, self.work_items - work0)
+        tracer.counter(obs_names.COUNTER_FLOW_EDGES_ADDED, graph.flow_edge_count() - flow0)
+        tracer.counter(obs_names.COUNTER_REL_EDGES_ADDED, self._rel_edge_total() - rel0)
+        tracer.counter(obs_names.COUNTER_OPS_SCHEDULED, self.ops_scheduled)
+        tracer.counter(obs_names.COUNTER_OPS_SKIPPED, self.ops_skipped)
+        tracer.counter(obs_names.COUNTER_DESC_CACHE_HITS, graph.desc_cache_hits - desc_hits0)
+        tracer.counter(
+            obs_names.COUNTER_DESC_CACHE_MISSES, graph.desc_cache_misses - desc_misses0
+        )
+        tracer.counter(
+            obs_names.COUNTER_SUBTYPE_CACHE_HITS, hierarchy.subtype_cache_hits - sub_hits0
+        )
+        tracer.counter(
+            obs_names.COUNTER_SUBTYPE_CACHE_MISSES,
+            hierarchy.subtype_cache_misses - sub_misses0,
+        )
+        tracer.counter(obs_names.COUNTER_CAST_CACHE_HITS, self.cast_cache_hits)
+        tracer.counter(obs_names.COUNTER_CAST_CACHE_MISSES, self.cast_cache_misses)
+        if self._order is not None:
+            # Only new facts are numbered, so ``next`` is their count.
+            tracer.counter(obs_names.COUNTER_PROV_FACTS, self._order.next)
+        if not self.converged:
+            tracer.counter(obs_names.COUNTER_MAX_ROUNDS_EXHAUSTED)
         return AnalysisResult(
             app=self.app,
             graph=self.graph,
@@ -526,22 +508,19 @@ class GuiReferenceAnalysis:
             self._dirty.clear()
             self.ops_scheduled += len(batch)
             self.ops_skipped += total_ops - len(batch)
-            if tracer is not None:
-                round_values = self.values_added
-                round_work = self.work_items
-                round_flow = graph.flow_edge_count()
-                round_rel = self._rel_edge_total()
+            round_values = self.values_added
+            round_work = self.work_items
+            round_flow = graph.flow_edge_count()
+            round_rel = self._rel_edge_total()
             rules_fired = 0
             for op in batch:
                 self._current_op = op
                 kind = kinds[op]
                 fired = rules[kind](self, op)
+                tracer.counter(obs_names.RULE_EVALUATED[kind])
                 if fired:
                     rules_fired += 1
-                if tracer is not None:
-                    tracer.counter(obs_names.RULE_EVALUATED[kind])
-                    if fired:
-                        tracer.counter(obs_names.RULE_FIRED[kind])
+                    tracer.counter(obs_names.RULE_FIRED[kind])
             self._current_op = None
             changed = rules_fired > 0
             # The XML binding runs after the round's ops, so it sees the
@@ -551,23 +530,22 @@ class GuiReferenceAnalysis:
                 bindings0 = len(self.xml_handlers)
                 changed |= self._bind_xml_onclick()
                 bound = len(self.xml_handlers) - bindings0
-                if bound and tracer is not None:
+                if bound:
                     tracer.counter(obs_names.COUNTER_XML_ONCLICK_BOUND, bound)
             worklist_depth = len(self._queue)
             changed |= self._propagate()
-            if tracer is not None:
-                tracer.event(
-                    obs_names.EVENT_ROUND,
-                    round=self.rounds,
-                    rules_fired=rules_fired,
-                    values_added=self.values_added - round_values,
-                    flow_edges_added=graph.flow_edge_count() - round_flow,
-                    rel_edges_added=self._rel_edge_total() - round_rel,
-                    work_items=self.work_items - round_work,
-                    worklist_depth=worklist_depth,
-                    ops_scheduled=len(batch),
-                    ops_skipped=total_ops - len(batch),
-                )
+            tracer.event(
+                obs_names.EVENT_ROUND,
+                round=self.rounds,
+                rules_fired=rules_fired,
+                values_added=self.values_added - round_values,
+                flow_edges_added=graph.flow_edge_count() - round_flow,
+                rel_edges_added=self._rel_edge_total() - round_rel,
+                work_items=self.work_items - round_work,
+                worklist_depth=worklist_depth,
+                ops_scheduled=len(batch),
+                ops_skipped=total_ops - len(batch),
+            )
             if schedule_all:
                 done = not changed
             else:
@@ -1008,14 +986,13 @@ class GuiReferenceAnalysis:
 def analyze(
     app: AndroidApp,
     options: Optional[AnalysisOptions] = None,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = OFF,
 ) -> AnalysisResult:
     """Run the full GUI reference analysis on ``app``.
 
-    ``tracer`` (or an ambient tracer installed with
-    :func:`repro.obs.enable`) records build/solve spans, per-round
-    solver events, and per-rule firing counters; with no tracer the
-    instrumentation reduces to a handful of integer bumps and the
-    analysis result is bit-for-bit identical.
+    ``tracer`` records build/solve spans, per-round solver events, and
+    per-rule firing counters. The default, :data:`repro.obs.OFF`,
+    records nothing; the analysis result is bit-for-bit identical
+    either way.
     """
     return GuiReferenceAnalysis(app, options, tracer=tracer).solve()

@@ -52,7 +52,7 @@ from repro.ir.statements import (
     Store,
 )
 from repro.obs import names as obs_names
-from repro.obs.tracer import Tracer, active as active_tracer
+from repro.obs.tracer import OFF, Tracer
 from repro.platform.api import OpKind, OpSpec, classify_invoke, is_framework_callback
 from repro.platform.classes import VIEW
 
@@ -169,7 +169,7 @@ class _GraphBuilder:
             for sig in contexts:
                 yield method, sig
 
-    def build(self, tracer: Optional[Tracer] = None) -> BuildResult:
+    def build(self, tracer: Tracer = OFF) -> BuildResult:
         methods = 0
         statements = 0
         graph = self.graph
@@ -183,13 +183,10 @@ class _GraphBuilder:
                 if translate is not None:
                     translate(method, sig, locals_, index, stmt)
         self._model_activities()
-        if tracer is not None:
-            tracer.counter(obs_names.COUNTER_BUILD_METHODS, methods)
-            tracer.counter(obs_names.COUNTER_BUILD_STATEMENTS, statements)
-            tracer.counter(
-                obs_names.COUNTER_BUILD_FLOW_EDGES, self.graph.flow_edge_count()
-            )
-            tracer.counter(obs_names.COUNTER_BUILD_OPS, len(self.graph.ops()))
+        tracer.counter(obs_names.COUNTER_BUILD_METHODS, methods)
+        tracer.counter(obs_names.COUNTER_BUILD_STATEMENTS, statements)
+        tracer.counter(obs_names.COUNTER_BUILD_FLOW_EDGES, graph.flow_edge_count())
+        tracer.counter(obs_names.COUNTER_BUILD_OPS, len(graph.ops()))
         return self.result
 
     def _translators(self) -> Dict[type, Callable[..., None]]:
@@ -383,18 +380,8 @@ def _context_candidates(plain: BuildResult) -> Dict[MethodSig, List[CallingSite]
     return candidates
 
 
-def _build(
-    app: AndroidApp, call_site_context: bool, tracer: Optional[Tracer] = None
-) -> BuildResult:
-    builder = _GraphBuilder(app)
-    if call_site_context:
-        plain = builder.build()
-        builder = _GraphBuilder(app, builder.hierarchy, _context_candidates(plain))
-    return builder.build(tracer)
-
-
 def build_constraint_graph(
-    app: AndroidApp, tracer: Optional[Tracer] = None, call_site_context: bool = False
+    app: AndroidApp, tracer: Tracer = OFF, call_site_context: bool = False
 ) -> BuildResult:
     """Construct the initial constraint graph for ``app``.
 
@@ -405,15 +392,15 @@ def build_constraint_graph(
     targets are wired as before. The original keeps its own
     translation.
 
-    With a tracer (explicit or ambient via :func:`repro.obs.enable`)
-    the construction runs inside a ``build`` span annotated with the
-    graph summary, and emits the ``build.*`` counters.
+    The construction runs inside a ``tracer`` span named ``build``,
+    annotated with the graph summary, and emits the ``build.*``
+    counters of the final build.
     """
-    if tracer is None:
-        tracer = active_tracer()
-    if tracer is None:
-        return _build(app, call_site_context)
     with tracer.span(obs_names.PHASE_BUILD) as span:
-        result = _build(app, call_site_context, tracer)
+        builder = _GraphBuilder(app)
+        if call_site_context:
+            plain = builder.build()
+            builder = _GraphBuilder(app, builder.hierarchy, _context_candidates(plain))
+        result = builder.build(tracer)
         span.attrs.update(result.graph.summary())
     return result

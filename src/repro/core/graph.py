@@ -388,6 +388,12 @@ class ConstraintGraph:
         i = self._vars.get(method, _NO_IDS).get(name)
         return None if i is None else self.node_list[i]
 
+    def lookup_activity(self, class_name: str) -> Optional[ActivityNode]:
+        """The activity node of ``class_name``, or None; unlike
+        :meth:`activity` it never adds a node."""
+        i = self._tables[ActivityNode].get(class_name)
+        return None if i is None else self.node_list[i]
+
     def lookup_layout_id(self, name: str) -> Optional[LayoutIdNode]:
         i = self._tables[LayoutIdNode].get(name)
         return None if i is None else self.node_list[i]

@@ -216,7 +216,9 @@ class AnalysisResult:
         return self.graph.rel(RelKind.LISTENER, view)  # type: ignore[return-value]
 
     def roots_of_activity(self, activity_class: str) -> Set[ValueNode]:
-        act = self.graph.activity(activity_class)
+        act = self.graph.lookup_activity(activity_class)
+        if act is None:
+            return set()
         return self.graph.rel(RelKind.ROOT, act)  # type: ignore[return-value]
 
     def activity_views(self, activity_class: str) -> Set[ValueNode]:

@@ -32,7 +32,7 @@ from repro.errors import ReproError
 from repro.lint.rules import ALL_RULES, Finding, Rule, Severity, rule_by_id
 from repro.lint.witness import Explainer, reconstruct_witness, render_witness
 from repro.obs import names as obs_names
-from repro.obs.tracer import Tracer, active as active_tracer
+from repro.obs.tracer import OFF, Tracer
 
 _DISABLE_RE = re.compile(r"lint:disable(?:=([\w\-,]+))?")
 _CLASS_RE = re.compile(r"\bclass\s+([A-Za-z_]\w*)")
@@ -184,18 +184,18 @@ def select_rules(options: LintOptions) -> List[Rule]:
 def run_lint(
     result: AnalysisResult,
     options: Optional[LintOptions] = None,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = OFF,
 ) -> LintReport:
-    """Evaluate lint rules over a solved analysis."""
+    """Evaluate lint rules over a solved analysis, inside a ``tracer``
+    span named ``lint``."""
     options = options or LintOptions()
-    tracer = tracer if tracer is not None else active_tracer()
     rules = select_rules(options)
     report = LintReport(app_name=result.app.name, rules_run=rules)
     for source in getattr(result.app, "sources", ()):
         for cls in _CLASS_RE.findall(source.text):
             report.file_by_class.setdefault(cls, source.path)
 
-    def _run() -> None:
+    with tracer.span(obs_names.PHASE_LINT, app=result.app.name):
         raw: List[Finding] = []
         for rule in rules:
             raw.extend(rule.check(result))
@@ -207,7 +207,6 @@ def run_lint(
             ]
         suppressions = SuppressionIndex(result, options.suppress_text)
         seen: Set[str] = set()
-        kept: List[Finding] = []
         for finding in sorted(raw, key=Finding.sort_key):
             if finding.uid in seen:
                 continue  # dedupe identical findings
@@ -215,24 +214,15 @@ def run_lint(
             if suppressions.suppresses(finding):
                 report.suppressed.append(finding)
             else:
-                kept.append(finding)
+                report.findings.append(finding)
         if options.witness and result.provenance is not None:
             # One explainer per run: findings share premises.
             explainer = Explainer(result)
-            for finding in kept:
+            for finding in report.findings:
                 if finding.fact is not None:
                     finding.witness = render_witness(
                         reconstruct_witness(result, finding.fact, explainer=explainer)
                     )
-        report.findings = kept
-
-    if tracer is None:
-        _run()
-    else:
-        with tracer.span(obs_names.PHASE_LINT, app=result.app.name):
-            _run()
-        tracer.counter(obs_names.COUNTER_LINT_FINDINGS, len(report.findings))
-        tracer.counter(
-            obs_names.COUNTER_LINT_SUPPRESSED, len(report.suppressed)
-        )
+    tracer.counter(obs_names.COUNTER_LINT_FINDINGS, len(report.findings))
+    tracer.counter(obs_names.COUNTER_LINT_SUPPRESSED, len(report.suppressed))
     return report

@@ -12,11 +12,10 @@ documented in ``docs/OBSERVABILITY.md``):
   ``solver.round`` event per fixed-point round), via
   ``tracer.event(name, **attrs)``.
 
-Instrumented code never creates a tracer itself: it receives one
-explicitly or reads the module-level active tracer (``active()``),
-which is ``None`` by default. Every instrumentation site is guarded by
-an ``is not None`` check, so the disabled path costs one branch and
-allocates nothing.
+Instrumented code never creates a tracer itself: it receives one as
+an argument, which defaults to :data:`OFF`, the shared tracer that
+records nothing. Instrumented code therefore has one path and always
+calls its tracer; an unprofiled run pays one no-op call per record.
 
 Timestamps come from an injectable ``clock`` (default
 ``time.perf_counter``) expressed relative to the tracer's creation
@@ -114,32 +113,21 @@ class Tracer:
         return totals
 
 
-# -- module-level enabled flag ----------------------------------------------
-#
-# ``_active`` is the off-by-default switch: instrumented code that was
-# not handed a tracer explicitly falls back to ``active()`` and does
-# nothing when it returns None.
+class _Off(Tracer):
+    """A tracer that records nothing; see :data:`OFF`."""
 
-_active: Optional[Tracer] = None
+    @contextmanager
+    def span(self, name: str, **attrs: object) -> Iterator[SpanRecord]:
+        yield SpanRecord(name, 0.0, 0.0, None, attrs)
 
+    def counter(self, name: str, value: int = 1) -> None:
+        pass
 
-def enable(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the ambient tracer."""
-    global _active
-    _active = tracer if tracer is not None else Tracer()
-    return _active
+    def event(self, name: str, **attrs: object) -> None:
+        pass
 
 
-def disable() -> None:
-    """Clear the ambient tracer; instrumentation reverts to no-ops."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[Tracer]:
-    """The ambient tracer, or None when observability is off."""
-    return _active
+# The default tracer of every instrumented entry point: its spans yield
+# a throwaway record, and its counters and events are dropped, so it
+# stays empty however many runs it observes.
+OFF: Tracer = _Off()

@@ -50,7 +50,7 @@ from repro.core.analysis import AnalysisOptions
 from repro.errors import ReproError
 from repro.gcpause import gc_paused
 from repro.obs import names as obs_names
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import OFF, Tracer
 from repro.runner.tasks import (
     BatchTarget,
     analyze_job,
@@ -162,9 +162,6 @@ def _worker_main(
     job: Callable,
     job_args: Tuple,
 ) -> None:
-    from repro.obs import tracer as obs_tracer
-
-    obs_tracer.disable()  # never inherit the parent's ambient tracer
     with gc_paused():  # see the module docstring
         while True:
             try:
@@ -250,7 +247,7 @@ def run_batch(
     options: Optional[BatchOptions] = None,
     job: Callable = analyze_job,
     job_args: Tuple = (),
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = OFF,
 ) -> BatchResult:
     """Fan ``targets`` out over isolated workers; never raise per-app.
 
@@ -278,18 +275,17 @@ def run_batch(
         outcomes[outcome.name] = outcome
         if outcome.status != STATUS_OK and not options.continue_on_error:
             aborted = True
-        if tracer is not None:
-            tracer.event(
-                obs_names.EVENT_BATCH_APP,
-                app=outcome.name,
-                status=outcome.status,
-                attempts=outcome.attempts,
-                seconds=round(outcome.seconds, 6),
-            )
-            if outcome.status == STATUS_FAILED:
-                tracer.counter(obs_names.COUNTER_BATCH_FAILED)
-            elif outcome.status == STATUS_TIMEOUT:
-                tracer.counter(obs_names.COUNTER_BATCH_TIMEOUT)
+        tracer.event(
+            obs_names.EVENT_BATCH_APP,
+            app=outcome.name,
+            status=outcome.status,
+            attempts=outcome.attempts,
+            seconds=round(outcome.seconds, 6),
+        )
+        if outcome.status == STATUS_FAILED:
+            tracer.counter(obs_names.COUNTER_BATCH_FAILED)
+        elif outcome.status == STATUS_TIMEOUT:
+            tracer.counter(obs_names.COUNTER_BATCH_TIMEOUT)
 
     def dispatch(item: _Pending, now: float) -> None:
         """Send ``item`` to an idle worker, forking one if none is idle."""
@@ -352,8 +348,7 @@ def run_batch(
         retryable = message is None or message[0] == "error"
         if retryable and item.attempt <= options.retries and not aborted:
             total_retries += 1
-            if tracer is not None:
-                tracer.counter(obs_names.COUNTER_BATCH_RETRIES)
+            tracer.counter(obs_names.COUNTER_BATCH_RETRIES)
             pending.append(
                 _Pending(
                     item.target,
@@ -435,7 +430,8 @@ def run_batch(
                     )
                 )
 
-    def execute() -> None:
+    tracer.counter(obs_names.COUNTER_BATCH_APPS, len(resolved))
+    with tracer.span(obs_names.SPAN_BATCH, jobs=options.jobs):
         try:
             while pending or busy():
                 drain()
@@ -452,13 +448,6 @@ def run_batch(
                         pass
             for worker in list(workers):
                 retire(worker, grace=2.0 if worker.item is None else 0.0)
-
-    if tracer is not None:
-        tracer.counter(obs_names.COUNTER_BATCH_APPS, len(resolved))
-        with tracer.span(obs_names.SPAN_BATCH, jobs=options.jobs):
-            execute()
-    else:
-        execute()
 
     ordered = [outcomes[target.name] for target in resolved]
     return BatchResult(

@@ -3,9 +3,10 @@
 Covers the tracer primitives (span nesting/timing under a fake clock,
 counters, events, JSON round-tripping), the solver instrumentation
 (hand-computed rule firings, solver-effort invariants on the notepad
-example), the off-by-default guarantee (no records without a tracer,
-identical results with one), the `converged` bugfix, and the
-`--profile` / `--profile-json` CLI surface.
+example), the off-by-default guarantee (`OFF` records nothing,
+results are identical with a tracer), the `converged` bugfix, and the
+`--profile` / `--profile-json` surface of `analyze`, `lint` and
+`batch`.
 """
 
 import json
@@ -17,8 +18,7 @@ from repro import analyze
 from repro.__main__ import main
 from repro.core.analysis import AnalysisOptions
 from repro.frontend import load_app_from_dir, load_app_from_sources
-from repro.obs import Tracer, names, snapshot, to_json
-import repro.obs as obs
+from repro.obs import OFF, Tracer, names, snapshot, to_json
 from repro.platform.api import OpKind
 
 NOTEPAD = os.path.abspath(
@@ -121,28 +121,25 @@ class TestTracer:
         assert data["events"][0]["attrs"] == {"round": 1}
 
 
-class TestAmbientFlag:
-    def test_off_by_default(self):
-        assert obs.active() is None
-        assert not obs.enabled()
+class TestOffTracer:
+    def test_off_records_nothing(self):
+        assert isinstance(OFF, Tracer)
+        with OFF.span("solve", app="x") as first:
+            first.attrs["rounds"] = 3
+            with OFF.span("build") as second:
+                pass
+        assert first is not second  # a throwaway record per span
+        OFF.counter("rule.fired.Inflate2", 2)
+        OFF.event("solver.round", round=1)
+        analyze(_demo_app())
+        assert OFF.is_empty()
 
-    def test_enable_disable(self):
-        tracer = obs.enable()
-        try:
-            assert obs.enabled()
-            assert obs.active() is tracer
-        finally:
-            obs.disable()
-        assert obs.active() is None
-
-    def test_ambient_tracer_observes_analysis(self):
-        tracer = obs.enable()
-        try:
-            analyze(_demo_app())
-        finally:
-            obs.disable()
+    def test_explicit_tracer_observes_analysis(self):
+        tracer = Tracer()
+        analyze(_demo_app(), tracer=tracer)
         assert names.COUNTER_ROUNDS in tracer.counters
         assert {s.name for s in tracer.spans} == {"build", "solve"}
+        assert OFF.is_empty()
 
 
 # -- solver instrumentation --------------------------------------------------
@@ -281,7 +278,7 @@ class TestSolverCounters:
         bystander = Tracer()  # exists but is never enabled or passed
         result = analyze(load_app_from_dir(NOTEPAD))
         assert bystander.is_empty()
-        assert obs.active() is None
+        assert OFF.is_empty()
         # Effort stats are still maintained without a tracer.
         assert result.values_added > 0
         assert result.work_items > 0
@@ -410,3 +407,102 @@ class TestBenchTelemetry:
         assert bench_main(["table2", "--profile", "APV"]) == 0
         out = capsys.readouterr().out
         assert "Profile: phase timings" in out
+
+
+# -- lint and batch profiling ------------------------------------------------
+
+BUGGY = os.path.join(os.path.dirname(NOTEPAD), "buggy")
+
+
+@pytest.fixture()
+def cli_tracers(monkeypatch):
+    """The tracers the CLI makes, in order."""
+    import repro.__main__ as cli
+
+    made = []
+    make = cli._tracer
+
+    def keep(profile):
+        made.append(make(profile))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_tracer", keep)
+    return made
+
+
+def _one_span(tracer, name):
+    spans = [s for s in tracer.spans if s.name == name]
+    assert len(spans) == 1, [s.name for s in tracer.spans]
+    return spans[0]
+
+
+class TestLintProfile:
+    def test_run_lint_records_span_and_counters(self):
+        from repro.lint import LintOptions, run_lint
+
+        result = analyze(load_app_from_dir(BUGGY), AnalysisOptions(provenance=True))
+        uid = run_lint(result).findings[0].uid
+        tracer = Tracer()
+        report = run_lint(result, LintOptions(suppress_text=uid + "\n"), tracer=tracer)
+        assert _one_span(tracer, names.PHASE_LINT).attrs == {"app": result.app.name}
+        assert tracer.counters[names.COUNTER_LINT_FINDINGS] == len(report.findings) > 0
+        assert tracer.counters[names.COUNTER_LINT_SUPPRESSED] == len(report.suppressed) == 1
+
+    def test_cli_lint_profile(self, cli_tracers, capsys):
+        assert main(["lint", NOTEPAD, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "Profile: phase timings" in out
+        assert names.COUNTER_LINT_FINDINGS in out
+        (tracer,) = cli_tracers
+        assert _one_span(tracer, names.PHASE_LINT).attrs == {"app": "notepad"}
+        assert tracer.counters[names.COUNTER_LINT_FINDINGS] == 0
+        assert tracer.counters[names.COUNTER_LINT_SUPPRESSED] == 0
+        assert {"build", "solve"} <= {s.name for s in tracer.spans}
+
+
+class TestBatchProfile:
+    def test_cli_batch_profile(self, cli_tracers, capsys):
+        assert main(["batch", "APV", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert names.COUNTER_BATCH_APPS in out
+        (tracer,) = cli_tracers
+        assert _one_span(tracer, names.SPAN_BATCH).attrs == {"jobs": 1}
+        assert tracer.counters == {names.COUNTER_BATCH_APPS: 1}
+        (event,) = tracer.events
+        assert event.name == names.EVENT_BATCH_APP
+        assert event.attrs["app"] == "APV"
+        assert event.attrs["status"] == "ok"
+        assert event.attrs["attempts"] == 1
+
+
+class TestUnprofiledRuns:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", NOTEPAD, "--tuples", "--transitions", "--checks", "--taint"],
+            ["lint", NOTEPAD],
+            ["batch", "APV"],
+        ],
+        ids=["analyze", "lint", "batch"],
+    )
+    def test_off_stays_empty(self, argv, cli_tracers, capsys):
+        assert main(argv) == 0
+        assert "Profile:" not in capsys.readouterr().out
+        assert cli_tracers == [OFF]
+        assert OFF.is_empty()
+
+
+class TestProvenanceFactsCounter:
+    @pytest.mark.parametrize("name", ["notepad", "scale8"])
+    def test_counter_matches_record_count(self, name):
+        if name == "notepad":
+            app = load_app_from_dir(NOTEPAD)
+        else:
+            from repro.bench.solverbench import scaled_spec
+            from repro.corpus.generator import generate_app
+
+            app = generate_app(scaled_spec(8))
+        tracer = Tracer()
+        result = analyze(app, AnalysisOptions(provenance=True), tracer=tracer)
+        facts = tracer.counters[names.COUNTER_PROV_FACTS]
+        assert facts == result.provenance.record_count() > 0

@@ -1,16 +1,25 @@
 """Tests for the AnalysisResult query API and the metrics module."""
 
+import os
+
 import pytest
 
 from repro import analyze
+from repro.clients.gui_model import build_gui_model
 from repro.core.metrics import compute_graph_stats, compute_precision
 from repro.core.nodes import OpArg, OpRecv
+from repro.frontend import load_app_from_dir
 from repro.platform.api import OpKind
 from repro.platform.events import EventKind
+from repro.semantics.trace import tag_to_value
+from repro.semantics.values import ActivityTag
 
 from conftest import make_single_activity_app
 
 ACTIVITY = "app.MainActivity"
+NOTEPAD = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "examples", "projects", "notepad")
+)
 
 
 class TestValueQueries:
@@ -79,6 +88,38 @@ class TestStructuralQueries:
         dump2 = connectbot_result.hierarchy_dump("connectbot.ConsoleActivity")
         assert dump1 == dump2
         assert "TerminalView_21 [R.id.console_flip]" in dump1
+
+
+class TestQueriesAddNoNodes:
+    """Queries on a solved result read the graph; an unknown activity
+    must not become a node (and then a phantom GUI-model activity)."""
+
+    UNKNOWN = "com.example.notepad.Nope"
+
+    @pytest.fixture()
+    def notepad_result(self):
+        app = load_app_from_dir(NOTEPAD)
+        app.validate()
+        return analyze(app)
+
+    def test_unknown_activity_queries(self, notepad_result):
+        nodes = len(notepad_result.graph.node_list)
+        assert notepad_result.hierarchy_dump(self.UNKNOWN) == self.UNKNOWN
+        assert notepad_result.activity_views(self.UNKNOWN) == set()
+        assert notepad_result.roots_of_activity(self.UNKNOWN) == set()
+        assert len(notepad_result.graph.node_list) == nodes
+        activities = build_gui_model(notepad_result).activities
+        assert self.UNKNOWN not in activities
+        assert "com.example.notepad.NotesListActivity" in activities
+
+    def test_unknown_activity_tag(self, notepad_result):
+        nodes = len(notepad_result.graph.node_list)
+        assert tag_to_value(notepad_result, ActivityTag(self.UNKNOWN)) is None
+        assert len(notepad_result.graph.node_list) == nodes
+        known = tag_to_value(
+            notepad_result, ActivityTag("com.example.notepad.NotesListActivity")
+        )
+        assert known is not None and known.class_name.endswith("NotesListActivity")
 
 
 class TestMetricsEdgeCases:

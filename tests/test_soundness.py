@@ -8,7 +8,7 @@ multiple interpreter seeds (the seed varies FindView3's choice of
 
 import pytest
 
-from repro import analyze
+from repro import AnalysisOptions, analyze
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
 from repro.semantics import check_soundness, run_app
@@ -60,6 +60,19 @@ class TestGeneratedCorpus:
         run = run_app(app)
         report = check_soundness(static, run.trace)
         assert report.violations == []
+
+    def test_sound_on_outlier_with_call_site_contexts(self):
+        """The interpreter runs the original program: an event at a
+        helper's site is held by the original op or a context copy, and
+        an allocation by its own node or a copy."""
+        app = generate_app(spec_by_name("XBMC"))
+        run = run_app(app)
+        plain = check_soundness(analyze(app), run.trace)
+        refined = analyze(app, AnalysisOptions(call_site_context=True))
+        assert refined.contexts
+        report = check_soundness(refined, run.trace)
+        assert report.violations == []
+        assert report.checked == plain.checked > 0
 
 
 class TestDynamicWithinStatic:
