@@ -75,7 +75,7 @@ def _run_analyze(args: argparse.Namespace, tracer) -> int:
 
     with tracer.span("load"):
         app = _load(args.project)
-    options = AnalysisOptions(solver=args.solver)
+    options = AnalysisOptions()
     if args.max_rounds is not None:
         options.max_rounds = args.max_rounds
     result = analyze(app, options, tracer=tracer)
@@ -173,7 +173,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     app = _load(args.project)
     # Witness paths need derivation provenance from the solver.
-    options = AnalysisOptions(solver=args.solver, provenance=not args.no_witness)
+    options = AnalysisOptions(provenance=not args.no_witness)
     result = analyze(app, options, tracer=tracer)
 
     lint_options = LintOptions(witness=not args.no_witness, suppress_text=suppress_text)
@@ -241,7 +241,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.core.analysis import AnalysisOptions
     from repro.runner import (
         BatchOptions,
         exit_code,
@@ -257,7 +256,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
         continue_on_error=args.continue_on_error,
-        analysis=AnalysisOptions(solver=args.solver),
     )
     result = run_batch(args.targets or None, options, tracer=tracer)
     print(render_batch(result))
@@ -335,11 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "see docs/OBSERVABILITY.md); implies --profile")
     p_analyze.add_argument("--max-rounds", type=int, metavar="N",
                            help="override the solver's max_rounds safety valve")
-    p_analyze.add_argument("--solver", choices=("naive", "seminaive"),
-                           default="seminaive",
-                           help="round schedule: delta-driven (default) or "
-                           "every op every round (the test oracle); both "
-                           "produce identical solutions")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_lint = sub.add_parser(
@@ -372,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--no-witness", action="store_true",
                         help="skip the fact order table and witness paths "
                         "(faster, plain findings)")
-    p_lint.add_argument("--solver", choices=("naive", "seminaive"),
-                        default="seminaive",
-                        help="fixed-point strategy (findings are identical)")
     p_lint.add_argument("--profile", action="store_true",
                         help="print solver + lint telemetry")
     p_lint.set_defaults(func=_cmd_lint)
@@ -404,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "of skipping the rest (partial results either way)")
     p_batch.add_argument("--output", metavar="FILE",
                          help="write the repro.batch/1 JSON report to FILE")
-    p_batch.add_argument("--solver", choices=("naive", "seminaive"),
-                         default="seminaive",
-                         help="fixed-point strategy used by the workers")
     p_batch.add_argument("--profile", action="store_true",
                          help="print batch telemetry (batch.* counters, "
                          "per-app events)")

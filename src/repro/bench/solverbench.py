@@ -2,8 +2,9 @@
 
 * :func:`scaled_spec` — the synthetic scaling family shared by
   ``benchmarks/``, perfbench and the tests;
-* :func:`solver_record` — the per-run solver numbers a batch
-  ``analyze_job`` payload and perfbench report;
+* :func:`~repro.core.metrics.solver_record` — the per-run solver
+  numbers a batch ``analyze_job`` payload and perfbench report,
+  importable from here too;
 * ``python -m repro.bench perfsmoke`` — the CI regression guard: on a
   quick subset, the semi-naive scheduler must never evaluate more rule
   instances than the naive sweep would (wall-clock is deliberately not
@@ -12,10 +13,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.core.analysis import AnalysisOptions, analyze
-from repro.core.results import AnalysisResult
+from repro.core.metrics import solver_record  # noqa: F401 - perfbench imports it here
 from repro.corpus.generator import generate_app
 from repro.corpus.spec import AppSpec
 
@@ -42,20 +43,6 @@ def scaled_spec(scale: int) -> AppSpec:
         listener_avg=1.1,
         seed=900 + scale,
     )
-
-
-def solver_record(result: AnalysisResult) -> Dict[str, object]:
-    """The solver effort and convergence numbers of one run."""
-    return {
-        "solver": result.solver,
-        "solve_seconds": round(result.solve_seconds, 6),
-        "rounds": result.rounds,
-        "converged": result.converged,
-        "ops_scheduled": result.ops_scheduled,
-        "ops_skipped": result.ops_skipped,
-        "values_added": result.values_added,
-        "work_items": result.work_items,
-    }
 
 
 # -- CI perf smoke ------------------------------------------------------------

@@ -27,6 +27,10 @@ operation processing and flow propagation alternate in rounds until
 nothing changes. All facts are finite and monotonically growing, so
 termination is guaranteed.
 
+Every fact the solver holds is keyed by the graph's node ids: the
+``flowsTo`` sets, the relationship edges each rule reads and adds, and
+the fact order (see :class:`GuiReferenceAnalysis`).
+
 One round loop implements the fixed point; ``AnalysisOptions.solver``
 only picks which ops a round evaluates and when the loop stops:
 
@@ -96,9 +100,6 @@ class AnalysisOptions:
     paper mentions for operations like ``getCurrentView()`` (restrict
     to direct children rather than all descendants).
 
-    ``model_xml_onclick`` binds ``android:onClick`` layout attributes
-    to activity methods (an extension beyond the paper's core rules).
-
     ``max_rounds`` is a safety valve; the fixed point always converges
     long before it on realistic inputs.
 
@@ -121,7 +122,6 @@ class AnalysisOptions:
     """
 
     findview3_children_only_refinement: bool = True
-    model_xml_onclick: bool = True
     filter_casts: bool = True
     max_rounds: int = 1000
     solver: str = "seminaive"
@@ -141,11 +141,11 @@ class GuiReferenceAnalysis:
     The solver works on the graph's dense node ids (see
     :mod:`repro.core.graph`): ``pts`` maps a pointer node's id to the
     ids of the values flowing to it, and so do the worklist, the
-    pending deltas and the dependency index. Rules decode an id through
-    ``graph.node_list`` when they need a node's fields, and read and add
-    relationship edges, which stay on nodes. The result exposes ``pts``
-    through :class:`~repro.core.results.PointsTo`, which decodes on
-    access.
+    pending deltas, the dependency index, the relationship edges the
+    rules read and add, and the fact order. Rules decode an id through
+    ``graph.node_list`` only when they need a node's fields, and never
+    hash a node. The result exposes ``pts`` through
+    :class:`~repro.core.results.PointsTo`, which decodes on access.
     """
 
     @gc_paused()
@@ -211,10 +211,6 @@ class GuiReferenceAnalysis:
         self._rel_subs: Dict[RelKind, Dict[int, None]] = {kind: {} for kind in RelKind}
         self._current_op: Optional[int] = None
         self._xml_dirty = False
-        # (value class, cast filter) -> bool memo for cast filtering.
-        self._cast_cache: Dict[Tuple[str, str], bool] = {}
-        self.cast_cache_hits = 0
-        self.cast_cache_misses = 0
         # -- fact order (opt-in, see core/provenance.py) -------------------
         # Written where flow facts, relationship edges and solver-made
         # flow edges are inserted, each guarded by ``is not None``; it
@@ -263,7 +259,7 @@ class GuiReferenceAnalysis:
         if not self.graph.add_flow_ids(src, dst):
             return False
         if self._order is not None:
-            self._order.add_edge(self._nodes[src], self._nodes[dst])
+            self._order.add_edge(src, dst)
         existing = self.pts.get(src)
         if existing:
             self._add_values(dst, existing)
@@ -275,8 +271,7 @@ class GuiReferenceAnalysis:
 
         Deltas are coalesced per node before propagating (a node hit by
         many singleton deltas traverses its out-edges once, not once
-        per delta), successors come paired with their cast filter,
-        filter decisions are memoised per (value class, filter), and
+        per delta), successors come paired with their cast filter, and
         empty filtered deltas are dropped without touching ``pts``."""
         changed = False
         queue = self._queue
@@ -287,7 +282,7 @@ class GuiReferenceAnalysis:
         # do, between propagations).
         flow = self.graph.flow
         filter_casts = self.options.filter_casts
-        filter_cached = self._filter_values_cached
+        filter_values = self._filter_values
         dirty = self._dirty
         node_deps = self._node_deps
         order = self._order
@@ -306,7 +301,7 @@ class GuiReferenceAnalysis:
                 # share of solve time. Any semantic change here must be
                 # mirrored in _add_values.
                 if type_filter is not None and filter_casts:
-                    values = filter_cached(delta, type_filter)
+                    values = filter_values(delta, type_filter)
                     if not values:
                         continue
                 else:
@@ -333,28 +328,15 @@ class GuiReferenceAnalysis:
                         dirty[op] = None
         return changed
 
-    def _filter_values_cached(self, values: Set[int], type_filter: str) -> Set[int]:
-        """The values that pass an edge's cast filter, with the subtype
-        decision memoised per (value class, filter). Values without a
+    def _filter_values(self, values: Set[int], type_filter: str) -> Set[int]:
+        """The values that pass an edge's cast filter. Values without a
         run-time class (layout/view ids) pass through; reference casts
         only constrain abstract objects."""
-        cache = self._cast_cache
-        nodes = self._nodes
+        nodes, is_subtype = self._nodes, self.hierarchy.is_subtype
         kept: Set[int] = set()
         for v in values:
             cn = value_class_name(nodes[v])
-            if cn is None:
-                kept.add(v)
-                continue
-            key = (cn, type_filter)
-            ok = cache.get(key)
-            if ok is None:
-                self.cast_cache_misses += 1
-                ok = self.hierarchy.is_subtype(cn, type_filter)
-                cache[key] = ok
-            else:
-                self.cast_cache_hits += 1
-            if ok:
+            if cn is None or is_subtype(cn, type_filter):
                 kept.add(v)
         return kept
 
@@ -384,32 +366,22 @@ class GuiReferenceAnalysis:
             if value_is_a(hierarchy, nodes[v], class_name)
         }
 
-    def _nodes_of(self, op: int, slot: int, cls: type) -> List[Node]:
+    def _ids_of_kind(self, op: int, slot: int, cls: type) -> List[int]:
         """The values at a port that are nodes of kind ``cls``."""
         nodes = self._nodes
-        return [nodes[v] for v in self._port_values(op, slot) if nodes[v].__class__ is cls]
-
-    def _decode(self, ids: Set[int]) -> List[Node]:
-        nodes = self._nodes
-        return [nodes[i] for i in ids]
-
-    def _encode(self, nodes: Set[Node]) -> Set[int]:
-        id_of = self.graph.id_of
-        return {id_of(n) for n in nodes}
+        return [v for v in self._port_values(op, slot) if nodes[v].__class__ is cls]
 
     # -- solving -------------------------------------------------------------------
 
     @gc_paused()
     def solve(self) -> AnalysisResult:
-        tracer, graph, hierarchy = self.tracer, self.graph, self.hierarchy
+        tracer, graph = self.tracer, self.graph
         values0 = self.values_added
         work0 = self.work_items
         flow0 = graph.flow_edge_count()
         rel0 = self._rel_edge_total()
         desc_hits0 = graph.desc_cache_hits
         desc_misses0 = graph.desc_cache_misses
-        sub_hits0 = hierarchy.subtype_cache_hits
-        sub_misses0 = hierarchy.subtype_cache_misses
         with tracer.span(obs_names.PHASE_SOLVE) as span:
             self._solve()
             span.attrs["rounds"] = self.rounds
@@ -426,15 +398,6 @@ class GuiReferenceAnalysis:
         tracer.counter(
             obs_names.COUNTER_DESC_CACHE_MISSES, graph.desc_cache_misses - desc_misses0
         )
-        tracer.counter(
-            obs_names.COUNTER_SUBTYPE_CACHE_HITS, hierarchy.subtype_cache_hits - sub_hits0
-        )
-        tracer.counter(
-            obs_names.COUNTER_SUBTYPE_CACHE_MISSES,
-            hierarchy.subtype_cache_misses - sub_misses0,
-        )
-        tracer.counter(obs_names.COUNTER_CAST_CACHE_HITS, self.cast_cache_hits)
-        tracer.counter(obs_names.COUNTER_CAST_CACHE_MISSES, self.cast_cache_misses)
         if self._order is not None:
             # Only new facts are numbered, so ``next`` is their count.
             tracer.counter(obs_names.COUNTER_PROV_FACTS, self._order.next)
@@ -494,7 +457,6 @@ class GuiReferenceAnalysis:
         kinds = {op: self._nodes[op].kind for op in all_ops}
         total_ops = len(all_ops)
         schedule_all = self.options.solver == "naive"
-        bind_xml = self.options.model_xml_onclick
         rules = self._RULES
         for cls in (AllocNode, ActivityNode, LayoutIdNode, ViewIdNode, MenuIdNode):
             for value in graph.ids_of_kind(cls):
@@ -525,7 +487,7 @@ class GuiReferenceAnalysis:
             changed = rules_fired > 0
             # The XML binding runs after the round's ops, so it sees the
             # ROOT/CHILD edges they added.
-            if bind_xml and (sweep or self._xml_dirty):
+            if sweep or self._xml_dirty:
                 self._xml_dirty = False
                 bindings0 = len(self.xml_handlers)
                 changed |= self._bind_xml_onclick()
@@ -549,16 +511,14 @@ class GuiReferenceAnalysis:
             if schedule_all:
                 done = not changed
             else:
-                done = not self._dirty and not (bind_xml and self._xml_dirty)
+                done = not self._dirty and not self._xml_dirty
             if done:
                 self.converged = True
                 break
 
     # -- read-tracked dependency index -------------------------------------------
 
-    def _read_rel(
-        self, kind: RelKind, node: Node, backward: bool = False
-    ) -> FrozenSet[Node]:
+    def _read_rel(self, kind: RelKind, node: int, backward: bool = False) -> FrozenSet[int]:
         """The live ``kind`` edges out of (or, ``backward``, into)
         ``node``, subscribing the op being evaluated to ``kind`` so a
         later edge of that kind re-schedules it."""
@@ -569,7 +529,7 @@ class GuiReferenceAnalysis:
             return self.graph.rel_back_view(kind, node)
         return self.graph.rel_view(kind, node)
 
-    def _read_descendants(self, view: Node) -> Set[Node]:
+    def _read_descendants(self, view: int) -> Set[int]:
         """The cached reflexive CHILD-closure of ``view``, subscribing
         the op being evaluated to CHILD edges."""
         op = self._current_op
@@ -577,7 +537,7 @@ class GuiReferenceAnalysis:
             self._rel_subs[RelKind.CHILD][op] = None
         return self.graph.descendants_cached(view)
 
-    def _on_rel_added(self, kind: RelKind, src: Node, dst: Node) -> None:
+    def _on_rel_added(self, kind: RelKind, src: int, dst: int) -> None:
         """Graph notification: a new relationship edge appeared."""
         if self._order is not None:
             self._order.add_rel(kind, src, dst)
@@ -600,18 +560,18 @@ class GuiReferenceAnalysis:
 
     # Rules INFLATE1/INFLATE2 (Section 3.2.1, constraint rules in 4.2).
 
-    def _instantiate_layout(self, op: int, layout_id: LayoutIdNode) -> int:
+    def _instantiate_layout(self, op: int, layout_id: int) -> int:
         """Create the fresh inflated-view node family for (site, layout);
         returns the root's id."""
-        key = (op, layout_id.name)
+        name = self._nodes[layout_id].name
+        key = (op, name)
         cached = self._inflated.get(key)
         if cached is not None:
             return cached
-        tree = self.app.resources.layout(layout_id.name)
-        op_node = self._nodes[op]
-        root = self._instantiate_node(op_node.site, layout_id.name, tree.root, ())
-        self.graph.add_rel(RelKind.INFL_ROOT, self._nodes[root], op_node)
-        self.graph.add_rel(RelKind.LAYOUT_ORIGIN, self._nodes[root], layout_id)
+        tree = self.app.resources.layout(name)
+        root = self._instantiate_node(self._nodes[op].site, name, tree.root, ())
+        self.graph.add_rel(RelKind.INFL_ROOT, root, op)
+        self.graph.add_rel(RelKind.LAYOUT_ORIGIN, root, layout_id)
         self._inflated[key] = root
         return root
 
@@ -620,24 +580,25 @@ class GuiReferenceAnalysis:
     ) -> int:
         # Not a closure: a closure that calls itself is a reference cycle
         # holding the whole analysis until the cycle collector runs.
-        graph, nodes = self.graph, self._nodes
+        graph = self.graph
         infl = graph.infl_view_id(site, layout, path, node.view_class, node.id_name)
         self._add_values(infl, {infl})
         if node.id_name is not None:
             id_node = graph.view_id_id(node.id_name, self.app.resources.view_id(node.id_name))
             self._add_values(id_node, {id_node})
-            graph.add_rel(RelKind.HAS_ID, nodes[infl], nodes[id_node])
+            graph.add_rel(RelKind.HAS_ID, infl, id_node)
         if node.on_click is not None:
             self._onclick_names[infl] = node.on_click
         for child_index, child in enumerate(node.children):
             child_infl = self._instantiate_node(site, layout, child, path + (child_index,))
-            graph.add_rel(RelKind.CHILD, nodes[infl], nodes[child_infl])
+            graph.add_rel(RelKind.CHILD, infl, child_infl)
         return infl
 
     def _op_inflate1(self, op: int) -> bool:
         changed = False
-        for layout_id in self._nodes_of(op, 0, LayoutIdNode):
-            fresh = (op, layout_id.name) not in self._inflated
+        nodes = self._nodes
+        for layout_id in self._ids_of_kind(op, 0, LayoutIdNode):
+            fresh = (op, nodes[layout_id].name) not in self._inflated
             root = self._instantiate_layout(op, layout_id)
             changed |= fresh
             changed |= self._add_values(op, {root})
@@ -647,41 +608,38 @@ class GuiReferenceAnalysis:
         changed = False
         nodes = self._nodes
         holders = self._activity_likes(op, RECV)
-        for layout_id in self._nodes_of(op, 0, LayoutIdNode):
-            fresh = (op, layout_id.name) not in self._inflated
-            root = nodes[self._instantiate_layout(op, layout_id)]
+        for layout_id in self._ids_of_kind(op, 0, LayoutIdNode):
+            fresh = (op, nodes[layout_id].name) not in self._inflated
+            root = self._instantiate_layout(op, layout_id)
             changed |= fresh
             for holder in holders:
-                changed |= self.graph.add_rel(RelKind.ROOT, nodes[holder], root)
+                changed |= self.graph.add_rel(RelKind.ROOT, holder, root)
         return changed
 
     # Rules ADDVIEW1/ADDVIEW2.
 
     def _op_addview1(self, op: int) -> bool:
         changed = False
-        nodes = self._nodes
         for holder in self._activity_likes(op, RECV):
             for view in self._views(op, 0):
-                changed |= self.graph.add_rel(RelKind.ROOT, nodes[holder], nodes[view])
+                changed |= self.graph.add_rel(RelKind.ROOT, holder, view)
         return changed
 
     def _op_addview2(self, op: int) -> bool:
         changed = False
-        nodes = self._nodes
         for parent in self._views(op, RECV):
             for child in self._views(op, 0):
                 if parent != child:
-                    changed |= self.graph.add_rel(RelKind.CHILD, nodes[parent], nodes[child])
+                    changed |= self.graph.add_rel(RelKind.CHILD, parent, child)
         return changed
 
     # Rule SETID.
 
     def _op_setid(self, op: int) -> bool:
         changed = False
-        nodes = self._nodes
         for view in self._views(op, RECV):
-            for id_node in self._nodes_of(op, 0, ViewIdNode):
-                changed |= self.graph.add_rel(RelKind.HAS_ID, nodes[view], id_node)
+            for id_node in self._ids_of_kind(op, 0, ViewIdNode):
+                changed |= self.graph.add_rel(RelKind.HAS_ID, view, id_node)
         return changed
 
     # Rule SETLISTENER plus callback modelling (end of Section 3).
@@ -696,7 +654,7 @@ class GuiReferenceAnalysis:
         listeners = self._instances(op, 0, spec.interface)
         for view in views:
             for listener in listeners:
-                changed |= graph.add_rel(RelKind.LISTENER, nodes[view], nodes[listener])
+                changed |= graph.add_rel(RelKind.LISTENER, view, listener)
         for listener in listeners:
             method = self.hierarchy.app_callback(
                 value_class_name(nodes[listener]),
@@ -727,8 +685,8 @@ class GuiReferenceAnalysis:
                     for view in views:
                         # _add_flow_dynamic adds flow edges/values only,
                         # so iterating the live CHILD set is safe.
-                        for child in self._read_rel(RelKind.CHILD, nodes[view]):
-                            changed |= self._add_flow_dynamic(graph.id_of(child), param)
+                        for child in self._read_rel(RelKind.CHILD, view):
+                            changed |= self._add_flow_dynamic(child, param)
         return changed
 
     def _handler_view_param(self, handler: Method, index: int) -> Optional[int]:
@@ -738,21 +696,19 @@ class GuiReferenceAnalysis:
 
     # Rules FINDVIEW1/2/3 and the GetParent extension.
 
-    def _find_by_id(self, start_views: Collection[Node], ids: Collection[Node]) -> Set[Node]:
+    def _find_by_id(self, start_views: Collection[int], ids: Collection[int]) -> Set[int]:
         """``find`` from the semantics: descendants (reflexively) of any
         start view whose associated ids intersect ``ids``.
 
         Intersects the HAS_ID inverted index (the few views carrying a
         requested id) with the cached descendant closure of each start
         view, instead of scanning every descendant and testing its ids."""
-        results: Set[Node] = set()
+        results: Set[int] = set()
         if not ids or not start_views:
             return results
-        candidates: Set[Node] = set()
+        candidates: Set[int] = set()
         for id_node in ids:
-            candidates.update(
-                self._read_rel(RelKind.HAS_ID, id_node, backward=True)
-            )
+            candidates.update(self._read_rel(RelKind.HAS_ID, id_node, backward=True))
         if not candidates:
             return results
         for start in start_views:
@@ -765,27 +721,32 @@ class GuiReferenceAnalysis:
                 results.update(d for d in descendants if d in candidates)
         return results
 
-    def _add_found(self, op: int, results: Set[Node]) -> bool:
-        """Views a lookup rule found (relationship-edge nodes) flow out of ``op``."""
-        return self._add_values(op, self._encode(results)) if results else False
+    def _roots(self, op: int) -> Set[int]:
+        """The ROOT views of the activity-like values at ``op``'s receiver."""
+        roots: Set[int] = set()
+        for holder in self._activity_likes(op, RECV):
+            roots.update(self._read_rel(RelKind.ROOT, holder))
+        return roots
+
+    def _add_found(self, op: int, results: Set[int]) -> bool:
+        """Views a lookup rule found flow out of ``op``."""
+        return self._add_values(op, results) if results else False
 
     def _op_findview1(self, op: int) -> bool:
-        starts = self._decode(self._views(op, RECV))
-        return self._add_found(op, self._find_by_id(starts, self._nodes_of(op, 0, ViewIdNode)))
+        ids = self._ids_of_kind(op, 0, ViewIdNode)
+        return self._add_found(op, self._find_by_id(self._views(op, RECV), ids))
 
     def _op_findview2(self, op: int) -> bool:
-        roots: Set[Node] = set()
-        for holder in self._decode(self._activity_likes(op, RECV)):
-            roots.update(self._read_rel(RelKind.ROOT, holder))
-        return self._add_found(op, self._find_by_id(roots, self._nodes_of(op, 0, ViewIdNode)))
+        ids = self._ids_of_kind(op, 0, ViewIdNode)
+        return self._add_found(op, self._find_by_id(self._roots(op), ids))
 
     def _op_findview3(self, op: int) -> bool:
         spec = self.graph.op_specs[op]
         children_only = (
             spec.children_only and self.options.findview3_children_only_refinement
         )
-        results: Set[Node] = set()
-        for view in self._decode(self._views(op, RECV)):
+        results: Set[int] = set()
+        for view in self._views(op, RECV):
             if children_only:
                 results.update(self._read_rel(RelKind.CHILD, view))
             else:
@@ -793,8 +754,8 @@ class GuiReferenceAnalysis:
         return self._add_found(op, results)
 
     def _op_getparent(self, op: int) -> bool:
-        results: Set[Node] = set()
-        for view in self._decode(self._views(op, RECV)):
+        results: Set[int] = set()
+        for view in self._views(op, RECV):
             results.update(self._read_rel(RelKind.CHILD, view, backward=True))
         return self._add_found(op, results)
 
@@ -842,21 +803,15 @@ class GuiReferenceAnalysis:
         hierarchy becomes a child of the container view(s) with that id
         in the owning activity's hierarchies."""
         changed = False
-        nodes = self._nodes
-        holders = self._activity_likes(op, RECV)
-        ids = self._nodes_of(op, 0, ViewIdNode)
         fragments = self._instances(op, 1, "android.app.Fragment")
         if not fragments:
             return False
-        roots: Set[Node] = set()
-        for holder in holders:
-            roots.update(self._read_rel(RelKind.ROOT, nodes[holder]))
-        containers = self._find_by_id(roots, ids)
+        containers = self._find_by_id(self._roots(op), self._ids_of_kind(op, 0, ViewIdNode))
         for fragment in fragments:
             # The views returned by the fragment's onCreateView override.
-            for froot in self._decode(self._callback_view_roots(fragment, "onCreateView", (0, 3))):
+            for froot in self._callback_view_roots(fragment, "onCreateView", (0, 3)):
                 for container in containers:
-                    if container is not froot:
+                    if container != froot:
                         changed |= self.graph.add_rel(RelKind.CHILD, container, froot)
         return changed
 
@@ -866,7 +821,6 @@ class GuiReferenceAnalysis:
         """The adapter's ``getView`` produces the row views displayed as
         children of the AdapterView receiver."""
         changed = False
-        nodes = self._nodes
         adapters = self._instances(op, 0, "android.widget.BaseAdapter")
         if not adapters:
             return False
@@ -875,7 +829,7 @@ class GuiReferenceAnalysis:
             for row in self._callback_view_roots(adapter, "getView", (0, 3)):
                 for parent in parents:
                     if parent != row:
-                        changed |= self.graph.add_rel(RelKind.CHILD, nodes[parent], nodes[row])
+                        changed |= self.graph.add_rel(RelKind.CHILD, parent, row)
         return changed
 
     # Options-menu extension.
@@ -889,15 +843,16 @@ class GuiReferenceAnalysis:
         graph, nodes = self.graph, self._nodes
         site = nodes[op].site
         owner_class = site.method.class_name
-        for menu_id in self._nodes_of(op, 0, MenuIdNode):
-            key = (op, menu_id.name)
+        for menu_id in self._ids_of_kind(op, 0, MenuIdNode):
+            name = nodes[menu_id].name
+            key = (op, name)
             if key in self._inflated_menus:
                 continue
             self._inflated_menus.add(key)
             changed = True
-            menu = self.app.resources.menu(menu_id.name)
+            menu = self.app.resources.menu(name)
             for index, item_def in enumerate(menu.items):
-                item = graph.menu_item_id(site, menu_id.name, index, item_def.id_name)
+                item = graph.menu_item_id(site, name, index, item_def.id_name)
                 self._add_values(item, {item})
                 self.menu_items_by_class.setdefault(owner_class, []).append(nodes[item])
                 if item_def.id_name is not None:
@@ -905,7 +860,7 @@ class GuiReferenceAnalysis:
                         item_def.id_name, self.app.resources.view_id(item_def.id_name)
                     )
                     self._add_values(id_node, {id_node})
-                    graph.add_rel(RelKind.HAS_ID, nodes[item], nodes[id_node])
+                    graph.add_rel(RelKind.HAS_ID, item, id_node)
                 for handler_name in (item_def.on_click, "onOptionsItemSelected"):
                     method = self.hierarchy.app_callback(owner_class, handler_name, (1,))
                     if method is None:
@@ -927,19 +882,19 @@ class GuiReferenceAnalysis:
         graph, nodes = self.graph, self._nodes
         onclick = self._onclick_names
         for act in graph.ids_of_kind(ActivityNode):
-            act_node = nodes[act]
+            class_name = nodes[act].class_name
             pending = [
                 (view, name)
                 for view, name in onclick.items()
-                if (act_node.class_name, view) not in self._bound_xml
+                if (class_name, view) not in self._bound_xml
             ]
             if not pending:
                 continue
-            reachable: Set[Node] = set()
-            for root in graph.rel_view(RelKind.ROOT, act_node):
+            reachable: Set[int] = set()
+            for root in graph.rel_view(RelKind.ROOT, act):
                 reachable |= graph.descendants_cached(root)
             for view, handler_name in pending:
-                if nodes[view] in reachable:
+                if view in reachable:
                     changed |= self._bind_xml_handler(act, view, handler_name)
         return changed
 

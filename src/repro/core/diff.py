@@ -20,7 +20,7 @@ bug. It reports a ``schema`` or ``app`` mismatch before any content.
 (``result.pts.by_id``, ``graph.flow``) and renders each interned node
 once, as ``label[id]``; a points-to entry or flow edge indexes that
 list instead of rendering its nodes again. Relationship edges, XML
-handlers and menu items are few and stay on nodes.
+handlers and menu items are few and are read as nodes.
 
 **Label collisions.** Entries are keyed by ``str(node)``, which drops a
 method's package and arity, so two nodes can share a label: for

@@ -16,11 +16,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.graph import ConstraintGraph, RelKind
-from repro.core.metrics import (
-    compute_graph_stats,
-    compute_precision,
-    compute_solver_stats,
-)
+from repro.core.metrics import compute_graph_stats, compute_precision, solver_record
 from repro.core.nodes import (
     ActivityNode,
     AllocNode,
@@ -104,15 +100,16 @@ def graph_to_dot(
 def result_to_json(result: AnalysisResult, indent: Optional[int] = None) -> str:
     """Serialise the solution as JSON."""
     graph = result.graph
+    summary = graph.summary()
     data: Dict[str, object] = {
         "app": result.app.name,
         "rounds": result.rounds,
         "converged": result.converged,
         "solve_seconds": result.solve_seconds,
         "solver": {
-            k: v
-            for k, v in compute_solver_stats(result).__dict__.items()
-            if k != "app_name"
+            **solver_record(result),
+            "flow_edges": summary["flow_edges"],
+            "rel_edges": summary["rel_edges"],
         },
         "statistics": compute_graph_stats(result).__dict__,
         "precision": {

@@ -14,28 +14,31 @@ Two edge families, following Section 4.1:
 ``node_list[id]`` is the node. Each kind is interned through a table
 keyed by the fields that identify it: locals per method
 (``MethodSig`` → name → id, so the builder hashes a method's signature
-once, not once per statement), operation ports per operation id. The
-builder and the solver work on ids (the ``*_id`` methods,
-:meth:`add_flow_ids`, ``flow``), so propagation hashes no node.
-Apart from relationship edges (below), node objects appear only at
-the boundary: the node-returning interning methods, :meth:`id_of`
-(which finds a node's id through its kind's table, so a freshly built
-equal node such as ``OpRecv(op)`` is found), and the node-facing flow
-queries ``has_flow``, ``flow_filter``, ``flow_edges`` and ``nodes``.
+once, not once per statement), operation ports per operation id. Both
+edge families are stored over ids, and the builder and the solver work
+on ids only (the ``*_id`` methods, :meth:`add_flow_ids`, ``flow``,
+:meth:`add_rel`, :meth:`rel_view`, :meth:`rel_back_view`,
+:meth:`descendants_cached`), so neither hashes a node. Node objects
+appear only at the result boundary: :meth:`id_of` (which finds a
+node's id through its kind's table, so a freshly built equal node such
+as ``OpRecv(op)`` is found), the node-facing flow queries
+``has_flow``, ``flow_filter``, ``flow_edges`` and ``nodes``, and the
+node-facing relationship queries ``rel``, ``has_rel``, ``rel_edges``,
+``children_of``, ``ids_of`` and ``descendants_of``. Sets of nodes are
+returned as :class:`NodeSet`, which holds ids and decodes on access.
 
 Each flow edge is one record: ``flow[src][dst]`` is its cast filter
 (None when unfiltered), over ids. The solver's propagation iterates
 the inner dicts in place. Only witnesses read predecessors, so
 :class:`~repro.lint.witness.Explainer` builds its own reverse map.
 
-Relationship edges stay on node objects: there are few of them (587 on
-the K9 corpus app, against 40,072 flow edges). They grow during the
-fixed point (e.g. a new parent-child edge appears when a parent/child
-pair reaches an ``AddView2`` node); the graph exposes mutation methods
-returning whether anything changed so the solver can drive its
-worklist, and an optional ``rel_listener`` callback that fires once
-per *new* relationship edge so the solver can schedule exactly the
-operation nodes whose inputs changed.
+Relationship edges are few (587 on the K9 corpus app, against 40,072
+flow edges), but they grow during the fixed point (e.g. a new
+parent-child edge appears when a parent/child pair reaches an
+``AddView2`` node). :meth:`add_rel` returns whether the edge is new so
+the solver can drive its worklist, and an optional ``rel_listener``
+callback fires once per *new* edge so the solver can schedule exactly
+the operation nodes whose inputs changed.
 
 ``descendants_cached(view)`` is the reflexive CHILD-closure backed by
 an incrementally maintained cache. Inserting a CHILD edge ``p -> c``
@@ -86,7 +89,7 @@ class RelKind(enum.Enum):
         return self.value
 
 
-_EMPTY_NODE_SET: FrozenSet[Node] = frozenset()
+_NO_ID_SET: FrozenSet[int] = frozenset()
 _NO_EDGES: Dict[int, Optional[str]] = {}
 _NO_IDS: Dict[str, int] = {}
 
@@ -130,12 +133,17 @@ class NodeSet(AbstractSet):
         i = self._graph.id_of(node)
         return i is not None and i in self._ids
 
+    @classmethod
+    def _from_iterable(cls, nodes):
+        # Set operators (``&``, ``|``, ``-``) build a plain set of nodes.
+        return set(nodes)
+
 
 class ConstraintGraph:
     """Mutable constraint graph with node interning.
 
     Flow edges are one successor map over node ids; relationship edges
-    are kept in per-label forward/backward maps over nodes for the
+    are per-label forward and backward maps over node ids, for the
     queries the solver needs (children-of, ids-of, roots-of, ...).
     """
 
@@ -145,18 +153,19 @@ class ConstraintGraph:
         # src id -> {dst id: cast filter or None}: one record per flow edge.
         self.flow: Dict[int, Dict[int, Optional[str]]] = {}
         self._flow_count = 0
-        # Relationship edges, forward and backward.
-        self._rel: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
-        self._rel_back: Dict[RelKind, Dict[Node, Set[Node]]] = {k: {} for k in RelKind}
-        # Called once per *new* relationship edge (kind, src, dst);
-        # installed by the solver for delta scheduling and fact order.
-        self.rel_listener: Optional[Callable[[RelKind, Node, Node], None]] = None
+        # Relationship edges, forward and backward, over ids.
+        self._rel: Dict[RelKind, Dict[int, Set[int]]] = {k: {} for k in RelKind}
+        self._rel_back: Dict[RelKind, Dict[int, Set[int]]] = {k: {} for k in RelKind}
+        # Called once per *new* relationship edge (kind, src id, dst
+        # id); installed by the solver for delta scheduling and fact
+        # order.
+        self.rel_listener: Optional[Callable[[RelKind, int, int], None]] = None
         # Incrementally maintained reflexive CHILD-closure cache:
-        # root -> descendant set, plus the inverted membership index
-        # (node -> cached roots whose set contains it) that makes
+        # root id -> descendant ids, plus the inverted membership index
+        # (id -> cached roots whose set contains it) that makes
         # delta-extension on CHILD insertion cheap.
-        self._desc_cache: Dict[Node, Set[Node]] = {}
-        self._desc_containing: Dict[Node, Set[Node]] = {}
+        self._desc_cache: Dict[int, Set[int]] = {}
+        self._desc_containing: Dict[int, Set[int]] = {}
         self.desc_cache_hits = 0
         self.desc_cache_misses = 0
         # Interning tables: method -> local name -> id; (op id, slot) -> port
@@ -275,32 +284,6 @@ class ConstraintGraph:
         key = (op_site, layout, path)
         return self._intern(InflViewNode, key, op_site, layout, path, view_class, id_name)
 
-    # Node-returning interning, for callers outside the builder and solver.
-
-    def var(self, method: MethodSig, name: str) -> VarNode:
-        return self.node_list[self.var_id(method, name)]
-
-    def field(self, class_name: str, field_name: str) -> FieldNode:
-        return self.node_list[self.field_id(class_name, field_name)]
-
-    def alloc(
-        self, site: Site, class_name: str, is_view: bool = False, is_listener: bool = False
-    ) -> AllocNode:
-        i = self.alloc_id(site, class_name, is_view, is_listener)
-        return self.node_list[i]
-
-    def activity(self, class_name: str) -> ActivityNode:
-        return self.node_list[self.activity_id(class_name)]
-
-    def layout_id(self, name: str, value: int) -> LayoutIdNode:
-        return self.node_list[self.layout_id_id(name, value)]
-
-    def view_id(self, name: str, value: int) -> ViewIdNode:
-        return self.node_list[self.view_id_id(name, value)]
-
-    def op(self, kind: OpKind, site: Site, spec: OpSpec) -> OpNode:
-        return self.node_list[self.op_id(kind, site, spec)]
-
     # -- ids and nodes -------------------------------------------------------------
 
     def id_of(self, node: Node) -> Optional[int]:
@@ -390,7 +373,7 @@ class ConstraintGraph:
 
     def lookup_activity(self, class_name: str) -> Optional[ActivityNode]:
         """The activity node of ``class_name``, or None; unlike
-        :meth:`activity` it never adds a node."""
+        :meth:`activity_id` it never adds a node."""
         i = self._tables[ActivityNode].get(class_name)
         return None if i is None else self.node_list[i]
 
@@ -447,9 +430,11 @@ class ConstraintGraph:
         return self._flow_count
 
     # -- relationship edges ---------------------------------------------------------
+    # Over ids, like flow edges; the node-facing reads below decode.
 
-    def add_rel(self, kind: RelKind, src: Node, dst: Node) -> bool:
-        """Add ``src ⇒ dst`` with label ``kind``; True when new.
+    def add_rel(self, kind: RelKind, src: int, dst: int) -> bool:
+        """Add ``src ⇒ dst`` with label ``kind`` between node ids; True
+        when new.
 
         New CHILD edges extend the descendant cache before the
         ``rel_listener`` notification fires, so a listener observing
@@ -466,65 +451,39 @@ class ConstraintGraph:
             self.rel_listener(kind, src, dst)
         return True
 
-    def rel(self, kind: RelKind, src: Node) -> Set[Node]:
-        return set(self._rel[kind].get(src, ()))
+    def rel_view(self, kind: RelKind, src: int) -> FrozenSet[int]:
+        """The ids ``src`` has ``kind`` edges to: the internal (live) set,
+        not a copy. Callers must not mutate it and must not add edges
+        of the same kind while iterating."""
+        return self._rel[kind].get(src, _NO_ID_SET)  # type: ignore[return-value]
 
-    def rel_back(self, kind: RelKind, dst: Node) -> Set[Node]:
-        return set(self._rel_back[kind].get(dst, ()))
-
-    def rel_view(self, kind: RelKind, src: Node) -> FrozenSet[Node]:
-        """Like :meth:`rel` but returns the internal (live) set without
-        copying. Callers must not mutate it and must not add edges of
-        the same kind while iterating."""
-        return self._rel[kind].get(src, _EMPTY_NODE_SET)  # type: ignore[return-value]
-
-    def rel_back_view(self, kind: RelKind, dst: Node) -> FrozenSet[Node]:
-        """Non-copying :meth:`rel_back`; same caveats as :meth:`rel_view`.
+    def rel_back_view(self, kind: RelKind, dst: int) -> FrozenSet[int]:
+        """The ids with ``kind`` edges to ``dst``; same caveats as
+        :meth:`rel_view`.
 
         For ``HAS_ID`` this is the id→views inverted index the solver's
         ``FindView`` rules intersect against."""
-        return self._rel_back[kind].get(dst, _EMPTY_NODE_SET)  # type: ignore[return-value]
-
-    def has_rel(self, kind: RelKind, src: Node, dst: Node) -> bool:
-        return dst in self._rel[kind].get(src, ())
-
-    def rel_edges(self, kind: RelKind) -> Iterator[Tuple[Node, Node]]:
-        for src, dsts in self._rel[kind].items():
-            for dst in dsts:
-                yield src, dst
+        return self._rel_back[kind].get(dst, _NO_ID_SET)  # type: ignore[return-value]
 
     def rel_edge_count(self, kind: RelKind) -> int:
         return sum(len(d) for d in self._rel[kind].values())
 
-    # Structured shorthands used by the solver and the results API.
-
-    def children_of(self, view: Node) -> Set[Node]:
-        return self.rel(RelKind.CHILD, view)
-
-    def ids_of(self, view: Node) -> Set[Node]:
-        return self.rel(RelKind.HAS_ID, view)
-
-    def descendants_of(self, view: Node, include_self: bool = True) -> Set[Node]:
-        """Reflexive-transitive closure over CHILD edges (``ancestorOf``
-        read backwards: returned set = all v with view ancestorOf v).
-
-        Walks the graph on every call — the reference implementation
-        that fills the cache. Hot-path callers use
-        :meth:`descendants_cached` instead."""
-        seen: Set[Node] = set()
-        work: List[Node] = [view]
+    def _reach(self, view: int) -> Set[int]:
+        """The reflexive-transitive closure of ``view`` over CHILD edges,
+        walked afresh."""
+        children = self._rel[RelKind.CHILD]
+        seen: Set[int] = set()
+        work: List[int] = [view]
         while work:
             current = work.pop()
             if current in seen:
                 continue
             seen.add(current)
-            work.extend(self._rel[RelKind.CHILD].get(current, ()))
-        if not include_self:
-            seen.discard(view)
+            work.extend(children.get(current, ()))
         return seen
 
-    def descendants_cached(self, view: Node) -> Set[Node]:
-        """The reflexive descendant set of ``view``, cache-backed.
+    def descendants_cached(self, view: int) -> Set[int]:
+        """The reflexive descendant ids of ``view``, cache-backed.
 
         Returns the internal cached set — callers must treat it as
         read-only. The cache stays exact across later ``add_rel``
@@ -536,14 +495,13 @@ class ConstraintGraph:
             self.desc_cache_hits += 1
             return cached
         self.desc_cache_misses += 1
-        cached = self.descendants_of(view, include_self=True)
-        self._desc_cache[view] = cached
+        cached = self._desc_cache[view] = self._reach(view)
         containing = self._desc_containing
         for member in cached:
             containing.setdefault(member, set()).add(view)
         return cached
 
-    def _extend_descendant_cache(self, parent: Node, child: Node) -> None:
+    def _extend_descendant_cache(self, parent: int, child: int) -> None:
         """Extend cached closures for a new CHILD edge ``parent -> child``.
 
         Any new path enabled by the edge factors as
@@ -558,18 +516,47 @@ class ConstraintGraph:
             return
         addition = self._desc_cache.get(child)
         if addition is None:
-            addition = self.descendants_of(child, include_self=True)
+            addition = self._reach(child)
         for root in list(containing):
-            cached = self._desc_cache.get(root)
-            if cached is None:  # pragma: no cover - index only holds cached roots
-                continue
+            cached = self._desc_cache[root]
             new = addition - cached
             if not new:
                 continue
             cached |= new
-            containing_index = self._desc_containing
             for member in new:
-                containing_index.setdefault(member, set()).add(root)
+                self._desc_containing.setdefault(member, set()).add(root)
+
+    # Node-facing reads, for clients of a solved graph: each looks the
+    # node up by :meth:`id_of` and decodes through :class:`NodeSet`.
+
+    def rel(self, kind: RelKind, src: Node) -> NodeSet:
+        """The nodes ``src`` has ``kind`` edges to."""
+        return NodeSet(self, self._rel[kind].get(self.id_of(src), _NO_ID_SET))
+
+    def has_rel(self, kind: RelKind, src: Node, dst: Node) -> bool:
+        return self.id_of(dst) in self._rel[kind].get(self.id_of(src), _NO_ID_SET)
+
+    def rel_edges(self, kind: RelKind) -> Iterator[Tuple[Node, Node]]:
+        nodes = self.node_list
+        for src, dsts in self._rel[kind].items():
+            for dst in dsts:
+                yield nodes[src], nodes[dst]
+
+    def children_of(self, view: Node) -> NodeSet:
+        return self.rel(RelKind.CHILD, view)
+
+    def ids_of(self, view: Node) -> NodeSet:
+        return self.rel(RelKind.HAS_ID, view)
+
+    def descendants_of(self, view: Node, include_self: bool = True) -> NodeSet:
+        """Reflexive-transitive closure over CHILD edges (``ancestorOf``
+        read backwards: returned set = all v with view ancestorOf v),
+        walked afresh on every call."""
+        i = self._require(view)
+        reach = self._reach(i)
+        if not include_self:
+            reach.discard(i)
+        return NodeSet(self, reach)
 
     # -- summary -----------------------------------------------------------------
 

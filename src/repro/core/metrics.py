@@ -6,18 +6,17 @@
 * :class:`PrecisionMetrics` — Table 2: the four average-set-size
   precision measurements. Smaller is more precise; 1.0 is the lower
   bound.
-* :class:`SolverStats` — solver-effort companion to the tables:
-  rounds, convergence, worklist traffic, and final graph/solution
-  sizes. Available on every run; the ``repro.obs`` tracer adds the
-  per-round and per-rule breakdowns on top.
+* :func:`solver_record` — solver-effort companion to the tables:
+  rounds, convergence, scheduling and worklist traffic. Available on
+  every run; the ``repro.obs`` tracer adds the per-round and per-rule
+  breakdowns on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.graph import RelKind
 from repro.core.nodes import OpNode
 from repro.core.results import AnalysisResult
 from repro.platform.api import OpKind
@@ -103,56 +102,18 @@ class PrecisionMetrics:
         ]
 
 
-@dataclass
-class SolverStats:
-    """Where the solver's effort went, for one analysis run.
-
-    ``values_added`` equals the total size of the final ``flowsTo``
-    sets (sets only grow); ``work_items`` counts worklist entries
-    drained during propagation.
-    """
-
-    app_name: str
-    rounds: int
-    converged: bool
-    solve_seconds: float
-    values_added: int
-    work_items: int
-    flow_edges: int
-    rel_edges: int
-    solver: str = "seminaive"
-    ops_scheduled: int = 0
-    ops_skipped: int = 0
-
-    def as_row(self) -> List[str]:
-        return [
-            self.app_name,
-            str(self.rounds),
-            "yes" if self.converged else "NO",
-            f"{self.solve_seconds:.3f}",
-            str(self.values_added),
-            str(self.work_items),
-            str(self.flow_edges),
-            str(self.rel_edges),
-        ]
-
-
-def compute_solver_stats(result: AnalysisResult) -> SolverStats:
-    """Summarise solver effort from a solved analysis."""
-    graph = result.graph
-    return SolverStats(
-        app_name=result.app.name,
-        rounds=result.rounds,
-        converged=result.converged,
-        solve_seconds=result.solve_seconds,
-        values_added=result.values_added,
-        work_items=result.work_items,
-        flow_edges=graph.flow_edge_count(),
-        rel_edges=sum(graph.rel_edge_count(kind) for kind in RelKind),
-        solver=result.solver,
-        ops_scheduled=result.ops_scheduled,
-        ops_skipped=result.ops_skipped,
-    )
+def solver_record(result: AnalysisResult) -> Dict[str, object]:
+    """The solver effort and convergence numbers of one run."""
+    return {
+        "solver": result.solver,
+        "solve_seconds": round(result.solve_seconds, 6),
+        "rounds": result.rounds,
+        "converged": result.converged,
+        "ops_scheduled": result.ops_scheduled,
+        "ops_skipped": result.ops_skipped,
+        "values_added": result.values_added,
+        "work_items": result.work_items,
+    }
 
 
 def _average(sizes: Sequence[int]) -> Optional[float]:

@@ -17,7 +17,9 @@ plain dataclass hash, recomputed through the nested fields
 never stored, so it is always the hash of the current process, even
 for a node that was pickled in another. Nodes are hashed only at the
 result boundary: the graph interns each node once to a dense int id
-(:mod:`repro.core.graph`), and the builder and the solver work on ids.
+(:mod:`repro.core.graph`) and keeps flow edges, relationship edges and
+their closure cache over ids, and the builder, the solver and the fact
+order work on ids, so none of them hashes a node.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.ir.program import MethodSig
-from repro.platform.api import OpKind, OpSpec
+from repro.platform.api import OpKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hierarchy.cha import ClassHierarchy

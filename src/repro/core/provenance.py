@@ -8,7 +8,9 @@ solutions with the table on or off. The witness reconstructor
 (:mod:`repro.lint.witness`) rebuilds premises after solving and accepts
 only premises numbered below their conclusion.
 
-Facts are plain tagged tuples, so they double as premise references:
+The solver numbers facts over node ids (:class:`FactOrder`); clients
+name facts over nodes. Facts are plain tagged tuples, so they double as
+premise references:
 
 * ``("flow", node, value)`` — ``value`` flows to pointer node ``node``
   (the paper's ``flowsTo(value, node)``);
@@ -52,12 +54,13 @@ def edge_fact(src: object, dst: object) -> Fact:
 class FactOrder:
     """The order in which one analysis run first added each fact.
 
-    ``flow`` maps node id -> value id -> number (one dict per node, so
-    the solver's propagation loop numbers a whole delta with one
-    ``dict.update``); ``rel`` and ``edge`` map the fact's fields, as
-    nodes, to its number. ``next`` is the number the next new fact
-    gets. :meth:`of` takes facts over nodes and looks their ids up in
-    ``graph``.
+    Every table is keyed by node ids, as the solver sees them: ``flow``
+    maps node id -> value id -> number (one dict per node, so the
+    solver's propagation loop numbers a whole delta with one
+    ``dict.update``); ``rel`` maps (kind, src id, dst id) and ``edge``
+    (src id, dst id) to a number. ``next`` is the number the next new
+    fact gets. :meth:`of` takes a fact over nodes and looks its two
+    nodes up in ``graph``.
     """
 
     __slots__ = ("graph", "flow", "rel", "edge", "next")
@@ -65,8 +68,8 @@ class FactOrder:
     def __init__(self, graph: "ConstraintGraph") -> None:
         self.graph = graph
         self.flow: Dict[int, Dict[int, int]] = {}
-        self.rel: Dict[Tuple[object, object, object], int] = {}
-        self.edge: Dict[Tuple[object, object], int] = {}
+        self.rel: Dict[Tuple[object, int, int], int] = {}
+        self.edge: Dict[Tuple[int, int], int] = {}
         self.next = 0
 
     def add_flows(self, node: int, values: Collection[int]) -> None:
@@ -76,20 +79,24 @@ class FactOrder:
         numbers.update(zip(values, count(self.next)))
         self.next += len(values)
 
-    def add_rel(self, kind: object, src: object, dst: object) -> None:
+    def add_rel(self, kind: object, src: int, dst: int) -> None:
         self.rel[(kind, src, dst)] = self.next
         self.next += 1
 
-    def add_edge(self, src: object, dst: object) -> None:
+    def add_edge(self, src: int, dst: int) -> None:
         self.edge[(src, dst)] = self.next
         self.next += 1
 
     def of(self, fact: Fact) -> Optional[int]:
         """The number of ``fact``, or None (an axiom, or not a fact)."""
+        # Every kind of fact ends with its two nodes.
+        id_of = self.graph.id_of
+        src, dst = id_of(fact[-2]), id_of(fact[-1])
         if fact[0] == FLOW:
-            id_of = self.graph.id_of
-            return self.flow.get(id_of(fact[1]), _NONE).get(id_of(fact[2]))
-        return (self.rel if fact[0] == REL else self.edge).get(fact[1:])  # type: ignore
+            return self.flow.get(src, _NONE).get(dst)
+        if fact[0] == REL:
+            return self.rel.get((fact[1], src, dst))
+        return self.edge.get((src, dst))
 
     def record_count(self) -> int:
         """Facts with an order number."""

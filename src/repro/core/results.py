@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.graph import ConstraintGraph, NodeSet, RelKind
 from repro.core.nodes import (
@@ -27,7 +27,7 @@ from repro.core.nodes import (
 from repro.hierarchy.cha import ClassHierarchy
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind
-from repro.platform.events import EventKind, ListenerSpec, spec_for_interface
+from repro.platform.events import EventKind, spec_for_interface
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.app import AndroidApp
@@ -212,20 +212,20 @@ class AnalysisResult:
 
     # -- structural queries --------------------------------------------------
 
-    def listeners_of(self, view: ValueNode) -> Set[ValueNode]:
-        return self.graph.rel(RelKind.LISTENER, view)  # type: ignore[return-value]
+    def listeners_of(self, view: ValueNode) -> NodeSet:
+        return self.graph.rel(RelKind.LISTENER, view)
 
-    def roots_of_activity(self, activity_class: str) -> Set[ValueNode]:
+    def roots_of_activity(self, activity_class: str) -> AbstractSet[ValueNode]:
         act = self.graph.lookup_activity(activity_class)
         if act is None:
             return set()
-        return self.graph.rel(RelKind.ROOT, act)  # type: ignore[return-value]
+        return self.graph.rel(RelKind.ROOT, act)
 
     def activity_views(self, activity_class: str) -> Set[ValueNode]:
         """All views in hierarchies associated with the activity."""
         views: Set[ValueNode] = set()
         for root in self.roots_of_activity(activity_class):
-            views.update(self.graph.descendants_of(root))  # type: ignore[arg-type]
+            views.update(self.graph.descendants_of(root))
         return views
 
     def handlers_for_view(
@@ -296,4 +296,4 @@ class AnalysisResult:
             return
         seen.add(view)
         for child in sorted(self.graph.children_of(view), key=str):
-            self._dump_view(child, depth + 1, lines, seen)  # type: ignore[arg-type]
+            self._dump_view(child, depth + 1, lines, seen)

@@ -1,17 +1,22 @@
 """Class-hierarchy analysis: subtype queries and virtual dispatch.
 
-All queries are precomputed or memoised; the corpus apps have hundreds
-to thousands of classes and the constraint-graph construction issues a
-subtype query per call site. The hierarchy is immutable after
-construction, so memo entries never go stale; queries return tuples and
-frozensets so that no caller can corrupt a later answer.
+All queries are memoised; the corpus apps have hundreds to thousands of
+classes and the constraint-graph construction issues a subtype query
+per call site. Building a hierarchy records only each class's direct
+subtypes, so it is linear in the program. The one subtype table holds,
+for each class some query asked about, its subtypes in program class
+order: ``is_subtype(c, s)`` and CHA dispatch on ``s`` both read the
+entry of ``s``, and each entry is a walk down ``s``'s subtree, so even
+a deep ``extends`` chain costs linear time. The hierarchy is immutable
+after construction, so memo entries never go stale; queries return
+tuples and frozensets so that no caller can corrupt a later answer.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.ir.program import Clazz, Method, Program
+from repro.ir.program import Method, Program
 
 
 class ClassHierarchy:
@@ -23,79 +28,64 @@ class ClassHierarchy:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self._supertypes: Dict[str, FrozenSet[str]] = {}
-        # Class -> its subtypes in program class order (a dict used as
-        # an ordered set), so that dispatch order does not depend on
-        # the string hash seed.
+        # Class -> the program classes that directly extend or implement
+        # it, and each program class's position in program class order,
+        # which dispatch follows so that it does not depend on the
+        # string hash seed.
+        self._children: Dict[str, List[str]] = {}
+        self._position: Dict[str, int] = {}
+        for position, (name, c) in enumerate(program.classes.items()):
+            self._position[name] = position
+            if c.superclass is not None:
+                self._children.setdefault(c.superclass, []).append(name)
+            for interface in c.interfaces:
+                self._children.setdefault(interface, []).append(name)
+        # The subtype table: class -> its program subtypes (itself
+        # included), in program class order, as a dict used as an
+        # ordered set.
         self._subtypes: Dict[str, Dict[str, None]] = {}
         # Memos of the per-class queries below.
         self._subtypes_memo: Dict[str, FrozenSet[str]] = {}
         self._chains: Dict[str, Tuple[str, ...]] = {}
         self._listener_interfaces: Dict[str, Tuple[str, ...]] = {}
         self._dispatch_cache: Dict[Tuple[str, str, int], Optional[Method]] = {}
-        # (sub, sup) -> bool memo for is_subtype; the hierarchy is
-        # immutable after construction so entries never go stale.
-        self._subtype_cache: Dict[Tuple[str, str], bool] = {}
-        self.subtype_cache_hits = 0
-        self.subtype_cache_misses = 0
-        for name in program.classes:
-            supers = self._compute_supertypes(name)
-            self._supertypes[name] = supers
-            for s in supers:
-                self._subtypes.setdefault(s, {})[name] = None
-
-    def _compute_supertypes(self, name: str) -> FrozenSet[str]:
-        result: Set[str] = set()
-        work: List[str] = [name]
-        while work:
-            current = work.pop()
-            if current in result:
-                continue
-            result.add(current)
-            c = self.program.clazz(current)
-            if c is None:
-                continue
-            if c.superclass is not None:
-                work.append(c.superclass)
-            work.extend(c.interfaces)
-        return frozenset(result)
 
     # -- queries -----------------------------------------------------------
 
-    def supertypes(self, name: str) -> FrozenSet[str]:
-        """All transitive supertypes of ``name``, including itself."""
-        result = self._supertypes.get(name)
+    def _program_subtypes(self, name: str) -> Dict[str, None]:
+        """The program classes that are ``name`` or transitively extend
+        or implement it, in program class order: ``name``'s entry of the
+        subtype table, walked down its subtree on first use."""
+        result = self._subtypes.get(name)
         if result is None:
-            result = self._compute_supertypes(name)
-            self._supertypes[name] = result
+            found = {name}
+            work = [name]
+            while work:
+                for child in self._children.get(work.pop(), ()):
+                    if child not in found:
+                        found.add(child)
+                        work.append(child)
+            position = self._position
+            ordered = sorted((c for c in found if c in position), key=position.__getitem__)
+            result = self._subtypes[name] = dict.fromkeys(ordered)
         return result
 
     def subtypes(self, name: str) -> FrozenSet[str]:
         """All transitive subtypes of ``name``, including itself."""
         result = self._subtypes_memo.get(name)
         if result is None:
-            result = self._subtypes_memo[name] = frozenset(
-                self._subtypes.get(name, ())
-            ) | {name}
+            result = self._subtypes_memo[name] = frozenset(self._program_subtypes(name)) | {
+                name
+            }
         return result
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         """Is ``sub`` the same as or a transitive subtype of ``sup``?
 
-        Memoised per (sub, sup): the solver's cast filtering and value
-        classification issue the same handful of queries millions of
-        times on large apps."""
-        if sub == sup:
-            return True
-        key = (sub, sup)
-        cached = self._subtype_cache.get(key)
-        if cached is not None:
-            self.subtype_cache_hits += 1
-            return cached
-        self.subtype_cache_misses += 1
-        result = sup in self.supertypes(sub)
-        self._subtype_cache[key] = result
-        return result
+        One lookup in ``sup``'s entry of the subtype table: the solver's
+        cast filtering and value classification issue the same handful
+        of queries millions of times on large apps."""
+        return sub == sup or sub in self._program_subtypes(sup)
 
     def superclass_chain(self, name: str) -> Tuple[str, ...]:
         """``name`` and its superclasses, most-derived first."""
@@ -119,21 +109,35 @@ class ClassHierarchy:
         """Resolve a virtual call for a receiver of *exact* run-time type.
 
         Walks the superclass chain from ``receiver_class`` upward, like
-        JVM method resolution.
+        JVM method resolution, and records the answer for every class
+        it passes, so the walk stops at the first class already
+        resolved.
         """
+        cache = self._dispatch_cache
         key = (receiver_class, name, arity)
-        if key in self._dispatch_cache:
-            return self._dispatch_cache[key]
+        if key in cache:
+            return cache[key]
+        walked: List[Tuple[str, str, int]] = []
+        seen: Set[str] = set()
         result: Optional[Method] = None
-        for cname in self.superclass_chain(receiver_class):
-            c = self.program.clazz(cname)
+        current: Optional[str] = receiver_class
+        while current is not None and current not in seen:
+            key = (current, name, arity)
+            if key in cache:
+                result = cache[key]
+                break
+            seen.add(current)
+            walked.append(key)
+            c = self.program.clazz(current)
             if c is None:
-                continue
+                break
             m = c.method(name, arity)
             if m is not None and not m.is_abstract:
                 result = m
                 break
-        self._dispatch_cache[key] = result
+            current = c.superclass
+        for key in walked:
+            cache[key] = result
         return result
 
     def app_callback(
@@ -162,7 +166,7 @@ class ClassHierarchy:
         platform subtypes are skipped.
         """
         targets: Dict[Tuple[str, str, int], Method] = {}
-        for sub in self._subtypes.get(declared_class, ()):
+        for sub in self._program_subtypes(declared_class):
             c = self.program.clazz(sub)
             if c is None or c.is_interface or c.is_platform:
                 continue
@@ -185,8 +189,7 @@ class ClassHierarchy:
         if cached is None:
             from repro.platform.events import listener_interfaces
 
-            supers = self.supertypes(name)
-            cached = tuple(i for i in listener_interfaces() if i in supers)
+            cached = tuple(i for i in listener_interfaces() if self.is_subtype(name, i))
             self._listener_interfaces[name] = cached
         return cached
 

@@ -215,13 +215,15 @@ class Explainer:
         """CHILD facts of a shortest ``start ->* target`` path over edges
         ranked below ``limit`` (BFS, children in ``str`` order)."""
         parent: Dict[Node, Node] = {start: start}
-        queue, ranks = deque([start]), self.order.rel
+        queue = deque([start])
         while queue and target not in parent:
             node = queue.popleft()
-            for child in sorted(self.graph.rel_view(CHILD, node), key=str):
-                if child not in parent and ranks.get((CHILD, node, child), limit) < limit:
-                    parent[child] = node
-                    queue.append(child)
+            for child in sorted(self.graph.children_of(node), key=str):
+                if child not in parent:
+                    rank = self.order.of(rel_fact(CHILD, node, child))
+                    if rank is not None and rank < limit:
+                        parent[child] = node
+                        queue.append(child)
         if target not in parent:
             return None
         chain: List[Fact] = []
@@ -243,7 +245,7 @@ class Explainer:
             starts = [
                 ((flow_fact(recv, holder), rel_fact(ROOT, holder, root)), root)
                 for holder in self._values(recv, self._is_activity_like)
-                for root in self.graph.rel_view(ROOT, holder)
+                for root in self.graph.rel(ROOT, holder)
             ]
         else:
             starts = [((flow_fact(recv, v),), v) for v in self._values(recv, self._is_view)]
@@ -274,7 +276,7 @@ class Explainer:
 
     def _xml_binding(self, act: Node, view: Node, limit: int) -> Iterator[Derivation]:
         """``android:onClick``: ``view`` is reachable from a root of ``act``."""
-        for root in self.graph.rel_view(ROOT, act):
+        for root in self.graph.rel(ROOT, act):
             chain = self._chain(root, view, limit)
             if chain is not None:
                 head = (flow_fact(act, act), rel_fact(ROOT, act, root))
@@ -416,7 +418,7 @@ class Explainer:
             # A bound handler has one parameter, the clicked view.
             for binding in self.result.xml_handlers:
                 if binding.view == src and binding.handler == sig:
-                    act = self.graph.activity(binding.activity_class)
+                    act = self.graph.lookup_activity(binding.activity_class)
                     yield from self._xml_binding(act, src, limit)
 
 

@@ -72,8 +72,9 @@ COUNTER_LINT_SUPPRESSED = "lint.suppressed"
 #
 # ``ops_scheduled`` counts rule evaluations actually run; ``ops_skipped``
 # counts the ops a round left out because none of the inputs their rule
-# read had changed. Under ``--solver naive`` every round schedules every
-# op, so ops_skipped is always 0 and ops_scheduled == rounds * |ops|.
+# read had changed. Under ``AnalysisOptions(solver="naive")`` every round
+# schedules every op, so ops_skipped is always 0 and ops_scheduled ==
+# rounds * |ops|.
 
 COUNTER_OPS_SCHEDULED = "solver.ops_scheduled"
 COUNTER_OPS_SKIPPED = "solver.ops_skipped"
@@ -84,10 +85,6 @@ COUNTER_OPS_SKIPPED = "solver.ops_skipped"
 
 COUNTER_DESC_CACHE_HITS = "graph.descendant_cache_hits"
 COUNTER_DESC_CACHE_MISSES = "graph.descendant_cache_misses"
-COUNTER_SUBTYPE_CACHE_HITS = "cha.subtype_cache_hits"
-COUNTER_SUBTYPE_CACHE_MISSES = "cha.subtype_cache_misses"
-COUNTER_CAST_CACHE_HITS = "solver.cast_cache_hits"
-COUNTER_CAST_CACHE_MISSES = "solver.cast_cache_misses"
 
 # -- builder counters --------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.app import AndroidApp
 from repro.core.analysis import AnalysisOptions, analyze
 from repro.core.diff import solution_fingerprint
-from repro.core.metrics import compute_graph_stats, compute_precision
+from repro.core.metrics import compute_graph_stats, compute_precision, solver_record
 from repro.core.results import AnalysisResult
 from repro.errors import ReproError
 
@@ -124,8 +124,6 @@ def analyze_job(
     serial-vs-parallel equivalence anchor), solver effort stats, and
     the Table 1/2 headline numbers.
     """
-    from repro.bench.solverbench import solver_record
-
     result = analyze(app, options)
     stats = compute_graph_stats(result)
     precision = compute_precision(result)

@@ -119,21 +119,24 @@ def _check_membership(
     index: TagIndex,
     nodes: List[Node],
     tag: Optional[CreationTag],
-    what: str,
+    op: OpNode,
+    port: str,
     report: SoundnessReport,
 ) -> None:
     """Is some abstraction of ``tag`` in the static set of some node
-    of ``nodes`` (an op's ports, or the op, and their context copies)?"""
+    of ``nodes`` (an op's ports, or the op, and their context copies)?
+    ``op`` and ``port`` name the checked fact in a violation, and are
+    rendered only then."""
     if tag is None or isinstance(tag, FrameworkTag):
         return  # framework helpers have no static abstraction by design
     values = index.values(tag)
     if not values:
-        report.violations.append(f"{what}: no static abstraction for {tag}")
+        report.violations.append(f"{op} {port}: no static abstraction for {tag}")
         return
     report.checked += 1
     if not any(value in result.pts.get(node, ()) for node in nodes for value in values):
         report.violations.append(
-            f"{what}: dynamic value {values[0]} not in static set at {nodes[0]}"
+            f"{op} {port}: dynamic value {values[0]} not in static set at {nodes[0]}"
         )
 
 
@@ -158,10 +161,10 @@ def check_soundness(result: AnalysisResult, trace: Trace) -> SoundnessReport:
             continue
         op = ops[0]
         _check_membership(
-            result, index, [OpRecv(o) for o in ops], event.receiver, f"{op} receiver", report
+            result, index, [OpRecv(o) for o in ops], event.receiver, op, "receiver", report
         )
         _check_membership(
-            result, index, [OpArg(o, 0) for o in ops], event.argument, f"{op} argument", report
+            result, index, [OpArg(o, 0) for o in ops], event.argument, op, "argument", report
         )
-        _check_membership(result, index, ops, event.result, f"{op} result", report)
+        _check_membership(result, index, ops, event.result, op, "result", report)
     return report

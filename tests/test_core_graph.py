@@ -10,9 +10,9 @@ from repro.platform.api import OpKind, OpSpec
 SIG = MethodSig("app.C", "m", 0)
 
 
-def infl_view(graph, op_site, layout, path, view_class, id_name):
-    """Intern an inflated view through the id API; returns its node."""
-    return graph.node_list[graph.infl_view_id(op_site, layout, path, view_class, id_name)]
+def var(graph, name):
+    """Intern local ``name`` of ``SIG``; returns its node."""
+    return graph.node_list[graph.var_id(SIG, name)]
 
 
 def add_flow(graph, src, dst, type_filter=None):
@@ -21,8 +21,16 @@ def add_flow(graph, src, dst, type_filter=None):
 
 
 def port(graph, op, slot):
-    """The interned receiver (``RECV``) or argument port of ``op``."""
-    return graph.node_list[graph.port_id(graph.id_of(op), slot)]
+    """The interned receiver (``RECV``) or argument port of op id ``op``."""
+    return graph.node_list[graph.port_id(op, slot)]
+
+
+def views(graph, n):
+    """Ids of ``n`` inflated views of one layout."""
+    site = Site(SIG, 0, 1)
+    return [
+        graph.infl_view_id(site, "m", (i,), "android.view.ViewGroup", None) for i in range(n)
+    ]
 
 
 @pytest.fixture()
@@ -32,45 +40,46 @@ def graph():
 
 class TestInterning:
     def test_var_interned(self, graph):
-        assert graph.var(SIG, "x") is graph.var(SIG, "x")
-        assert graph.var(SIG, "x") is not graph.var(SIG, "y")
+        assert graph.var_id(SIG, "x") == graph.var_id(SIG, "x")
+        assert graph.var_id(SIG, "x") != graph.var_id(SIG, "y")
 
     def test_field_interned(self, graph):
-        assert graph.field("app.C", "f") is graph.field("app.C", "f")
+        assert graph.field_id("app.C", "f") == graph.field_id("app.C", "f")
 
     def test_alloc_categories(self, graph):
         site = Site(SIG, 0, 10)
-        a = graph.alloc(site, "android.widget.Button", is_view=True)
+        a = graph.node_list[graph.alloc_id(site, "android.widget.Button", is_view=True)]
         assert a in graph.view_allocs
         assert a not in graph.listener_allocs
 
     def test_activity_interned(self, graph):
-        assert graph.activity("app.A") is graph.activity("app.A")
+        assert graph.activity_id("app.A") == graph.activity_id("app.A")
 
     def test_ids_interned(self, graph):
-        assert graph.layout_id("main", 1) is graph.layout_id("main", 1)
-        assert graph.view_id("ok", 2) is graph.view_id("ok", 2)
+        assert graph.layout_id_id("main", 1) == graph.layout_id_id("main", 1)
+        assert graph.view_id_id("ok", 2) == graph.view_id_id("ok", 2)
 
     def test_op_interned_by_site(self, graph):
         site = Site(SIG, 3, 12)
         spec = OpSpec(OpKind.SETID, arg_index=0)
-        op = graph.op(OpKind.SETID, site, spec)
-        assert graph.op(OpKind.SETID, site, spec) is op
-        assert graph.op_spec(op) is spec
+        op = graph.op_id(OpKind.SETID, site, spec)
+        assert graph.op_id(OpKind.SETID, site, spec) == op
+        assert graph.op_spec(graph.node_list[op]) is spec
 
     def test_ports_interned(self, graph):
-        op = graph.op(OpKind.SETID, Site(SIG, 3, 12), OpSpec(OpKind.SETID, arg_index=0))
+        op = graph.op_id(OpKind.SETID, Site(SIG, 3, 12), OpSpec(OpKind.SETID, arg_index=0))
         assert port(graph, op, RECV) is port(graph, op, RECV)
         assert port(graph, op, 0) is port(graph, op, 0)
         assert port(graph, op, 1) is not port(graph, op, 0)
-        assert OpRecv(op) in graph.nodes and OpArg(op, 1) in graph.nodes
-        assert OpArg(op, 2) not in graph.nodes
+        op_node = graph.node_list[op]
+        assert OpRecv(op_node) in graph.nodes and OpArg(op_node, 1) in graph.nodes
+        assert OpArg(op_node, 2) not in graph.nodes
         assert len(graph.nodes) == 4
 
     def test_fresh_equal_nodes_found(self, graph):
-        x = graph.var(SIG, "x")
+        x = var(graph, "x")
         site = Site(SIG, 0, 10)
-        graph.alloc(site, "android.widget.Button", is_view=True)
+        graph.alloc_id(site, "android.widget.Button", is_view=True)
         assert graph.id_of(VarNode(MethodSig("app.C", "m", 0), "x")) == graph.id_of(x)
         assert AllocNode(Site(SIG, 0, 10), "android.widget.Button") in graph.nodes
         assert AllocNode(site, "android.widget.Button") in graph.view_allocs
@@ -80,33 +89,33 @@ class TestInterning:
 
     def test_infl_view_interned_by_site_layout_path(self, graph):
         site = Site(SIG, 1, 9)
-        a = infl_view(graph, site, "main", (), "android.view.View", None)
-        b = infl_view(graph, site, "main", (), "android.view.View", None)
-        c = infl_view(graph, site, "main", (0,), "android.view.View", None)
-        assert a is b and a is not c
+        a = graph.infl_view_id(site, "main", (), "android.view.View", None)
+        b = graph.infl_view_id(site, "main", (), "android.view.View", None)
+        c = graph.infl_view_id(site, "main", (0,), "android.view.View", None)
+        assert a == b and a != c
 
 
 class TestFlowEdges:
     def test_add_flow_dedup(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y = var(graph, "x"), var(graph, "y")
         assert add_flow(graph, x, y)
         assert not add_flow(graph, x, y)
         assert graph.flow_edge_count() == 1
 
     def test_flow_filter_stored(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y = var(graph, "x"), var(graph, "y")
         add_flow(graph, x, y, type_filter="android.view.View")
         assert graph.flow_filter(x, y) == "android.view.View"
         assert graph.flow_filter(y, x) is None
 
     def test_succ_pred_consistency(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y = var(graph, "x"), var(graph, "y")
         add_flow(graph, x, y)
         assert graph.has_flow(x, y)
         assert not graph.has_flow(y, x)
 
     def test_duplicate_keeps_first_filter(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y = var(graph, "x"), var(graph, "y")
         assert add_flow(graph, x, y, type_filter="android.view.View")
         assert not add_flow(graph, x, y, type_filter="android.widget.Button")
         assert not add_flow(graph, x, y)
@@ -154,42 +163,40 @@ class TestBuiltGraph:
 
 class TestRelEdges:
     def test_add_rel_dedup(self, graph):
-        v1 = graph.activity("app.A")
-        v2 = graph.var(SIG, "x")
+        v1 = graph.activity_id("app.A")
+        v2 = graph.var_id(SIG, "x")
         assert graph.add_rel(RelKind.ROOT, v1, v2)
         assert not graph.add_rel(RelKind.ROOT, v1, v2)
         assert graph.rel_edge_count(RelKind.ROOT) == 1
 
     def test_forward_backward(self, graph):
-        site = Site(SIG, 0, 1)
-        p = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
-        c = infl_view(graph, site, "m", (0,), "android.view.View", None)
+        p, c = views(graph, 2)
         graph.add_rel(RelKind.CHILD, p, c)
-        assert graph.children_of(p) == {c}
-        assert graph.rel_back(RelKind.CHILD, c) == {p}
+        assert graph.rel_view(RelKind.CHILD, p) == {c}
+        assert graph.rel_back_view(RelKind.CHILD, c) == {p}
+        # The node-facing read decodes the same edge.
+        nodes = graph.node_list
+        assert graph.children_of(nodes[p]) == {nodes[c]}
 
     def test_descendants_reflexive_transitive(self, graph):
-        site = Site(SIG, 0, 1)
-        a = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
-        b = infl_view(graph, site, "m", (0,), "android.view.ViewGroup", None)
-        c = infl_view(graph, site, "m", (0, 0), "android.view.View", None)
+        a, b, c = views(graph, 3)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, c)
-        assert graph.descendants_of(a) == {a, b, c}
-        assert graph.descendants_of(a, include_self=False) == {b, c}
+        nodes = graph.node_list
+        assert graph.descendants_of(nodes[a]) == {nodes[a], nodes[b], nodes[c]}
+        assert graph.descendants_of(nodes[a], include_self=False) == {nodes[b], nodes[c]}
         assert c in graph.descendants_cached(a)
         assert a not in graph.descendants_cached(c)
 
     def test_descendants_tolerates_cycles(self, graph):
-        site = Site(SIG, 0, 1)
-        a = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
-        b = infl_view(graph, site, "m", (0,), "android.view.ViewGroup", None)
+        a, b = views(graph, 2)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, a)
-        assert graph.descendants_of(a) == {a, b}
+        nodes = graph.node_list
+        assert graph.descendants_of(nodes[a]) == {nodes[a], nodes[b]}
 
     def test_summary_counts(self, graph):
-        x, y = graph.var(SIG, "x"), graph.var(SIG, "y")
+        x, y = var(graph, "x"), var(graph, "y")
         add_flow(graph, x, y)
         summary = graph.summary()
         assert summary["flow_edges"] == 1
@@ -200,14 +207,10 @@ class TestHasIdInvertedIndex:
     """rel_back_view(HAS_ID, id) is the id→views inverted index the
     semi-naive FindView rules intersect against."""
 
-    def _view(self, graph, index):
-        site = Site(SIG, 0, 1)
-        return infl_view(graph, site, "m", (index,), "android.view.View", None)
-
     def test_index_tracks_interleaved_add_rel(self, graph):
-        ok = graph.view_id("ok", 1)
-        cancel = graph.view_id("cancel", 2)
-        v1, v2, v3 = (self._view(graph, i) for i in range(3))
+        ok = graph.view_id_id("ok", 1)
+        cancel = graph.view_id_id("cancel", 2)
+        v1, v2, v3 = views(graph, 3)
         graph.add_rel(RelKind.HAS_ID, v1, ok)
         assert graph.rel_back_view(RelKind.HAS_ID, ok) == {v1}
         # Interleave other kinds and ids; the index must stay exact.
@@ -222,38 +225,34 @@ class TestHasIdInvertedIndex:
         assert graph.rel_back_view(RelKind.HAS_ID, ok) == {v1, v3}
 
     def test_index_agrees_with_rel_back(self, graph):
-        ok = graph.view_id("ok", 1)
-        views = [self._view(graph, i) for i in range(5)]
-        for v in views:
+        """The backward index holds exactly the sources of the forward
+        edges into an id."""
+        ok = graph.view_id_id("ok", 1)
+        for v in views(graph, 5):
             graph.add_rel(RelKind.HAS_ID, v, ok)
-        assert graph.rel_back_view(RelKind.HAS_ID, ok) == graph.rel_back(
-            RelKind.HAS_ID, ok
-        )
+        nodes = graph.node_list
+        assert {nodes[v] for v in graph.rel_back_view(RelKind.HAS_ID, ok)} == {
+            src for src, dst in graph.rel_edges(RelKind.HAS_ID) if dst == nodes[ok]
+        }
 
     def test_missing_id_is_empty(self, graph):
-        assert graph.rel_back_view(RelKind.HAS_ID, graph.view_id("x", 9)) == set()
+        assert graph.rel_back_view(RelKind.HAS_ID, graph.view_id_id("x", 9)) == set()
 
 
 class TestDescendantCache:
-    def _tree(self, graph, n):
-        site = Site(SIG, 0, 1)
-        return [
-            infl_view(graph, site, "m", (i,), "android.view.ViewGroup", None)
-            for i in range(n)
-        ]
-
     def test_cache_matches_walk(self, graph):
-        a, b, c, d = self._tree(graph, 4)
+        a, b, c, d = views(graph, 4)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, c)
         graph.add_rel(RelKind.CHILD, a, d)
-        assert graph.descendants_cached(a) == graph.descendants_of(a)
+        nodes = graph.node_list
+        assert {nodes[v] for v in graph.descendants_cached(a)} == graph.descendants_of(nodes[a])
         assert graph.descendants_cached(c) == {c}
 
     def test_cache_extends_on_posthoc_deep_insertion(self, graph):
         """A CHILD edge inserted deep in an existing (already cached)
         tree must appear in every cached ancestor closure."""
-        a, b, c, d, e = self._tree(graph, 5)
+        a, b, c, d, e = views(graph, 5)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.add_rel(RelKind.CHILD, b, c)
         # Populate caches for every level first.
@@ -263,6 +262,7 @@ class TestDescendantCache:
         graph.add_rel(RelKind.CHILD, d, e)
         graph.descendants_cached(d)
         graph.add_rel(RelKind.CHILD, c, d)
+        nodes = graph.node_list
         for view, expected in (
             (a, {a, b, c, d, e}),
             (b, {b, c, d, e}),
@@ -270,19 +270,22 @@ class TestDescendantCache:
             (d, {d, e}),
         ):
             assert graph.descendants_cached(view) == expected
-            assert graph.descendants_cached(view) == graph.descendants_of(view)
+            assert {nodes[v] for v in graph.descendants_cached(view)} == graph.descendants_of(
+                nodes[view]
+            )
 
     def test_cache_extension_tolerates_cycles(self, graph):
-        a, b, c = self._tree(graph, 3)
+        a, b, c = views(graph, 3)
         graph.add_rel(RelKind.CHILD, a, b)
         graph.descendants_cached(a)
         graph.add_rel(RelKind.CHILD, b, c)
         graph.add_rel(RelKind.CHILD, c, a)  # cycle back to the root
         assert graph.descendants_cached(a) == {a, b, c}
-        assert graph.descendants_cached(a) == graph.descendants_of(a)
+        nodes = graph.node_list
+        assert {nodes[v] for v in graph.descendants_cached(a)} == graph.descendants_of(nodes[a])
 
     def test_ancestor_of_uses_cache(self, graph):
-        a, b, c = self._tree(graph, 3)
+        a, b, c = views(graph, 3)
         graph.add_rel(RelKind.CHILD, a, b)
         assert b in graph.descendants_cached(a)
         # Edge added after the cached query must be visible.
@@ -291,7 +294,7 @@ class TestDescendantCache:
         assert b not in graph.descendants_cached(c)
 
     def test_cache_counters_move(self, graph):
-        a, b = self._tree(graph, 2)
+        a, b = views(graph, 2)
         graph.add_rel(RelKind.CHILD, a, b)
         misses0, hits0 = graph.desc_cache_misses, graph.desc_cache_hits
         graph.descendants_cached(a)
@@ -304,8 +307,8 @@ class TestRelListener:
     def test_listener_sees_every_new_edge(self, graph):
         seen = []
         graph.rel_listener = lambda kind, src, dst: seen.append((kind, src, dst))
-        a = graph.activity("app.A")
-        x = graph.var(SIG, "x")
+        a = graph.activity_id("app.A")
+        x = graph.var_id(SIG, "x")
         graph.add_rel(RelKind.ROOT, a, x)
         graph.add_rel(RelKind.ROOT, a, x)  # duplicate: no notification
         assert seen == [(RelKind.ROOT, a, x)]
@@ -313,9 +316,7 @@ class TestRelListener:
     def test_listener_sees_consistent_descendant_cache(self, graph):
         """The CHILD cache extension runs before the notification, so a
         listener reacting to the edge can already query the closure."""
-        site = Site(SIG, 0, 1)
-        p = infl_view(graph, site, "m", (), "android.view.ViewGroup", None)
-        c = infl_view(graph, site, "m", (0,), "android.view.View", None)
+        p, c = views(graph, 2)
         graph.descendants_cached(p)
         observed = []
 

@@ -47,14 +47,15 @@ def _fingerprint(result) -> str:
 
 def _facts(result):
     """Every fact of a solution: flows, relationship edges, and the flow
-    edges the solver made."""
+    edges the solver made (the fact order keys the last two by ids)."""
+    nodes = result.graph.node_list
     for node, values in result.pts.items():
         for value in values:
             yield flow_fact(node, value)
     for (kind, src, dst) in result.provenance.rel:
-        yield rel_fact(kind, src, dst)
+        yield rel_fact(kind, nodes[src], nodes[dst])
     for (src, dst) in result.provenance.edge:
-        yield edge_fact(src, dst)
+        yield edge_fact(nodes[src], nodes[dst])
 
 
 def _holds(result, fact) -> bool:
@@ -170,8 +171,10 @@ class TestSolverIntegration:
         order = result.provenance
         assert order.rel, "no relationship edges numbered"
         explainer = Explainer(result)
+        nodes = result.graph.node_list
         rules_seen = {
-            explainer.derivation(rel_fact(*key))[0] for key in order.rel
+            explainer.derivation(rel_fact(kind, nodes[src], nodes[dst]))[0]
+            for kind, src, dst in order.rel
         }
         # Inflation populates HAS_ID/CHILD edges; listener registration
         # populates LISTENER edges.

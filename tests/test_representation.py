@@ -10,17 +10,27 @@ import sys
 
 import pytest
 
+from repro.bench.solverbench import scaled_spec
 from repro.core import nodes as node_module
-from repro.core.analysis import GuiReferenceAnalysis
+from repro.core.analysis import AnalysisOptions, GuiReferenceAnalysis
 from repro.core.graph import RECV
 from repro.core.nodes import Node, OpRecv, Site, VarNode
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
+from repro.frontend import load_app_from_sources
 from repro.ir.program import MethodSig
 from repro.platform.api import OpKind
 
+import test_dialogs
+from test_provenance import FIXTURES
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 MISSING = VarNode(MethodSig("no.Class", "m", 0), "x")
+NODE_KINDS = [
+    cls
+    for cls in vars(node_module).values()
+    if isinstance(cls, type) and issubclass(cls, Node) and cls is not Node
+]
 
 
 def test_solve_hashes_fewer_nodes_than_flow_edges(monkeypatch):
@@ -29,12 +39,7 @@ def test_solve_hashes_fewer_nodes_than_flow_edges(monkeypatch):
     node-keyed solver made 257,676 such calls for 40,072 edges)."""
     analysis = GuiReferenceAnalysis(generate_app(spec_by_name("K9")))
     calls = [0]
-    classes = [
-        cls
-        for cls in vars(node_module).values()
-        if isinstance(cls, type) and issubclass(cls, Node) and cls is not Node
-    ]
-    for cls in classes + [Site, MethodSig]:
+    for cls in NODE_KINDS + [Site, MethodSig]:
 
         def counting(self, _hash=cls.__hash__):
             calls[0] += 1
@@ -44,6 +49,36 @@ def test_solve_hashes_fewer_nodes_than_flow_edges(monkeypatch):
     analysis.solve()
     monkeypatch.undo()
     assert 0 < calls[0] < analysis.graph.flow_edge_count()
+
+
+# Every operation rule and android:onClick (the witness fixtures), plus
+# dialogs and an app larger than any corpus app.
+HASH_FREE_APPS = {
+    **FIXTURES,
+    "dialogs": lambda: load_app_from_sources("dlg", [test_dialogs.SOURCE], test_dialogs.LAYOUTS),
+    "scale8": lambda: generate_app(scaled_spec(8)),
+}
+
+
+@pytest.mark.parametrize("provenance", [False, True], ids=["plain", "provenance"])
+@pytest.mark.parametrize("solver", ["naive", "seminaive"])
+@pytest.mark.parametrize("name", sorted(HASH_FREE_APPS))
+def test_build_and_solve_hash_no_node(monkeypatch, name, solver, provenance):
+    """Both edge families and the fact order are kept over ids, so the
+    builder and the solver never hash a node: with every node kind's
+    ``__hash__`` raising, an analysis still builds and solves."""
+    app = HASH_FREE_APPS[name]()
+
+    def refuse(self):
+        raise AssertionError(f"hashed {type(self).__name__} {self}")
+
+    for cls in NODE_KINDS:
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    analysis = GuiReferenceAnalysis(app, AnalysisOptions(solver=solver, provenance=provenance))
+    result = analysis.solve()
+    monkeypatch.undo()
+    assert result.converged
+    assert (result.provenance is not None) is provenance
 
 
 def test_pickled_nodes_hash_in_the_loading_process():

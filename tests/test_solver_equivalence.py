@@ -105,19 +105,6 @@ def test_rel_listener_uninstalled_after_solve():
     assert analysis.graph.rel_listener is None
 
 
-@pytest.mark.parametrize("name", EXAMPLE_PROJECTS)
-def test_modes_agree_without_xml_onclick(name):
-    """With ``android:onClick`` binding off, the scheduler stops as soon
-    as no op is dirty instead of waiting, round after empty round until
-    ``max_rounds``, for an XML re-binding that never runs."""
-    app = _example_app(name)
-    naive = analyze(app, AnalysisOptions(solver="naive", model_xml_onclick=False))
-    semi = analyze(app, AnalysisOptions(solver="seminaive", model_xml_onclick=False))
-    assert naive.converged and semi.converged
-    assert semi.rounds <= naive.rounds
-    assert not diff_solutions(solution_fingerprint(naive), solution_fingerprint(semi))
-
-
 def test_child_edge_reschedules_the_find_that_read_it():
     """``findViewById(button_a)`` on the activity first runs before
     ``addView`` attaches the allocated view carrying that id. No port of

@@ -9,6 +9,7 @@ multiple interpreter seeds (the seed varies FindView3's choice of
 import pytest
 
 from repro import AnalysisOptions, analyze
+from repro.core.nodes import OpNode
 from repro.corpus.apps import spec_by_name
 from repro.corpus.generator import generate_app
 from repro.semantics import check_soundness, run_app
@@ -61,6 +62,21 @@ class TestGeneratedCorpus:
         report = check_soundness(static, run.trace)
         assert report.violations == []
 
+    def test_sound_check_renders_no_operation(self, monkeypatch):
+        """Violation text is built only for a violation: a sound check
+        of XBMC never renders an operation node."""
+        app = generate_app(spec_by_name("XBMC"))
+        static = analyze(app)
+        run = run_app(app)
+
+        def refuse(self):
+            raise AssertionError(f"rendered {self.kind}")
+
+        monkeypatch.setattr(OpNode, "__str__", refuse)
+        report = check_soundness(static, run.trace)
+        assert report.violations == []
+        assert report.checked > 0
+
     def test_sound_on_outlier_with_call_site_contexts(self):
         """The interpreter runs the original program: an event at a
         helper's site is held by the original op or a context copy, and
@@ -104,3 +120,22 @@ class TestDynamicWithinStatic:
         report = check_soundness(static, run.trace)
         assert not report.is_sound
         assert any("no static operation node" in v for v in report.violations)
+
+    def test_violation_names_operation_and_port(self):
+        """A violation names the op and the port checked, as ``<op>
+        <port>: ...``."""
+        from dataclasses import replace
+
+        from repro.core.nodes import Site
+        from repro.ir.program import MethodSig
+        from repro.semantics.values import AllocTag
+
+        app = make_single_activity_app()
+        static = analyze(app)
+        run = run_app(app)
+        event = run.trace.events[0]
+        op = next(o for o in static.graph.ops() if o.site == event.site)
+        ghost = AllocTag(Site(MethodSig("app.Nowhere", "m", 0), 99, 1234))
+        run.trace.events[:] = [replace(event, receiver=ghost)]
+        report = check_soundness(static, run.trace)
+        assert report.violations == [f"{op} receiver: no static abstraction for {ghost}"]
